@@ -180,13 +180,16 @@ def _resolve_model(args) -> tuple[LanguageModel, Pdfa | None]:
         if not args.alphabet:
             raise _config_error("remote models need --alphabet sym1,sym2,...")
         alphabet = Alphabet(tuple(s for s in args.alphabet.split(",") if s))
-        model = RemoteModel(
-            source,
-            alphabet,
-            timeout=args.timeout,
-            renormalize=args.renormalize,
-            max_query_length=args.max_query_length,
-        )
+        try:
+            model = RemoteModel(
+                source,
+                alphabet,
+                timeout=args.timeout,
+                renormalize=args.renormalize,
+                max_query_length=args.max_query_length,
+            )
+        except ValueError as exc:
+            raise _config_error(str(exc)) from None
         return model, None
     pdfa = _load_pdfa(source, prune=args.prune)
     return PdfaLanguageModel(pdfa), pdfa

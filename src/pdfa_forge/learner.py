@@ -12,6 +12,7 @@ counterexample word.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,7 +49,26 @@ class ConsistencyDefect:
 
 
 class ObservationTable:
-    """RED/BLUE prefix rows times suffix columns of queried distributions."""
+    """RED/BLUE prefix rows times suffix columns of queried distributions.
+
+    The table maintains its structure instead of recomputing it, so its
+    bookkeeping grows linearly with the cells:
+
+    - RED and BLUE are kept in length-lexicographic order by binary insertion,
+      with one ``word_key`` computed per word when it enters the table; BLUE
+      is also kept as a set.
+    - The row cache holds one tuple of cell class signatures per RED or BLUE
+      prefix. Adding a column extends every tuple by one entry. Identical
+      signatures are pooled, so equal cells share one ``bytes`` object.
+    - The class index maps each row signature to its RED rows in
+      length-lexicographic order. ``closed`` and ``red_class_count`` are
+      lookups in it, and ``consistent`` visits only classes of two or more
+      rows.
+
+    Only new rows and new columns are filled, so each (prefix, suffix) cell
+    is queried exactly once. After ``TableLimitExceeded`` the table is left
+    partly filled and must not be used further.
+    """
 
     def __init__(
         self,
@@ -60,48 +80,55 @@ class ObservationTable:
         self.model: CachedModel = cached(model)
         self.equivalence = equivalence
         self.max_cells = max_cells
-        self._key = lambda w: word_key(self.model.alphabet, w)
-        self.red: list[Word] = [EMPTY]
+        self.red: list[Word] = []
         self.suffixes: list[Word] = [EMPTY]
+        self._red_set: set[Word] = set()
+        self._blue: list[Word] = []
+        self._blue_set: set[Word] = set()
+        # Length-lex key of every RED and BLUE word. Bisecting through the
+        # dict's own method keeps the table free of reference cycles.
+        self._keys: dict[Word, tuple[int, tuple[int, ...]]] = {}
+        self._key = self._keys.__getitem__
         self._cells: dict[tuple[Word, Word], Distribution] = {}
-        self._cell_sigs: dict[tuple[Word, Word], bytes] = {}
-        self._fill_all()
+        self._rows: dict[Word, tuple[bytes, ...]] = {}
+        self._classes: dict[tuple[bytes, ...], list[Word]] = {}
+        self._pool: dict[bytes, bytes] = {}
+        self._fill_rows(self._promote(EMPTY))
+        self._index(EMPTY)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def blue(self) -> list[Word]:
         """RED's one-symbol continuations that are not RED themselves."""
-        red = set(self.red)
-        out = {p + (s,) for p in self.red for s in self.model.alphabet.symbols} - red
-        return sorted(out, key=self._key)
+        return list(self._blue)
 
     def dimensions(self) -> tuple[int, int, int]:
-        return len(self.red), len(self.blue), len(self.suffixes)
+        return len(self.red), len(self._blue), len(self.suffixes)
 
     def cell(self, prefix: Word, suffix: Word) -> Distribution:
         return self._cells[(prefix, suffix)]
 
     def row_signature(self, prefix: Word) -> tuple[bytes, ...]:
-        return tuple(self._cell_sigs[(prefix, s)] for s in self.suffixes)
+        return self._rows[prefix]
 
     def red_classes(self) -> dict[tuple[bytes, ...], list[Word]]:
         """RED rows grouped by row signature, in length-lex discovery order."""
-        classes: dict[tuple[bytes, ...], list[Word]] = {}
-        for p in sorted(self.red, key=self._key):
-            classes.setdefault(self.row_signature(p), []).append(p)
-        return classes
+        ordered = sorted(self._classes.items(), key=lambda item: self._key(item[1][0]))
+        return {sig: list(rows) for sig, rows in ordered}
 
     def red_class_count(self) -> int:
-        return len({self.row_signature(p) for p in self.red})
+        return len(self._classes)
 
     def validate(self) -> None:
         """Check the structural invariants; raises on violation.
 
         RED is prefix-closed and contains the empty word, the suffix set is
         suffix-closed and contains the empty word, BLUE is exactly RED's
-        uncovered one-symbol continuations, and every row has a queried cell
-        per suffix equal to the model's answer.
+        uncovered one-symbol continuations, RED and BLUE are in
+        length-lexicographic order, and every row has a queried cell per
+        suffix equal to the model's answer. The row cache and the class index
+        must equal their recomputation from the cells.
         """
         red = set(self.red)
         if EMPTY not in red:
@@ -115,74 +142,120 @@ class ObservationTable:
         for s in suffixes:
             if s and s[1:] not in suffixes:
                 raise LearnerInvariantError(f"suffixes are not suffix-closed at {s!r}")
-        expected_blue = {
-            p + (symbol,) for p in red for symbol in self.model.alphabet.symbols
-        } - red
-        if set(self.blue) != expected_blue:
+        alphabet = self.model.alphabet
+        expected_blue = {p + (symbol,) for p in red for symbol in alphabet.symbols} - red
+        if self._blue_set != expected_blue:
             raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
-        for p in self.red + self.blue:
+        length_lex = lambda w: word_key(alphabet, w)  # noqa: E731
+        if self.red != sorted(red, key=length_lex) or self._red_set != red:
+            raise LearnerInvariantError("RED is not a length-lex ordered set")
+        if self._blue != sorted(expected_blue, key=length_lex):
+            raise LearnerInvariantError("BLUE is not in length-lex order")
+        for p in self.red + self._blue:
             for s in self.suffixes:
                 if self._cells.get((p, s)) != self.model.query(p + s):
                     raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is stale or missing")
+            row = tuple(signature(self._cells[(p, s)], self.equivalence) for s in self.suffixes)
+            if self._rows.get(p) != row:
+                raise LearnerInvariantError(f"cached row of {p!r} is stale")
+            if self._keys.get(p) != length_lex(p):
+                raise LearnerInvariantError(f"cached key of {p!r} is stale")
+        classes: dict[tuple[bytes, ...], list[Word]] = {}
+        for p in self.red:
+            classes.setdefault(self._rows[p], []).append(p)
+        if self._classes != classes:
+            raise LearnerInvariantError("the RED class index is stale")
+
+    # -- maintenance -------------------------------------------------------
+
+    def _promote(self, prefix: Word) -> list[Word]:
+        """Move ``prefix`` to RED and its new continuations to BLUE.
+
+        Returns the words that entered the table and still need a row.
+        """
+        new: list[Word] = []
+        if prefix in self._blue_set:
+            self._blue_set.remove(prefix)
+            del self._blue[bisect_left(self._blue, self._keys[prefix], key=self._key)]
+        else:
+            self._keys[prefix] = word_key(self.model.alphabet, prefix)
+            new.append(prefix)
+        self._red_set.add(prefix)
+        insort(self.red, prefix, key=self._key)
+        for symbol in self.model.alphabet.symbols:
+            word = prefix + (symbol,)
+            if word not in self._keys:
+                self._keys[word] = word_key(self.model.alphabet, word)
+                self._blue_set.add(word)
+                insort(self._blue, word, key=self._key)
+                new.append(word)
+        return new
+
+    def _index(self, prefix: Word) -> None:
+        """Add a RED row to the class index."""
+        insort(self._classes.setdefault(self._rows[prefix], []), prefix, key=self._key)
 
     # -- filling -----------------------------------------------------------
 
-    def _fill(self, prefix: Word, suffix: Word) -> None:
-        key = (prefix, suffix)
-        if key in self._cells:
-            return
+    def _query_class(self, prefix: Word, suffix: Word) -> bytes:
+        """Query one new cell and return its pooled class signature."""
         if len(self._cells) >= self.max_cells:
             raise TableLimitExceeded(
                 f"table would exceed {self.max_cells} cells; "
                 "the target may not be regular under this equivalence"
             )
         dist = self.model.query(prefix + suffix)
-        self._cells[key] = dist
-        self._cell_sigs[key] = signature(dist, self.equivalence)
+        self._cells[(prefix, suffix)] = dist
+        sig = signature(dist, self.equivalence)
+        return self._pool.setdefault(sig, sig)
 
-    def _fill_all(self) -> None:
-        for p in self.red + self.blue:
-            for s in self.suffixes:
-                self._fill(p, s)
+    def _fill_rows(self, prefixes: list[Word]) -> None:
+        """Query every column of new rows, row by row in the given order."""
+        for p in prefixes:
+            self._rows[p] = tuple(self._query_class(p, s) for s in self.suffixes)
 
     # -- closedness and consistency ----------------------------------------
 
     def closed(self) -> tuple[bool, Word | None]:
         """Whether every BLUE row matches some RED row; else the first offender."""
-        red_rows = {self.row_signature(p) for p in self.red}
-        for p in self.blue:
-            if self.row_signature(p) not in red_rows:
+        for p in self._blue:
+            if self._rows[p] not in self._classes:
                 return False, p
         return True, None
 
     def close_step(self, offender: Word) -> None:
         """Promote an unmatched BLUE row to RED and query its continuations."""
-        if offender not in self.blue:
+        if offender not in self._blue_set:
             raise ValueError(f"offender {offender!r} is not a BLUE row")
         before = self.red_class_count()
-        self.red.append(offender)
-        self.red.sort(key=self._key)
-        self._fill_all()
+        self._fill_rows(self._promote(offender))
+        self._index(offender)
         if self.red_class_count() <= before:
             raise LearnerInvariantError("closing must add a new RED row class")
 
     def consistent(self) -> tuple[bool, ConsistencyDefect | None]:
         """Whether equal RED rows keep equal rows after every symbol.
 
-        Scans RED pairs in length-lex order, symbols in alphabet order, and
-        suffixes in column order, so the reported defect is deterministic.
+        Scans classes by their first row and the rows of a class in
+        length-lex order, symbols in alphabet order, and suffixes in column
+        order, so the reported defect is deterministic. Within a class it
+        compares each row with the first only: if no row differs from the
+        first, no two rows differ, so the first defect pairs the first row
+        with a later one, as a scan of all pairs would find.
         """
-        classes = self.red_classes()
-        for rows in classes.values():
-            for i, p in enumerate(rows):
-                for p2 in rows[i + 1 :]:
-                    for symbol in self.model.alphabet.symbols:
-                        sig1 = self.row_signature(p + (symbol,))
-                        sig2 = self.row_signature(p2 + (symbol,))
-                        if sig1 != sig2:
-                            for s, a, b in zip(self.suffixes, sig1, sig2):
-                                if a != b:
-                                    return False, ConsistencyDefect(p, p2, symbol, s)
+        symbols = self.model.alphabet.symbols
+        rows = self._rows
+        shared = [members for members in self._classes.values() if len(members) > 1]
+        shared.sort(key=lambda members: self._key(members[0]))
+        for first, *others in shared:
+            for other in others:
+                for symbol in symbols:
+                    sig1 = rows[first + (symbol,)]
+                    sig2 = rows[other + (symbol,)]
+                    if sig1 != sig2:
+                        for s, a, b in zip(self.suffixes, sig1, sig2):
+                            if a != b:
+                                return False, ConsistencyDefect(first, other, symbol, s)
         return True, None
 
     def consistent_step(self, defect: ConsistencyDefect) -> None:
@@ -192,20 +265,30 @@ class ObservationTable:
             raise ValueError(f"suffix {new_suffix!r} already present")
         before = self.red_class_count()
         self.suffixes.append(new_suffix)
-        self._fill_all()
+        for p in self.red + self._blue:
+            self._rows[p] += (self._query_class(p, new_suffix),)
+        self._classes = {}
+        for p in self.red:
+            self._classes.setdefault(self._rows[p], []).append(p)
         if self.red_class_count() <= before:
             raise LearnerInvariantError("a consistency defect must split a RED class")
 
     def update_with_counterexample(self, word: Word) -> None:
-        """Move every prefix of the counterexample into RED and refill."""
+        """Move every prefix of the counterexample into RED and fill new rows.
+
+        New rows are filled RED before BLUE, each group in length-lex order.
+        """
         before = self.red_class_count()
-        present = set(self.red)
+        promoted: list[Word] = []
+        new: list[Word] = []
         for p in prefixes(word):
-            if p not in present:
-                self.red.append(p)
-                present.add(p)
-        self.red.sort(key=self._key)
-        self._fill_all()
+            if p not in self._red_set:
+                promoted.append(p)
+                new += self._promote(p)
+        new.sort(key=lambda w: (w in self._blue_set, self._key(w)))
+        self._fill_rows(new)
+        for p in promoted:
+            self._index(p)
         if self.red_class_count() < before:
             raise LearnerInvariantError("adding rows can never merge RED classes")
 
@@ -231,7 +314,7 @@ class ObservationTable:
             src = class_id[sig]
             for p in rows:
                 for i, symbol in enumerate(self.model.alphabet.symbols):
-                    dst_sig = self.row_signature(p + (symbol,))
+                    dst_sig = self._rows[p + (symbol,)]
                     if dst_sig not in class_id:
                         raise LearnerInvariantError("closedness violated during build")
                     dst = class_id[dst_sig]
@@ -242,10 +325,8 @@ class ObservationTable:
 
         hypothesis = QuotientPdfa(
             alphabet=self.model.alphabet,
-            initial=class_id[self.row_signature(EMPTY)],
-            class_signatures=tuple(
-                self._cell_sigs[(rep, EMPTY)] for rep in representatives
-            ),
+            initial=class_id[self._rows[EMPTY]],
+            class_signatures=tuple(self._rows[rep][0] for rep in representatives),
             representatives=tuple(self._cells[(rep, EMPTY)] for rep in representatives),
             transitions=tuple(tuple(row) for row in transitions),
             equivalence=self.equivalence.spec_string(),
@@ -263,27 +344,39 @@ class ObservationTable:
         """
         for p in self.red:
             state, _ = hypothesis.run(p)
-            if state != class_id[self.row_signature(p)]:
+            if state != class_id[self._rows[p]]:
                 raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
-            for s in self.suffixes:
-                if hypothesis.class_after(p + s) != self._cell_sigs[(p, s)]:
+            for s, sig in zip(self.suffixes, self._rows[p]):
+                if hypothesis.class_after(p + s) != sig:
                     raise LearnerInvariantError(
                         f"hypothesis class after {p + s!r} disagrees with the table"
                     )
 
 
+#: Names of the fields of a trace event, in the order a trace tuple holds them.
+EVENT_FIELDS = ("event", "red", "blue", "suffixes", "classes")
+
+
 @dataclass
 class LearnerReport:
-    """Outcome of a learning run, including query-complexity accounting."""
+    """Outcome of a learning run, including query-complexity accounting.
+
+    ``trace`` holds one ``(event, red, blue, suffixes, classes)`` tuple per
+    table step; ``events`` builds the same records as dicts on access.
+    """
 
     hypothesis: QuotientPdfa | None
     converged: bool
     rounds: int
     mq_count: int
     table_history: list[tuple[int, int, int]] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
+    trace: list[tuple[str, int, int, int, int]] = field(default_factory=list)
     oracle: str = ""
     stop_reason: str = "converged"
+
+    @property
+    def events(self) -> list[dict]:
+        return [dict(zip(EVENT_FIELDS, record)) for record in self.trace]
 
 
 def learn(
@@ -311,19 +404,10 @@ def learn(
             hypothesis=None, converged=False, rounds=0, mq_count=mq.misses,
             oracle=oracle_name, stop_reason=str(exc),
         )
-    events: list[dict] = []
+    trace: list[tuple[str, int, int, int, int]] = []
 
     def record(event: str) -> None:
-        red, blue, suffixes = table.dimensions()
-        events.append(
-            {
-                "event": event,
-                "red": red,
-                "blue": blue,
-                "suffixes": suffixes,
-                "classes": table.red_class_count(),
-            }
-        )
+        trace.append((event, *table.dimensions(), table.red_class_count()))
 
     hypothesis: QuotientPdfa | None = None
     rounds = 0
@@ -364,7 +448,7 @@ def learn(
         rounds=rounds,
         mq_count=mq.misses,
         table_history=history,
-        events=events,
+        trace=trace,
         oracle=oracle_name,
         stop_reason=stop_reason,
     )

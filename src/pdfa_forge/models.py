@@ -194,7 +194,9 @@ class RemoteModel(LanguageModel):
     Transient failures (connection errors, timeouts, 5xx) are retried up to
     ``max_attempts`` times. Responses are validated, not repaired: a
     probability sum off by more than 1e-6 is an error unless ``renormalize``
-    is set. In-flight requests are bounded by a semaphore.
+    is set. In-flight requests are bounded by a semaphore. Limits are
+    validated at construction: ``max_in_flight`` and ``max_attempts`` must be
+    at least 1, the timeout positive and the retry backoff non-negative.
     """
 
     def __init__(
@@ -213,6 +215,15 @@ class RemoteModel(LanguageModel):
         self._alphabet = alphabet
         env_ms = os.environ.get(TIMEOUT_ENV_VAR)
         self.timeout = float(env_ms) / 1000.0 if env_ms else timeout
+        if not self.timeout > 0:
+            source = f"{TIMEOUT_ENV_VAR}={env_ms}" if env_ms else f"timeout={timeout!r}"
+            raise ValueError(f"the request timeout must be positive, got {source}")
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts!r}")
+        if not retry_backoff >= 0:
+            raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff!r}")
         self.renormalize = renormalize
         self.max_attempts = max_attempts
         self.max_query_length = max_query_length
@@ -268,6 +279,13 @@ class RemoteModel(LanguageModel):
                 f"response symbols {sorted(probs)} do not match alphabet "
                 f"{sorted(expected)}"
             )
+        for sym, p in probs.items():
+            # JSON numbers arrive as int or float; float() would also take
+            # strings such as "0.5" and the booleans true and false.
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise RemoteModelError(
+                    f"probability of {sym!r} must be a number, got {type(p).__name__}"
+                )
         values = {sym: float(p) for sym, p in probs.items()}
         if any(p < 0 for p in values.values()):
             raise RemoteModelError(f"negative probability in response: {values}")

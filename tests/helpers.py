@@ -27,10 +27,16 @@ def random_pdfa(
     max_states: int = 8,
     max_symbols: int = 3,
     palette_size: int | None = None,
+    min_states: int = 1,
+    min_symbols: int = 1,
 ) -> Pdfa:
-    """Random reachable PDFA; a small emission palette forces state collisions."""
-    n = rng.randint(1, max_states)
-    alphabet = Alphabet(("a", "b", "c")[: rng.randint(1, max_symbols)])
+    """Random reachable PDFA; a small emission palette forces state collisions.
+
+    ``min_states`` bounds the drawn state count; pruning unreachable states
+    can leave fewer.
+    """
+    n = rng.randint(min_states, max_states)
+    alphabet = Alphabet(("a", "b", "c")[: rng.randint(min_symbols, max_symbols)])
     n_palette = palette_size if palette_size is not None else rng.randint(1, n)
     palette = [random_distribution(rng, alphabet) for _ in range(n_palette)]
     emissions = [rng.choice(palette) for _ in range(n)]
@@ -78,7 +84,10 @@ class LmServer:
         self._httpd = HTTPServer(("127.0.0.1", 0), _LmHandler)
         self._httpd.requests = []
         self._httpd.behavior = lambda path, body: (500, {})
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown() from waiting up to 0.5 s.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property

@@ -1,16 +1,21 @@
 """Observation-table mechanics and the learning loop."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from pdfa_forge import (
     Alphabet,
+    ConsistencyDefect,
     Distribution,
     ExactOracle,
+    LearnerInvariantError,
     ObservationTable,
     PdfaLanguageModel,
     Pdfa,
+    QuotientPdfa,
     SamplingConfig,
     SamplingOracle,
     TableLimitExceeded,
@@ -24,6 +29,7 @@ from pdfa_forge import (
     realize,
     signature,
 )
+from pdfa_forge.words import prefixes, word_key
 
 from helpers import random_pdfa, unary_dist
 
@@ -69,6 +75,38 @@ class TestInit:
     def test_invariants_hold(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
         table.validate()
+
+    def test_validate_detects_a_stale_row_cache(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        table.close_step(("a",))
+        table._rows[("a",)] = table._rows[()]
+        with pytest.raises(LearnerInvariantError, match="cached row"):
+            table.validate()
+
+    def test_validate_detects_a_stale_class_index(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        table.close_step(("a",))
+        table._classes.popitem()
+        with pytest.raises(LearnerInvariantError, match="class index"):
+            table.validate()
+
+
+class TestLifetime:
+    def test_table_is_freed_without_the_cycle_collector(self, fig2a):
+        table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
+        table.close_step(("a",))
+        table.update_with_counterexample(("a", "a"))
+        table.consistent()
+        table.red_classes()
+        ref = weakref.ref(table)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del table
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestClosed:
@@ -404,3 +442,216 @@ class TestNonRegularTargets:
         with pytest.raises(TableLimitExceeded):
             for word in [("a",) * n for n in range(1, 10)]:
                 table.update_with_counterexample(word)
+
+
+class NaiveTable:
+    """The observation table with every structure recomputed on access.
+
+    The reference the incremental ``ObservationTable`` must match step for
+    step: every fill rescans all cells, BLUE is rebuilt and sorted from RED,
+    rows are rebuilt from per-cell signatures, RED classes are regrouped from
+    sorted RED, and closedness and consistency are found by full scans over
+    rows and over all pairs of equal rows.
+    """
+
+    def __init__(self, model, spec, max_cells):
+        self.model = cached(model)
+        self.spec = spec
+        self.max_cells = max_cells
+        self.red = [()]
+        self.suffixes = [()]
+        self.cells = {}
+        self.sigs = {}
+        self.fill()
+
+    def key(self, word):
+        return word_key(self.model.alphabet, word)
+
+    @property
+    def blue(self):
+        red = set(self.red)
+        symbols = self.model.alphabet.symbols
+        return sorted({p + (s,) for p in self.red for s in symbols} - red, key=self.key)
+
+    def fill(self):
+        for p in self.red + self.blue:
+            for s in self.suffixes:
+                if (p, s) not in self.cells:
+                    if len(self.cells) >= self.max_cells:
+                        raise TableLimitExceeded("cells")
+                    self.cells[(p, s)] = self.model.query(p + s)
+                    self.sigs[(p, s)] = signature(self.cells[(p, s)], self.spec)
+
+    def row(self, prefix):
+        return tuple(self.sigs[(prefix, s)] for s in self.suffixes)
+
+    def red_classes(self):
+        classes = {}
+        for p in sorted(self.red, key=self.key):
+            classes.setdefault(self.row(p), []).append(p)
+        return classes
+
+    def closed(self):
+        red_rows = {self.row(p) for p in self.red}
+        for p in self.blue:
+            if self.row(p) not in red_rows:
+                return False, p
+        return True, None
+
+    def consistent(self):
+        for rows in self.red_classes().values():
+            for i, p in enumerate(rows):
+                for p2 in rows[i + 1 :]:
+                    for symbol in self.model.alphabet.symbols:
+                        row1, row2 = self.row(p + (symbol,)), self.row(p2 + (symbol,))
+                        for s, a, b in zip(self.suffixes, row1, row2):
+                            if a != b:
+                                return False, ConsistencyDefect(p, p2, symbol, s)
+        return True, None
+
+    def close_step(self, offender):
+        self.red = sorted(self.red + [offender], key=self.key)
+        self.fill()
+
+    def consistent_step(self, defect):
+        self.suffixes.append(defect.new_suffix)
+        self.fill()
+
+    def update_with_counterexample(self, word):
+        self.red = sorted(set(self.red) | set(prefixes(word)), key=self.key)
+        self.fill()
+
+    def build_hypothesis(self):
+        classes = self.red_classes()
+        class_id = {sig: i for i, sig in enumerate(classes)}
+        symbols = self.model.alphabet.symbols
+        return QuotientPdfa(
+            alphabet=self.model.alphabet,
+            initial=class_id[self.row(())],
+            class_signatures=tuple(sig[0] for sig in classes),
+            representatives=tuple(self.cells[(rows[0], ())] for rows in classes.values()),
+            transitions=tuple(
+                tuple(class_id[self.row(rows[0] + (s,))] for s in symbols)
+                for rows in classes.values()
+            ),
+            equivalence=self.spec.spec_string(),
+        )
+
+
+def lockstep_learn(target, spec, max_cells=100_000):
+    """Run the learning loop on a NaiveTable and an ObservationTable together.
+
+    Asserts after every step that both tables agree, and returns what
+    ``learn`` reports: trace, MQ misses, hypothesis, convergence.
+    """
+    naive = NaiveTable(PdfaLanguageModel(target), spec, max_cells)
+    table = ObservationTable(PdfaLanguageModel(target), spec, max_cells=max_cells)
+    oracle = ExactOracle(target, spec)
+    trace = []
+
+    def agree():
+        assert table.red == naive.red
+        assert table.blue == naive.blue
+        assert table.suffixes == naive.suffixes
+        assert list(table.red_classes().items()) == list(naive.red_classes().items())
+        assert table.red_class_count() == len(naive.red_classes())
+        assert table.dimensions() == (len(naive.red), len(naive.blue), len(naive.suffixes))
+        assert table.model.misses == naive.model.misses
+
+    def step(event, name, arg):
+        outcomes = []
+        for t in (naive, table):
+            try:
+                getattr(t, name)(arg)
+                outcomes.append(None)
+            except TableLimitExceeded:
+                outcomes.append("limit")
+        assert outcomes[0] == outcomes[1]
+        assert table.model.misses == naive.model.misses
+        if outcomes[0]:
+            raise TableLimitExceeded(event)
+        agree()
+        trace.append(
+            (event, len(naive.red), len(naive.blue), len(naive.suffixes),
+             len(naive.red_classes()))
+        )
+
+    agree()
+    hypothesis = None
+    try:
+        while True:
+            while True:
+                closed = naive.closed()
+                assert table.closed() == closed
+                if not closed[0]:
+                    step("close", "close_step", closed[1])
+                    continue
+                consistent = naive.consistent()
+                assert table.consistent() == consistent
+                if not consistent[0]:
+                    step("consistent", "consistent_step", consistent[1])
+                    continue
+                break
+            hypothesis = naive.build_hypothesis()
+            assert table.build_hypothesis() == hypothesis
+            table.validate()
+            trace.append(("hypothesis", *table.dimensions(), table.red_class_count()))
+            counterexample = oracle.check(hypothesis)
+            if counterexample is None:
+                return trace, naive.model.misses, hypothesis, True
+            step("counterexample", "update_with_counterexample", counterexample)
+    except TableLimitExceeded:
+        return trace, naive.model.misses, hypothesis, False
+
+
+class TestIncrementalTableAgainstNaiveReference:
+    """The maintained table makes exactly the steps the recomputing one makes."""
+
+    def targets(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            target = random_pdfa(
+                rng, max_states=60, min_states=10, max_symbols=3, min_symbols=3,
+                palette_size=rng.randint(2, 6),
+            )
+            yield target, parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+
+    def test_steps_and_reports_agree(self):
+        events = set()
+        for target, spec in self.targets():
+            trace, misses, hypothesis, converged = lockstep_learn(target, spec)
+            report = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
+            assert converged and report.converged
+            assert report.trace == trace
+            assert report.mq_count == misses
+            assert report.hypothesis == hypothesis
+            events.update(event for event, *_ in trace)
+        assert events == {"close", "consistent", "hypothesis", "counterexample"}
+
+    def test_cell_limit_fires_at_the_same_query(self):
+        # Limits halfway into each counterexample update, where the order in
+        # which new rows are filled decides which words get queried, and
+        # halfway into the final table.
+        runs = 0
+        for target, spec in list(self.targets())[:6]:
+            full = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
+            cells = [(red + blue) * suffixes for _, red, blue, suffixes, _ in full.trace]
+            limits = {cells[-1] // 2} | {
+                (cells[i - 1] + cells[i]) // 2
+                for i, (event, *_) in enumerate(full.trace)
+                if event == "counterexample"
+            }
+            for max_cells in sorted(limits):
+                if max_cells <= len(target.alphabet):
+                    continue  # the initial rows would not fit
+                runs += 1
+                trace, misses, hypothesis, converged = lockstep_learn(target, spec, max_cells)
+                report = learn(
+                    PdfaLanguageModel(target), spec, ExactOracle(target, spec),
+                    max_cells=max_cells,
+                )
+                assert not converged and not report.converged
+                assert report.trace == trace
+                assert report.mq_count == misses
+                assert report.hypothesis == hypothesis
+        assert runs >= 15

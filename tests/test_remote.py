@@ -65,6 +65,16 @@ class TestWireProtocol:
         with pytest.raises(RemoteModelError, match="negative"):
             RemoteModel(lm_server.endpoint, AB).query(())
 
+    @pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5]])
+    def test_non_numeric_probability_is_rejected(self, lm_server, value):
+        constant_server(lm_server, {"a": value, "b": 0.5, "$": 0.0})
+        with pytest.raises(RemoteModelError, match="must be a number"):
+            RemoteModel(lm_server.endpoint, AB).query(())
+
+    def test_integer_probabilities_are_numbers(self, lm_server):
+        constant_server(lm_server, {"a": 0, "b": 1, "$": 0})
+        assert RemoteModel(lm_server.endpoint, AB).query(()).prob("b") == 1.0
+
     def test_malformed_body_is_rejected(self, lm_server):
         lm_server.set_behavior(lambda path, body: (200, {"nope": 1}))
         with pytest.raises(RemoteModelError, match="malformed"):
@@ -109,6 +119,37 @@ class TestClientConfiguration:
         monkeypatch.setenv(TIMEOUT_ENV_VAR, "2500")
         model = RemoteModel(lm_server.endpoint, AB, timeout=9.0)
         assert model.timeout == pytest.approx(2.5)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"max_in_flight": 0},
+            {"max_in_flight": -1},
+            {"max_attempts": 0},
+            {"timeout": 0.0},
+            {"timeout": -1.0},
+            {"timeout": float("nan")},
+            {"retry_backoff": -0.1},
+            {"retry_backoff": float("nan")},
+        ],
+    )
+    def test_invalid_limits_are_rejected(self, option):
+        # Rejected at construction: a zero-slot semaphore would make every
+        # query block forever, zero attempts would never send a request.
+        with pytest.raises(ValueError):
+            RemoteModel("http://127.0.0.1:9", AB, **option)
+
+    def test_non_positive_timeout_from_the_environment_is_rejected(self, monkeypatch):
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "0")
+        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
+            RemoteModel("http://127.0.0.1:9", AB)
+
+    def test_smallest_valid_limits_are_accepted(self, lm_server):
+        constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
+        model = RemoteModel(
+            lm_server.endpoint, AB, max_in_flight=1, max_attempts=1, retry_backoff=0.0
+        )
+        assert model.query(()).prob("$") == pytest.approx(0.5)
 
     def test_query_length_limit(self, lm_server):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
