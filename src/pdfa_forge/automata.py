@@ -410,7 +410,13 @@ def _parse_common(doc: dict, prune: bool):
 
 
 def _parse_common_inner(doc: dict, prune: bool):
-    alphabet = Alphabet(doc["alphabet"])
+    raw_alphabet = doc["alphabet"]
+    # Alphabet() takes any iterable: a string would be split into its letters.
+    if not isinstance(raw_alphabet, list):
+        raise AutomatonError(
+            f"'alphabet' must be a list of symbols, got {type(raw_alphabet).__name__}"
+        )
+    alphabet = Alphabet(raw_alphabet)
     raw_states = doc["states"]
     raw_transitions = doc["transitions"]
     raw_initial = doc["initial"]

@@ -341,13 +341,17 @@ class ObservationTable:
 
         Every RED prefix must run to its own row class, and running any
         prefix+suffix must land in the class of the queried distribution.
+        Each suffix is stepped from the state its prefix reached.
         """
         for p in self.red:
             state, _ = hypothesis.run(p)
             if state != class_id[self._rows[p]]:
                 raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
             for s, sig in zip(self.suffixes, self._rows[p]):
-                if hypothesis.class_after(p + s) != sig:
+                q = state
+                for symbol in s:
+                    q = hypothesis.step(q, symbol)
+                if hypothesis.class_signatures[q] != sig:
                     raise LearnerInvariantError(
                         f"hypothesis class after {p + s!r} disagrees with the table"
                     )

@@ -9,13 +9,16 @@ learners can report their query complexity.
 from __future__ import annotations
 
 import abc
+import http.client
+import json
 import math
 import os
+import select
 import threading
 import time
+import weakref
 from typing import Callable, Mapping
-
-import requests
+from urllib.parse import urlsplit
 
 from .automata import Pdfa
 from .distributions import (
@@ -190,13 +193,22 @@ class RemoteModel(LanguageModel):
     """Client for an HTTP next-token-distribution service.
 
     POSTs ``{"tokens": [...]}`` to ``<endpoint>/next_token_distribution`` and
-    expects ``{"probs": {symbol-or-"$": float, ...}}`` with status 200.
-    Transient failures (connection errors, timeouts, 5xx) are retried up to
-    ``max_attempts`` times. Responses are validated, not repaired: a
-    probability sum off by more than 1e-6 is an error unless ``renormalize``
-    is set. In-flight requests are bounded by a semaphore. Limits are
-    validated at construction: ``max_in_flight`` and ``max_attempts`` must be
-    at least 1, the timeout positive and the retry backoff non-negative.
+    expects ``{"probs": {symbol-or-"$": float, ...}}`` with status 200; any
+    path in the endpoint is kept as a prefix. The endpoint must be an
+    ``http`` or ``https`` URL with a host and no query, fragment or
+    credentials; ``https`` is verified against the system trust store.
+    Proxy variables are ignored and redirects are not followed (a 3xx is an
+    unexpected status). Connections are kept alive and reused, at most one
+    per in-flight slot; an idle connection the server has closed is replaced
+    without costing an attempt. ``close()``, or collecting the model, closes
+    the idle connections. Transient failures (connection errors,
+    timeouts, truncated replies, 5xx) are retried up to ``max_attempts``
+    times. Responses are validated, not repaired: a probability sum off by
+    more than 1e-6 is an error unless ``renormalize`` is set. In-flight
+    requests are bounded by a semaphore. Limits are validated at
+    construction: ``max_in_flight`` and ``max_attempts`` must be at least 1,
+    the timeout positive and the retry backoff non-negative. A malformed
+    endpoint raises ``ValueError``.
     """
 
     def __init__(
@@ -228,8 +240,16 @@ class RemoteModel(LanguageModel):
         self.max_attempts = max_attempts
         self.max_query_length = max_query_length
         self.retry_backoff = retry_backoff
-        self._session = requests.Session()
+        self._url = self.endpoint + DISTRIBUTION_ENDPOINT
+        self._connection_class, self._host, self._port, self._path = _split_endpoint(
+            self.endpoint
+        )
         self._slots = threading.BoundedSemaphore(max_in_flight)
+        # Idle keep-alive connections; at most one per slot is ever created.
+        # They are closed with the model, not left to the garbage collector.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -242,33 +262,56 @@ class RemoteModel(LanguageModel):
                 f"query length {len(word)} exceeds the configured limit "
                 f"{self.max_query_length}"
             )
-        payload = {"tokens": list(word)}
-        url = self.endpoint + DISTRIBUTION_ENDPOINT
+        payload = json.dumps({"tokens": list(word)}).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.retry_backoff * attempt)
             try:
                 with self._slots:
-                    response = self._session.post(url, json=payload, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                    status, body = self._post(payload)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if 500 <= response.status_code < 600:
-                last_error = RemoteModelError(
-                    f"server error {response.status_code} from {url}"
-                )
+            if 500 <= status < 600:
+                last_error = RemoteModelError(f"server error {status} from {self._url}")
                 continue
-            if response.status_code != 200:
-                raise RemoteModelError(f"unexpected status {response.status_code} from {url}")
-            return self._parse(response)
+            if status != 200:
+                raise RemoteModelError(f"unexpected status {status} from {self._url}")
+            return self._parse(body)
         raise RemoteModelError(
-            f"request to {url} failed after {self.max_attempts} attempts: {last_error}"
+            f"request to {self._url} failed after {self.max_attempts} attempts: {last_error}"
         )
 
-    def _parse(self, response: requests.Response) -> Distribution:
+    def _post(self, payload: bytes) -> tuple[int, bytes]:
+        """One POST on an idle connection or a new one; the body is read whole."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection_class(self._host, self._port, timeout=self.timeout)
+        elif conn.sock is not None and _readable(conn.sock):
+            # An idle socket turns readable when the server closed it (or sent
+            # bytes out of turn); request() then opens a fresh one.
+            conn.close()
         try:
-            probs = response.json()["probs"]
+            conn.request("POST", self._path, payload, _JSON_HEADERS)
+            response = conn.getresponse()
+            body = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return response.status, body
+
+    def close(self) -> None:
+        """Close the idle connections; a later query opens new ones."""
+        with self._idle_lock:
+            _close_all(self._idle)
+
+    def _parse(self, body: bytes) -> Distribution:
+        try:
+            probs = json.loads(body)["probs"]
         except (ValueError, KeyError, TypeError) as exc:
             raise RemoteModelError(f"malformed response body: {exc}") from None
         if not isinstance(probs, Mapping):
@@ -301,3 +344,52 @@ class RemoteModel(LanguageModel):
             return Distribution.from_map(self._alphabet, scaled)
         except InvalidDistribution as exc:
             raise RemoteModelError(f"invalid distribution in response: {exc}") from None
+
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _split_endpoint(endpoint: str) -> tuple[type[http.client.HTTPConnection], str, int, str]:
+    """Connection class, host, port and request path for an endpoint URL."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError as exc:
+        raise ValueError(f"invalid endpoint {endpoint!r}: {exc}") from None
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"endpoint {endpoint!r} must be an http:// or https:// URL")
+    if not parts.hostname:
+        raise ValueError(f"endpoint {endpoint!r} has no host")
+    if parts.query or parts.fragment:
+        raise ValueError(f"endpoint {endpoint!r} must not have a query or fragment")
+    if parts.username is not None:
+        raise ValueError(f"endpoint {endpoint!r} must not carry credentials")
+    # http.client sends the path as is: it must be ASCII without spaces.
+    if not parts.path.isascii() or any(c <= " " or c == "\x7f" for c in parts.path):
+        raise ValueError(f"endpoint {endpoint!r} has a path that needs escaping")
+    if parts.scheme == "https":
+        connection_class = http.client.HTTPSConnection
+    else:
+        connection_class = http.client.HTTPConnection
+    return (
+        connection_class,
+        parts.hostname,
+        connection_class.default_port if port is None else port,
+        parts.path + DISTRIBUTION_ENDPOINT,
+    )
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    while connections:
+        connections.pop().close()
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has data or end-of-file waiting, without blocking."""
+    # select() cannot watch descriptors above FD_SETSIZE (1024 on Linux);
+    # poll() can, but does not exist on Windows.
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])

@@ -264,6 +264,20 @@ class TestSerialization:
         with pytest.raises(AutomatonError, match="tau not total"):
             pdfa_from_json(doc)
 
+    def test_string_alphabet_is_rejected(self):
+        # A string is iterable, so it would otherwise be split into symbols.
+        doc = {
+            "alphabet": "ab",
+            "initial": 0,
+            "states": [{"id": 0, "dist": {"a": 0.4, "b": 0.1, "$": 0.5}}],
+            "transitions": [
+                {"from": 0, "symbol": "a", "to": 0},
+                {"from": 0, "symbol": "b", "to": 0},
+            ],
+        }
+        with pytest.raises(AutomatonError, match="alphabet"):
+            pdfa_from_json(doc)
+
     def test_duplicate_transition_is_reported(self):
         doc = {
             "alphabet": ["a"],

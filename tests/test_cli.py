@@ -282,6 +282,14 @@ class TestRemoteModelSource:
         )
         assert code == 2
 
+    def test_malformed_endpoint_is_a_configuration_error(self, tmp_path):
+        code = run_cli(
+            "learn", "--model", "http://127.0.0.1:notaport", "--alphabet", "a",
+            "--equiv", "quant:3", "--eq", "exhaustive:3",
+            out_dir=tmp_path,
+        )
+        assert code == 1
+
     def test_non_positive_timeout_is_a_configuration_error(self, tmp_path):
         code = run_cli(
             "learn", "--model", "http://127.0.0.1:9", "--alphabet", "a",
