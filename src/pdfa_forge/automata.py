@@ -209,6 +209,24 @@ def _normalize_ids(keys: list) -> list[int]:
     return out
 
 
+def emission_signatures(
+    emissions: Sequence[Distribution], spec: EquivalenceSpec
+) -> list[bytes]:
+    """Class signature of each emission, computed once per distinct object.
+
+    The memo is keyed by object identity and lives for one call only;
+    ``emissions`` keeps every keyed object alive, so no id is reused meanwhile.
+    """
+    memo: dict[int, bytes] = {}
+    sigs = []
+    for d in emissions:
+        sig = memo.get(id(d))
+        if sig is None:
+            sig = memo[id(d)] = signature(d, spec)
+        sigs.append(sig)
+    return sigs
+
+
 def state_congruence(a: Pdfa, spec: EquivalenceSpec) -> StatePartition:
     """Partition of states indistinguishable under every continuation.
 
@@ -216,7 +234,7 @@ def state_congruence(a: Pdfa, spec: EquivalenceSpec) -> StatePartition:
     this coincides with the future-based congruence because the equivalence
     has canonical signatures.
     """
-    return refine_partition(a, [signature(d, spec) for d in a.emissions])
+    return refine_partition(a, emission_signatures(a.emissions, spec))
 
 
 RepresentativePicker = Callable[[tuple[int, ...], Pdfa], int]
@@ -232,10 +250,9 @@ def quotient(
     pick_representative: RepresentativePicker = lowest_index_representative,
 ) -> QuotientPdfa:
     """Quotient PDFA of ``a`` under the congruence induced by ``spec``."""
-    partition = state_congruence(a, spec)
+    keys = emission_signatures(a.emissions, spec)
     return quotient_from_partition(
-        a, partition, [signature(d, spec) for d in a.emissions], spec.spec_string(),
-        pick_representative,
+        a, refine_partition(a, keys), keys, spec.spec_string(), pick_representative
     )
 
 
@@ -340,8 +357,8 @@ def lm_equivalent(a: Pdfa, b: Pdfa, spec: EquivalenceSpec) -> Word | None:
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare PDFAs over different alphabets")
-    sig_a = [signature(d, spec) for d in a.emissions]
-    sig_b = [signature(d, spec) for d in b.emissions]
+    sig_a = emission_signatures(a.emissions, spec)
+    sig_b = emission_signatures(b.emissions, spec)
     start = (a.initial, b.initial)
     seen = {start}
     frontier: deque[tuple[tuple[int, int], Word]] = deque([(start, EMPTY)])

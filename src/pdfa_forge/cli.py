@@ -83,6 +83,19 @@ def _log_level(value: str) -> str:
     return value
 
 
+_BOOLEAN_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _boolean(value: str) -> bool:
+    try:
+        return _BOOLEAN_WORDS[value.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {value!r}") from None
+
+
 _CONFIG_TYPES = {
     "seed": int,
     "max_rounds": int,
@@ -92,8 +105,8 @@ _CONFIG_TYPES = {
     "max_len": int,
     "timeout": float,
     "log": _log_level,
-    "renormalize": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "prune": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "renormalize": _boolean,
+    "prune": _boolean,
 }
 
 _CONFIG_KEYS = {

@@ -58,8 +58,10 @@ class ObservationTable:
       with one ``word_key`` computed per word when it enters the table; BLUE
       is also kept as a set.
     - The row cache holds one tuple of cell class signatures per RED or BLUE
-      prefix. Adding a column extends every tuple by one entry. Identical
-      signatures are pooled, so equal cells share one ``bytes`` object.
+      prefix. Adding a column extends every tuple by one entry. A signature
+      is computed once per distinct distribution object the model returns,
+      and identical signatures are pooled, so equal cells share one
+      ``bytes`` object.
     - The class index maps each row signature to its RED rows in
       length-lexicographic order. ``closed`` and ``red_class_count`` are
       lookups in it, and ``consistent`` visits only classes of two or more
@@ -93,6 +95,9 @@ class ObservationTable:
         self._rows: dict[Word, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[Word]] = {}
         self._pool: dict[bytes, bytes] = {}
+        # Pooled signature per queried distribution object. Keying by id is
+        # safe because ``_cells`` keeps every queried object alive.
+        self._sigs: dict[int, bytes] = {}
         self._fill_rows(self._promote(EMPTY))
         self._index(EMPTY)
 
@@ -206,8 +211,11 @@ class ObservationTable:
             )
         dist = self.model.query(prefix + suffix)
         self._cells[(prefix, suffix)] = dist
-        sig = signature(dist, self.equivalence)
-        return self._pool.setdefault(sig, sig)
+        sig = self._sigs.get(id(dist))
+        if sig is None:
+            sig = signature(dist, self.equivalence)
+            sig = self._sigs[id(dist)] = self._pool.setdefault(sig, sig)
+        return sig
 
     def _fill_rows(self, prefixes: list[Word]) -> None:
         """Query every column of new rows, row by row in the given order."""

@@ -30,6 +30,16 @@ QUANT_DECIMALS = 12
 _QUANT_SCALE = 10 ** QUANT_DECIMALS
 
 
+def _canonical(p: float) -> float:
+    """``p`` with a tolerated negative clamped to 0 and ``-0.0`` folded into 0.0."""
+    return max(p, 0.0) + 0.0
+
+
+def _on_grid(p: float) -> int:
+    """The canonical ``p`` rounded to a whole number of 1e-12 steps."""
+    return round(_canonical(p) * _QUANT_SCALE)
+
+
 # ---------------------------------------------------------------------------
 # Rankings
 # ---------------------------------------------------------------------------
@@ -37,10 +47,12 @@ _QUANT_SCALE = 10 ** QUANT_DECIMALS
 def ranking(d: Distribution) -> dict[str, int]:
     """Injective 1-based ranking of symbols by decreasing probability.
 
-    Ties are broken by alphabet order, so the ranking is always a bijection
-    onto 1..|alphabet|+1.
+    Probabilities are compared on the 12-decimal grid that quantization
+    reads, so float noise below it cannot reorder symbols. Ties are broken by
+    alphabet order, so the ranking is always a bijection onto 1..|alphabet|+1.
     """
-    order = sorted(range(len(d.probs)), key=lambda i: (-d.probs[i], i))
+    grid = [_on_grid(p) for p in d.probs]
+    order = sorted(range(len(grid)), key=lambda i: (-grid[i], i))
     symbols = d.alphabet.extended
     return {symbols[i]: pos + 1 for pos, i in enumerate(order)}
 
@@ -210,10 +222,10 @@ def quantization_bucket(p: float, k: int) -> int:
 
     Intervals are [n/k, (n+1)/k) with the last one closed at 1. Computed as
     floor(p12 * k) in exact integer arithmetic on the 12-decimal rounding p12
-    of p, so decimal inputs never flap across bucket borders.
+    of p, so decimal inputs never flap across bucket borders. A tolerated
+    negative ``p`` falls in the first bucket.
     """
-    scaled = round(p * _QUANT_SCALE)
-    return min((scaled * k) // _QUANT_SCALE, k - 1)
+    return min((_on_grid(p) * k) // _QUANT_SCALE, k - 1)
 
 
 def _signature_payload(d: Distribution, spec: EquivalenceSpec) -> list:
@@ -228,7 +240,7 @@ def _signature_payload(d: Distribution, spec: EquivalenceSpec) -> list:
     if spec.kind == "supp":
         return ["supp", sorted(d.alphabet.index(s) for s in d.support())]
     if spec.kind == "exact":
-        return ["exact", [round(p, EXACT_DECIMALS) for p in d.probs]]
+        return ["exact", [round(_canonical(p), EXACT_DECIMALS) for p in d.probs]]
     return ["combo", [_signature_payload(d, m) for m in spec.members]]
 
 

@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Pdfa, QuotientPdfa
+from .automata import Pdfa, QuotientPdfa, emission_signatures
 from .distributions import AlphabetMismatch
 from .models import LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, signature
@@ -59,7 +59,7 @@ class ExactOracle(EqOracle):
         self.target = target
         self.spec = spec
         self._model = PdfaLanguageModel(target)
-        self._target_sigs = [signature(d, spec) for d in target.emissions]
+        self._target_sigs = emission_signatures(target.emissions, spec)
         self.description = f"exact[{spec.spec_string()}]"
 
     def check(self, hypothesis: QuotientPdfa) -> Word | None:

@@ -9,7 +9,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from pdfa_forge import Alphabet, Distribution, Pdfa
+from pdfa_forge import Alphabet, Distribution, LanguageModel, Pdfa
 
 UNARY = Alphabet(("a",))
 
@@ -22,6 +22,25 @@ def random_distribution(rng: random.Random, alphabet: Alphabet) -> Distribution:
     weights = [rng.random() + 1e-3 for _ in alphabet.extended]
     total = sum(weights)
     return Distribution(alphabet, tuple(w / total for w in weights))
+
+
+def copy_of(d: Distribution) -> Distribution:
+    """A new Distribution object equal to ``d``."""
+    return Distribution(d.alphabet, d.probs)
+
+
+class FreshCopyModel(LanguageModel):
+    """Answers every query with a new object equal to the inner model's answer."""
+
+    def __init__(self, inner: LanguageModel):
+        self.inner = inner
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.inner.alphabet
+
+    def query(self, word):
+        return copy_of(self.inner.query(word))
 
 
 def random_pdfa(

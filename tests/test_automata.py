@@ -11,6 +11,7 @@ from pdfa_forge import (
     AlphabetMismatch,
     AutomatonError,
     Distribution,
+    ExactOracle,
     Pdfa,
     automaton_from_json,
     isomorphic,
@@ -30,7 +31,7 @@ from pdfa_forge import (
 from pdfa_forge.automata import lowest_index_representative
 from pdfa_forge.words import iter_words
 
-from helpers import random_distribution, random_pdfa, unary_dist
+from helpers import copy_of, random_distribution, random_pdfa, unary_dist
 
 QUANT3 = parse_equivalence("quant:3")
 QUANT7 = parse_equivalence("quant:7")
@@ -241,6 +242,40 @@ class TestLmEquivalent:
         if other.alphabet != fig2a.alphabet:
             with pytest.raises(AlphabetMismatch):
                 lm_equivalent(fig2a, other, EXACT)
+
+
+class TestSharedEmissionObjects:
+    """Signatures are memoized per emission object; answers must not depend on
+    whether states share one object or each state holds an equal copy."""
+
+    def test_shared_and_copied_emissions_agree(self):
+        rng = random.Random(2024)
+        verdicts = set()
+        compared = 0
+        while compared < 30:
+            shared = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                 max_symbols=2, palette_size=3)
+            other = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                max_symbols=2, palette_size=3)
+            if shared.n_states <= 3:
+                continue  # pruning left no two states sharing an emission
+            compared += 1
+            copied = Pdfa(shared.alphabet, shared.initial,
+                          tuple(copy_of(d) for d in shared.emissions), shared.transitions)
+            assert len({id(d) for d in shared.emissions}) <= 3
+            assert len({id(d) for d in copied.emissions}) == copied.n_states
+            spec = parse_equivalence(
+                rng.choice(["quant:3", "exact", "rank:2", "combo:quant:5+supp"])
+            )
+            assert quotient(shared, spec) == quotient(copied, spec)
+            assert lm_equivalent(shared, copied, spec) is None
+            assert lm_equivalent(shared, other, spec) == lm_equivalent(copied, other, spec)
+            assert lm_equivalent(other, shared, spec) == lm_equivalent(other, copied, spec)
+            for hypothesis in (quotient(shared, spec), quotient(other, spec)):
+                verdict = ExactOracle(shared, spec).check(hypothesis)
+                assert ExactOracle(copied, spec).check(hypothesis) == verdict
+                verdicts.add(verdict is None)
+        assert verdicts == {True, False}
 
 
 class TestSerialization:

@@ -229,6 +229,19 @@ class TestConfigAndErrors:
         code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
         assert code == 1
 
+    @pytest.mark.parametrize("line, expected", [
+        ("prune = ture", 1),
+        ("renormalize = maybe", 1),
+        ("prune =", 1),
+        ("prune = OFF", 0),
+        ("renormalize = Yes", 0),
+    ])
+    def test_config_booleans_accept_only_known_words(self, tmp_path, capsys, line, expected):
+        config = tmp_path / "run.conf"
+        config.write_text(f"equiv = quant:3\n{line}\n")
+        code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
+        assert code == expected
+
     def test_bad_equivalence_spec_is_config_error(self, capsys):
         code = run_cli("compare", "fixture:fig2a", "fixture:fig2b", "--equiv", "quant:zero")
         assert code == 1

@@ -31,7 +31,7 @@ from pdfa_forge import (
 )
 from pdfa_forge.words import prefixes, word_key
 
-from helpers import random_pdfa, unary_dist
+from helpers import FreshCopyModel, random_pdfa, unary_dist
 
 QUANT3 = parse_equivalence("quant:3")
 QUANT7 = parse_equivalence("quant:7")
@@ -538,14 +538,15 @@ class NaiveTable:
         )
 
 
-def lockstep_learn(target, spec, max_cells=100_000):
+def lockstep_learn(target, spec, max_cells=100_000, wrap=lambda model: model):
     """Run the learning loop on a NaiveTable and an ObservationTable together.
 
+    Both tables query ``wrap`` applied to the target's language model.
     Asserts after every step that both tables agree, and returns what
     ``learn`` reports: trace, MQ misses, hypothesis, convergence.
     """
-    naive = NaiveTable(PdfaLanguageModel(target), spec, max_cells)
-    table = ObservationTable(PdfaLanguageModel(target), spec, max_cells=max_cells)
+    naive = NaiveTable(wrap(PdfaLanguageModel(target)), spec, max_cells)
+    table = ObservationTable(wrap(PdfaLanguageModel(target)), spec, max_cells=max_cells)
     oracle = ExactOracle(target, spec)
     trace = []
 
@@ -620,6 +621,10 @@ class TestIncrementalTableAgainstNaiveReference:
         events = set()
         for target, spec in self.targets():
             trace, misses, hypothesis, converged = lockstep_learn(target, spec)
+            # A model answering with fresh objects defeats the table's
+            # identity-keyed signature memo; nothing observable may change.
+            fresh = lockstep_learn(target, spec, wrap=FreshCopyModel)
+            assert fresh == (trace, misses, hypothesis, converged)
             report = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
             assert converged and report.converged
             assert report.trace == trace

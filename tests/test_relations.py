@@ -35,6 +35,7 @@ from pdfa_forge import (
 from helpers import UNARY, random_distribution, unary_dist
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,25 @@ class TestSignatures:
         d2 = Distribution(UNARY, (0.5 + 2e-10, 0.5 - 2e-10))
         assert signature(d1, spec) == signature(d2, spec)
 
+    def test_tolerated_negative_shares_the_zero_bucket(self):
+        spec = parse_equivalence("quant:10")
+        noisy = Distribution(UNARY, (1.0 + 1e-10, -1e-10))
+        assert quantization_bucket(-1e-10, 10) == 0
+        assert signature(noisy, spec) == signature(Distribution(UNARY, (1.0, 0.0)), spec)
+
+    def test_exact_folds_negative_zero(self):
+        spec = parse_equivalence("exact")
+        positive = signature(Distribution(UNARY, (1.0, 0.0)), spec)
+        assert signature(Distribution(UNARY, (1.0, -0.0)), spec) == positive
+        assert positive == b'["exact",[1.0,0.0]]'
+
+    @pytest.mark.parametrize("text", ["rank:3", "top:2"])
+    def test_rank_ties_survive_float_noise(self, text):
+        spec = parse_equivalence(text)
+        clean = Distribution(ABC, (0.3, 0.3, 0.4, 0.0))
+        noisy = Distribution(ABC, (0.3, 0.30000000000000004, 0.39999999999999997, 0.0))
+        assert signature(clean, spec) == signature(noisy, spec)
+
     def test_combo_is_conjunction(self):
         spec = parse_equivalence("combo:top:1+supp")
         d1 = Distribution(UNARY, (0.6, 0.4))
@@ -343,6 +363,43 @@ def test_ndcg_zero_iff_equal_clipped_rankings(pair, r):
     d1, d2 = pair
     same_rank = clipped_ranking(d1, r) == clipped_ranking(d2, r)
     assert (abs(ndcg_distance(d1, d2, r)) <= 1e-12) == same_rank
+
+
+NOISE_SPECS = [
+    parse_equivalence(text)
+    for text in ("quant:3", "quant:7", "quant:10", "rank:1", "rank:3", "top:2", "supp",
+                 "exact", "combo:quant:5+rank:2+supp")
+]
+
+
+@st.composite
+def grid_distribution_and_noise(draw):
+    """A distribution on the 1e-6 grid and a copy moved by at most 1e-13 per entry.
+
+    Grid values sit far from every border the signatures round at (the
+    1e-12 grid of quant and rank, the 9 decimals of exact, the support
+    threshold), so no signature may change. Zero entries may turn into -0.0
+    or a tolerated negative.
+    """
+    n = len(ABC.extended)
+    cuts = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n - 1, max_size=n - 1)))
+    steps = [b - a for a, b in zip([0] + cuts, cuts + [10**6])]
+    noise = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=n, max_size=n))
+    signed_zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    clean = [step / 10**6 for step in steps]
+    noisy = [
+        -0.0 if p == 0 and flip else p + e
+        for p, e, flip in zip(clean, noise, signed_zero)
+    ]
+    return Distribution(ABC, tuple(clean)), Distribution(ABC, tuple(noisy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_distribution_and_noise())
+def test_signatures_ignore_noise_below_the_grid(pair):
+    clean, noisy = pair
+    for spec in NOISE_SPECS:
+        assert signature(noisy, spec) == signature(clean, spec), spec.spec_string()
 
 
 @settings(max_examples=200, deadline=None)
