@@ -212,17 +212,17 @@ def _normalize_ids(keys: list) -> list[int]:
 def emission_signatures(
     emissions: Sequence[Distribution], spec: EquivalenceSpec
 ) -> list[bytes]:
-    """Class signature of each emission, computed once per distinct object.
+    """Class signature of each emission, computed once per distinct value.
 
-    The memo is keyed by object identity and lives for one call only;
-    ``emissions`` keeps every keyed object alive, so no id is reused meanwhile.
+    Equal distributions have equal signatures (probabilities are canonical
+    before a signature reads them), so the memo is keyed by the distribution.
     """
-    memo: dict[int, bytes] = {}
+    memo: dict[Distribution, bytes] = {}
     sigs = []
     for d in emissions:
-        sig = memo.get(id(d))
+        sig = memo.get(d)
         if sig is None:
-            sig = memo[id(d)] = signature(d, spec)
+            sig = memo[d] = signature(d, spec)
         sigs.append(sig)
     return sigs
 

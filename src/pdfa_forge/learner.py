@@ -59,7 +59,7 @@ class ObservationTable:
       is also kept as a set.
     - The row cache holds one tuple of cell class signatures per RED or BLUE
       prefix. Adding a column extends every tuple by one entry. A signature
-      is computed once per distinct distribution object the model returns,
+      is computed once per distinct distribution the model returns,
       and identical signatures are pooled, so equal cells share one
       ``bytes`` object.
     - The class index maps each row signature to its RED rows in
@@ -95,9 +95,8 @@ class ObservationTable:
         self._rows: dict[Word, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[Word]] = {}
         self._pool: dict[bytes, bytes] = {}
-        # Pooled signature per queried distribution object. Keying by id is
-        # safe because ``_cells`` keeps every queried object alive.
-        self._sigs: dict[int, bytes] = {}
+        # Pooled signature per distinct queried distribution.
+        self._sigs: dict[Distribution, bytes] = {}
         self._fill_rows(self._promote(EMPTY))
         self._index(EMPTY)
 
@@ -211,10 +210,10 @@ class ObservationTable:
             )
         dist = self.model.query(prefix + suffix)
         self._cells[(prefix, suffix)] = dist
-        sig = self._sigs.get(id(dist))
+        sig = self._sigs.get(dist)
         if sig is None:
             sig = signature(dist, self.equivalence)
-            sig = self._sigs[id(dist)] = self._pool.setdefault(sig, sig)
+            sig = self._sigs[dist] = self._pool.setdefault(sig, sig)
         return sig
 
     def _fill_rows(self, prefixes: list[Word]) -> None:

@@ -28,7 +28,8 @@ from pdfa_forge import (
     state_congruence,
     to_dot,
 )
-from pdfa_forge.automata import lowest_index_representative
+from pdfa_forge import automata as automata_module
+from pdfa_forge.automata import emission_signatures, lowest_index_representative
 from pdfa_forge.words import iter_words
 
 from helpers import copy_of, random_distribution, random_pdfa, unary_dist
@@ -245,8 +246,40 @@ class TestLmEquivalent:
 
 
 class TestSharedEmissionObjects:
-    """Signatures are memoized per emission object; answers must not depend on
-    whether states share one object or each state holds an equal copy."""
+    """Signatures are memoized per distinct emission; answers must not depend
+    on whether states share one object or each state holds an equal copy."""
+
+    def test_one_signature_per_distinct_emission(self, monkeypatch):
+        computed = []
+
+        def counting_signature(d, spec):
+            computed.append(d)
+            return signature(d, spec)
+
+        monkeypatch.setattr(automata_module, "signature", counting_signature)
+        rng = random.Random(7)
+        for _ in range(10):
+            shared = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                 max_symbols=2, palette_size=3)
+            # Loading from JSON gives every state its own Distribution object.
+            loaded = pdfa_from_json(json.loads(json.dumps(pdfa_to_json(shared))))
+            assert len({id(d) for d in loaded.emissions}) == loaded.n_states
+            for a in (shared, loaded):
+                computed.clear()
+                sigs = emission_signatures(a.emissions, QUANT3)
+                assert len(computed) == len(set(a.emissions)) <= 3
+                assert sigs == [signature(d, QUANT3) for d in a.emissions]
+
+    def test_negative_zero_shares_the_memo_entry_of_zero(self):
+        # -0.0 == 0.0, so both distributions are one memo key; their
+        # signatures must coincide for the shared entry to be right.
+        ab = Alphabet(("a", "b"))
+        zero = Distribution(ab, (0.0, 0.5, 0.5))
+        negative_zero = Distribution(ab, (-0.0, 0.5, 0.5))
+        for spec in ("exact", "quant:4", "rank:2", "supp"):
+            spec = parse_equivalence(spec)
+            for order in ([zero, negative_zero], [negative_zero, zero]):
+                assert emission_signatures(order, spec) == [signature(d, spec) for d in order]
 
     def test_shared_and_copied_emissions_agree(self):
         rng = random.Random(2024)

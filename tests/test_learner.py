@@ -29,6 +29,7 @@ from pdfa_forge import (
     realize,
     signature,
 )
+from pdfa_forge import learner as learner_module
 from pdfa_forge.words import prefixes, word_key
 
 from helpers import FreshCopyModel, random_pdfa, unary_dist
@@ -621,8 +622,8 @@ class TestIncrementalTableAgainstNaiveReference:
         events = set()
         for target, spec in self.targets():
             trace, misses, hypothesis, converged = lockstep_learn(target, spec)
-            # A model answering with fresh objects defeats the table's
-            # identity-keyed signature memo; nothing observable may change.
+            # A model answering with a fresh equal object per query must
+            # make exactly the same steps.
             fresh = lockstep_learn(target, spec, wrap=FreshCopyModel)
             assert fresh == (trace, misses, hypothesis, converged)
             report = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
@@ -632,6 +633,25 @@ class TestIncrementalTableAgainstNaiveReference:
             assert report.hypothesis == hypothesis
             events.update(event for event, *_ in trace)
         assert events == {"close", "consistent", "hypothesis", "counterexample"}
+
+    def test_one_signature_per_distinct_distribution(self, monkeypatch):
+        computed = []
+
+        def counting_signature(d, spec):
+            computed.append(d)
+            return signature(d, spec)
+
+        monkeypatch.setattr(learner_module, "signature", counting_signature)
+        for target, spec in list(self.targets())[:6]:
+            for wrap in (lambda model: model, FreshCopyModel):
+                computed.clear()
+                table = ObservationTable(wrap(PdfaLanguageModel(target)), spec)
+                while not (closed := table.closed())[0]:
+                    table.close_step(closed[1])
+                cells = [table.cell(p, s) for p in table.red + table.blue for s in table.suffixes]
+                # Fresh copies hit the memo as shared objects do: one
+                # signature per distinct value, however many cells hold it.
+                assert len(computed) == len(set(computed)) == len(set(cells)) < len(cells)
 
     def test_cell_limit_fires_at_the_same_query(self):
         # Limits halfway into each counterexample update, where the order in
