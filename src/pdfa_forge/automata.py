@@ -505,8 +505,9 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
     except ValueError:
         spec = None
     if spec is not None:
-        for q, (rep, sig) in enumerate(zip(representatives, signatures)):
-            if signature(rep, spec) != sig:
+        derived = emission_signatures(representatives, spec)
+        for q, (own, sig) in enumerate(zip(derived, signatures)):
+            if own != sig:
                 raise AutomatonError(
                     f"state {q}: stored signature does not match its representative"
                 )

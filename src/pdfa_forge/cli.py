@@ -233,14 +233,14 @@ def _resolve_oracle(args, model: CachedModel, target: Pdfa | None, equiv) -> EqO
             f"bad --eq spec {spec!r}; use exact | sample:<n>:<maxlen>[:<seed>] "
             "| exhaustive:<maxlen>"
         ) from None
-    if head == "sample":
-        seed = numbers[2] if len(numbers) == 3 else args.seed
-        config = SamplingConfig(samples=numbers[0], max_length=numbers[1], seed=seed)
-        return SamplingOracle(model, equiv, config)
     try:
+        if head == "sample":
+            seed = numbers[2] if len(numbers) == 3 else args.seed
+            config = SamplingConfig(samples=numbers[0], max_length=numbers[1], seed=seed)
+            return SamplingOracle(model, equiv, config)
         return BoundedExhaustiveOracle(model, equiv, numbers[0])
-    except OracleBudgetExceeded as exc:
-        raise _config_error(str(exc)) from None
+    except (OracleBudgetExceeded, ValueError) as exc:
+        raise _config_error(f"--eq {spec}: {exc}") from None
 
 
 def _parse_equiv(text: str | None):
@@ -295,6 +295,9 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_learn(args) -> int:
+    for flag, value in (("--max-rounds", args.max_rounds), ("--max-cells", args.max_cells)):
+        if value < 1:
+            raise _config_error(f"{flag} must be >= 1, got {value}")
     equiv = _parse_equiv(args.equiv)
     model, target = _resolve_model(args)
     mq = cached(model)

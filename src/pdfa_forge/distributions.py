@@ -37,6 +37,7 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, symbols: Iterable[str]):
         object.__setattr__(self, "symbols", tuple(symbols))
@@ -50,6 +51,7 @@ class Alphabet:
         object.__setattr__(
             self, "_index", {sym: i for i, sym in enumerate(self.symbols + (TERMINAL,))}
         )
+        object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
 
     @property
     def extended(self) -> tuple[str, ...]:
@@ -64,7 +66,11 @@ class Alphabet:
             raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet {self.symbols!r}") from None
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index and symbol != TERMINAL
+        return symbol in self._symbol_set
+
+    def spells(self, word: Iterable[str]) -> bool:
+        """Whether every symbol of ``word`` belongs to the alphabet (``$`` does not)."""
+        return self._symbol_set.issuperset(word)
 
     def __len__(self) -> int:
         return len(self.symbols)

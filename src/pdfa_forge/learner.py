@@ -79,6 +79,8 @@ class ObservationTable:
         *,
         max_cells: int = 100_000,
     ):
+        if max_cells < 1:
+            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self.model: CachedModel = cached(model)
         self.equivalence = equivalence
         self.max_cells = max_cells
@@ -404,8 +406,11 @@ def learn(
     the equivalence oracle; counterexample prefixes are folded back into the
     table. Guaranteed to terminate when the target is regular under the
     equivalence and the oracle exact; otherwise the round and cell limits
-    stop the run and the report is flagged as non-converged.
+    stop the run and the report is flagged as non-converged. Limits below
+    1 raise ``ValueError`` before any query.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     mq = cached(model)
     oracle_name = getattr(teacher, "description", teacher.__class__.__name__)
     try:

@@ -48,9 +48,10 @@ class LanguageModel(abc.ABC):
         """Next-symbol distribution after reading ``word``."""
 
     def _check_word(self, word: Word) -> None:
-        for symbol in word:
-            if symbol not in self.alphabet:
-                raise AlphabetMismatch(f"symbol {symbol!r} not in model alphabet")
+        alphabet = self.alphabet
+        if not alphabet.spells(word):
+            symbol = next(s for s in word if s not in alphabet)
+            raise AlphabetMismatch(f"symbol {symbol!r} not in model alphabet")
 
 
 class PdfaLanguageModel(LanguageModel):

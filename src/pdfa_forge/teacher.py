@@ -17,10 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import Pdfa, QuotientPdfa, emission_signatures
-from .distributions import AlphabetMismatch
+from .distributions import AlphabetMismatch, Distribution
 from .models import LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, signature
-from .words import EMPTY, Word, count_words, iter_words, prefixes
+from .words import EMPTY, Word, count_words, iter_words, prefixes, word_key
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -28,19 +28,34 @@ class OracleBudgetExceeded(RuntimeError):
 
 
 class EqOracle(abc.ABC):
-    """Equivalence-query interface: None means no counterexample found."""
+    """Equivalence-query interface: None means no counterexample found.
+
+    The target's class after a word is the signature of ``model``'s answer,
+    computed once per distinct answer: signatures are canonical, so the memo
+    is keyed by the distribution.
+    """
 
     description: str = "oracle"
+
+    def __init__(self, model: LanguageModel, spec: EquivalenceSpec):
+        self.model = model
+        self.spec = spec
+        self._sigs: dict[Distribution, bytes] = {}
 
     @abc.abstractmethod
     def check(self, hypothesis: QuotientPdfa) -> Word | None: ...
 
-    def _verify(
-        self, word: Word, hypothesis: QuotientPdfa, model: LanguageModel,
-        spec: EquivalenceSpec,
-    ) -> Word:
+    def _fails(self, word: Word, hypothesis: QuotientPdfa) -> bool:
+        """Whether the target's class after ``word`` differs from the hypothesis's."""
+        dist = self.model.query(word)
+        sig = self._sigs.get(dist)
+        if sig is None:
+            sig = self._sigs[dist] = signature(dist, self.spec)
+        return sig != hypothesis.class_after(word)
+
+    def _verify(self, word: Word, hypothesis: QuotientPdfa) -> Word:
         """Re-check the counterexample with a fresh membership query."""
-        if signature(model.query(word), spec) == hypothesis.class_after(word):
+        if not self._fails(word, hypothesis):
             raise AssertionError(
                 f"oracle produced a bogus counterexample {word!r}"
             )
@@ -56,9 +71,8 @@ class ExactOracle(EqOracle):
     """
 
     def __init__(self, target: Pdfa, spec: EquivalenceSpec):
+        super().__init__(PdfaLanguageModel(target), spec)
         self.target = target
-        self.spec = spec
-        self._model = PdfaLanguageModel(target)
         self._target_sigs = emission_signatures(target.emissions, spec)
         self.description = f"exact[{spec.spec_string()}]"
 
@@ -71,7 +85,7 @@ class ExactOracle(EqOracle):
         while frontier:
             (qt, qh), access = frontier.popleft()
             if self._target_sigs[qt] != hypothesis.class_signatures[qh]:
-                return self._verify(access, hypothesis, self._model, self.spec)
+                return self._verify(access, hypothesis)
             for i, symbol in enumerate(self.target.alphabet.symbols):
                 pair = (self.target.transitions[qt][i], hypothesis.transitions[qh][i])
                 if pair not in seen:
@@ -106,53 +120,53 @@ class SamplingOracle(EqOracle):
     """One-sided randomized check for black-box targets.
 
     Exhaustively tests every word up to length 3, then draws i.i.d. random
-    words. Failing words are shrunk to their shortest failing prefix and the
-    length-lex smallest is returned. A None answer is evidence, not proof.
-    The generator is re-seeded per call, so verdicts are reproducible.
+    words. The answer is the length-lex smallest shortest failing prefix of
+    a failing word. A None answer is evidence, not proof. The generator is
+    re-seeded per call, so verdicts are reproducible.
     """
 
     SWEEP_LENGTH = 3
 
     def __init__(self, model: LanguageModel, spec: EquivalenceSpec, config: SamplingConfig):
-        self.model = model
-        self.spec = spec
+        super().__init__(model, spec)
         self.config = config
         self.description = (
             f"sample[{spec.spec_string()},n={config.samples},"
             f"maxlen={config.max_length},seed={config.seed}]"
         )
 
-    def _fails(self, word: Word, hypothesis: QuotientPdfa) -> bool:
-        return signature(self.model.query(word), self.spec) != hypothesis.class_after(word)
-
-    def _shrink(self, word: Word, hypothesis: QuotientPdfa) -> Word:
-        for p in prefixes(word):
-            if self._fails(p, hypothesis):
-                return p
-        return word
-
     def check(self, hypothesis: QuotientPdfa) -> Word | None:
         if hypothesis.alphabet != self.model.alphabet:
             raise AlphabetMismatch("hypothesis alphabet differs from the model's")
         alphabet = self.model.alphabet
+        # The sweep runs in length-lex order, so its first failure is already
+        # its own shortest failing prefix.
         for word in iter_words(alphabet, min(self.SWEEP_LENGTH, self.config.max_length)):
             if self._fails(word, hypothesis):
-                return self._verify(
-                    self._shrink(word, hypothesis), hypothesis, self.model, self.spec
-                )
+                return self._verify(word, hypothesis)
         if not alphabet.symbols:
             return None
         rng = random.Random(self.config.seed)
-        failures: list[Word] = []
+        failures: set[Word] = set()
         for _ in range(self.config.samples):
             length = min(_geometric(rng, self.config.geometric_p), self.config.max_length)
             word = tuple(rng.choice(alphabet.symbols) for _ in range(length))
             if self._fails(word, hypothesis):
-                failures.append(self._shrink(word, hypothesis))
-        if not failures:
-            return None
-        best = min(failures, key=lambda w: (len(w), tuple(alphabet.index(s) for s in w)))
-        return self._verify(best, hypothesis, self.model, self.spec)
+                failures.add(word)
+        # Shrink the failures in length-lex order. Prefixes come in increasing
+        # order too, so a prefix that is not below the best answer so far ends
+        # the scan: the word's shortest failing prefix cannot beat it.
+        best: Word | None = None
+        best_key = None
+        for word in sorted(failures, key=lambda w: word_key(alphabet, w)):
+            for p in prefixes(word):
+                key = word_key(alphabet, p)
+                if best_key is not None and key >= best_key:
+                    break
+                if self._fails(p, hypothesis):
+                    best, best_key = p, key
+                    break
+        return None if best is None else self._verify(best, hypothesis)
 
 
 def _geometric(rng: random.Random, p: float) -> int:
@@ -178,13 +192,14 @@ class BoundedExhaustiveOracle(EqOracle):
         *,
         max_words: int = 200_000,
     ):
+        if max_length < 0:
+            raise ValueError("max_length must be >= 0")
         total = count_words(len(model.alphabet), max_length)
         if total > max_words:
             raise OracleBudgetExceeded(
                 f"sweeping {total} words exceeds the {max_words}-word budget"
             )
-        self.model = model
-        self.spec = spec
+        super().__init__(model, spec)
         self.max_length = max_length
         self.description = f"exhaustive[{spec.spec_string()},maxlen={max_length}]"
 
@@ -192,6 +207,6 @@ class BoundedExhaustiveOracle(EqOracle):
         if hypothesis.alphabet != self.model.alphabet:
             raise AlphabetMismatch("hypothesis alphabet differs from the model's")
         for word in iter_words(self.model.alphabet, self.max_length):
-            if signature(self.model.query(word), self.spec) != hypothesis.class_after(word):
-                return self._verify(word, hypothesis, self.model, self.spec)
+            if self._fails(word, hypothesis):
+                return self._verify(word, hypothesis)
         return None

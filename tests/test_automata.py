@@ -270,6 +270,30 @@ class TestSharedEmissionObjects:
                 assert len(computed) == len(set(a.emissions)) <= 3
                 assert sigs == [signature(d, QUANT3) for d in a.emissions]
 
+    def test_quotient_from_json_derives_one_signature_per_distinct_emission(
+        self, monkeypatch
+    ):
+        computed = []
+
+        def counting_signature(d, spec):
+            computed.append(d)
+            return signature(d, spec)
+
+        rng = random.Random(8)
+        shared = 0
+        for _ in range(10):
+            target = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                 max_symbols=2, palette_size=3)
+            h = quotient(target, EXACT)
+            doc = json.loads(json.dumps(quotient_to_json(h)))
+            with monkeypatch.context() as patch:
+                patch.setattr(automata_module, "signature", counting_signature)
+                computed.clear()
+                assert quotient_from_json(doc) == h
+            assert len(computed) == len(set(computed)) == len(set(h.representatives)) <= 3
+            shared += h.n_states > 3
+        assert shared >= 3
+
     def test_negative_zero_shares_the_memo_entry_of_zero(self):
         # -0.0 == 0.0, so both distributions are one memo key; their
         # signatures must coincide for the shared entry to be right.

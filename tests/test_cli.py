@@ -258,6 +258,24 @@ class TestConfigAndErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--eq", "exhaustive:-1"),
+        ("--eq", "sample:0:5"),
+        ("--eq", "sample:10:-1"),
+        ("--max-rounds", "-2"),
+        ("--max-cells", "-5"),
+    ])
+    def test_out_of_range_limits_are_configuration_errors(self, tmp_path, capsys, flags):
+        # Each of these used to run (and accept a wrong hypothesis, or stop
+        # with "did not converge") or die with a traceback.
+        code = run_cli(
+            "learn", "--model", "fixture:fig2a", "--equiv", "quant:10", *flags,
+            out_dir=tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
+        assert not any(tmp_path.iterdir())
+
     def test_remote_source_needs_alphabet(self, tmp_path):
         code = run_cli(
             "learn", "--model", "http://127.0.0.1:1", "--equiv", "exact",

@@ -436,6 +436,19 @@ class TestNonRegularTargets:
         assert not report.converged
         assert "cells" in report.stop_reason
 
+    @pytest.mark.parametrize("limits", [
+        {"max_rounds": 0}, {"max_rounds": -2}, {"max_cells": 0}, {"max_cells": -5},
+    ])
+    def test_limits_below_one_are_rejected_before_any_query(self, limits):
+        model = cached(UniformUnaryModel())
+        oracle = SamplingOracle(model, EXACT, SamplingConfig(samples=10, seed=7))
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            learn(model, EXACT, oracle, **limits)
+        if "max_cells" in limits:
+            with pytest.raises(ValueError, match="max_cells"):
+                ObservationTable(model, EXACT, **limits)
+        assert model.misses == model.hits == 0
+
     def test_table_limit_exception_surface(self):
         from pdfa_forge import AlternatingUnaryModel
 

@@ -1,6 +1,7 @@
 """Language-model backends: PDFA-induced, synthetic unary, caching."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from pdfa_forge import (
     Distribution,
     LanguageModel,
     PdfaLanguageModel,
+    RemoteModel,
     UniformUnaryModel,
     cached,
     is_triangular,
@@ -102,6 +104,25 @@ class TestSyntheticModels:
             word = ("a",) * n
             assert signature(m1.query(word), exact) != signature(m2.query(word), exact)
         assert string_tolerant(m1, m2, parse_similarity("vd:0.15"), 25) is None
+
+
+class TestWordCheck:
+    # No server listens on port 9: a word must be rejected before any
+    # request is made, or the query would fail with a network error.
+    FACTORIES = {
+        "alternating": AlternatingUnaryModel,
+        "uniform": UniformUnaryModel,
+        "remote": lambda: RemoteModel("http://127.0.0.1:9", Alphabet(("a",)), timeout=0.2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @pytest.mark.parametrize("word, offender", [
+        (("a", "$"), "$"), (("z",), "z"), (("a", "a", "z", "$"), "z"),
+    ])
+    def test_foreign_and_terminal_symbols_are_rejected(self, name, word, offender):
+        model = self.FACTORIES[name]()
+        with pytest.raises(AlphabetMismatch, match=re.escape(f"symbol {offender!r}")):
+            model.query(word)
 
 
 class TestCachedModel:

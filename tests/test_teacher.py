@@ -15,12 +15,16 @@ from pdfa_forge import (
     SamplingConfig,
     SamplingOracle,
     UniformUnaryModel,
+    cached,
+    learn,
     parse_equivalence,
     quotient,
     signature,
 )
+from pdfa_forge import teacher as teacher_module
+from pdfa_forge.words import iter_words, prefixes, word_key
 
-from helpers import UNARY, random_pdfa, unary_dist
+from helpers import UNARY, FreshCopyModel, random_pdfa, unary_dist
 
 QUANT3 = parse_equivalence("quant:3")
 QUANT7 = parse_equivalence("quant:7")
@@ -72,6 +76,149 @@ class TestExactOracle:
         if foreign.alphabet != fig2a.alphabet:
             with pytest.raises(AlphabetMismatch):
                 oracle.check(quotient(foreign, EXACT))
+
+
+class ShrinkEveryFailure:
+    """The sampling oracle's earlier search, kept as a reference: every
+    failing word is shrunk to its shortest failing prefix, then the
+    length-lex smallest result is returned. Draws the same samples."""
+
+    def __init__(self, model, spec, config):
+        self.model = model
+        self.spec = spec
+        self.config = config
+
+    def fails(self, word, hypothesis):
+        return signature(self.model.query(word), self.spec) != hypothesis.class_after(word)
+
+    def shrink(self, word, hypothesis):
+        return next(p for p in prefixes(word) if self.fails(p, hypothesis))
+
+    def geometric(self, rng):
+        length = 0
+        while rng.random() >= self.config.geometric_p:
+            length += 1
+        return length
+
+    def check(self, hypothesis):
+        alphabet = self.model.alphabet
+        sweep = min(SamplingOracle.SWEEP_LENGTH, self.config.max_length)
+        for word in iter_words(alphabet, sweep):
+            if self.fails(word, hypothesis):
+                return self.shrink(word, hypothesis)
+        rng = random.Random(self.config.seed)
+        failures = []
+        for _ in range(self.config.samples):
+            length = min(self.geometric(rng), self.config.max_length)
+            word = tuple(rng.choice(alphabet.symbols) for _ in range(length))
+            if self.fails(word, hypothesis):
+                failures.append(self.shrink(word, hypothesis))
+        if not failures:
+            return None
+        best = min(failures, key=lambda w: word_key(alphabet, w))
+        assert self.fails(best, hypothesis)
+        return best
+
+
+class RecordingOracle:
+    """Passes every hypothesis on to ``inner`` and keeps it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hypotheses = []
+
+    def check(self, hypothesis):
+        self.hypotheses.append(hypothesis)
+        return self.inner.check(hypothesis)
+
+
+class TestPrunedShrinking:
+    SPECS = ["quant:20", "quant:5", "exact", "rank:2"]
+    CONFIGS = [(50, 40), (300, 5), (1000, 40), (1000, 5), (300, 40), (50, 2)]
+
+    def test_same_counterexample_as_shrinking_every_failure(self):
+        # Every hypothesis learn() submits gets the same answer from both
+        # searches, each through its own fresh cache, and no check of the
+        # pruned search costs more membership queries.
+        rng = random.Random(2019)
+        checks = from_samples = cheaper = 0
+        for i in range(36):
+            target = random_pdfa(rng, max_states=40, min_states=12, min_symbols=2,
+                                 max_symbols=2)
+            spec = parse_equivalence(self.SPECS[i % len(self.SPECS)])
+            samples, max_length = self.CONFIGS[i % len(self.CONFIGS)]
+            config = SamplingConfig(samples=samples, max_length=max_length, seed=i)
+            model = PdfaLanguageModel(target)
+            recorder = RecordingOracle(SamplingOracle(model, spec, config))
+            learn(model, spec, recorder, max_rounds=12)
+            for hypothesis in recorder.hypotheses:
+                pruned_cache, reference_cache = cached(model), cached(model)
+                pruned = SamplingOracle(pruned_cache, spec, config).check(hypothesis)
+                reference = ShrinkEveryFailure(reference_cache, spec, config).check(hypothesis)
+                assert pruned == reference
+                assert pruned_cache.misses <= reference_cache.misses
+                checks += 1
+                if pruned is not None and len(pruned) > SamplingOracle.SWEEP_LENGTH:
+                    from_samples += 1
+                cheaper += pruned_cache.misses < reference_cache.misses
+        assert checks >= 100
+        assert from_samples >= 30 and cheaper >= 20
+
+
+class AnswerLog(FreshCopyModel):
+    """Answers every query with a new equal object and keeps the answers."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.answers = []
+
+    def query(self, word):
+        answer = super().query(word)
+        self.answers.append(answer)
+        return answer
+
+
+class TestSignatureMemo:
+    """An oracle computes one signature per distinct answered distribution,
+    however many words it checks and whether or not answers share objects."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+
+        def counting_signature(d, spec):
+            calls.append(d)
+            return signature(d, spec)
+
+        monkeypatch.setattr(teacher_module, "signature", counting_signature)
+        return calls
+
+    def test_sampling_and_exhaustive_oracles(self, computed):
+        rng = random.Random(31)
+        wrong = quotient(random_pdfa(random.Random(5), max_states=4, min_symbols=2,
+                                     max_symbols=2), EXACT)
+        for _ in range(6):
+            target = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                 max_symbols=2, palette_size=3)
+            config = SamplingConfig(samples=200, max_length=10, seed=1)
+            for make_oracle in (
+                lambda model: SamplingOracle(model, EXACT, config),
+                lambda model: BoundedExhaustiveOracle(model, EXACT, 6),
+            ):
+                model = AnswerLog(PdfaLanguageModel(target))
+                oracle = make_oracle(model)
+                assert oracle.check(quotient(target, EXACT)) is None
+                assert oracle.check(wrong) is not None
+                assert len(model.answers) > 100
+                assert len(computed) == len(set(computed)) == len(set(model.answers)) <= 3
+                computed.clear()
+
+    def test_exact_oracle_verifies_through_the_memo(self, computed, fig3a):
+        oracle = ExactOracle(fig3a, QUANT7)
+        hypothesis = one_state_hypothesis(unary_dist(0.5), QUANT7)
+        for _ in range(3):
+            assert oracle.check(hypothesis) == ()
+        assert computed == [fig3a.distribution_after(())]
 
 
 class TestSamplingOracle:
@@ -127,6 +274,11 @@ class TestBoundedExhaustiveOracle:
         oracle = BoundedExhaustiveOracle(model, QUANT7, 1)
         hypothesis = one_state_hypothesis(unary_dist(0.5), QUANT7)
         assert oracle.check(hypothesis) == ()
+
+    def test_negative_length_bound_is_rejected(self):
+        # A bound of -1 would sweep no word and accept any hypothesis.
+        with pytest.raises(ValueError, match="max_length"):
+            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, -1)
 
     def test_budget_guard(self):
         model = PdfaLanguageModel(random_pdfa(random.Random(1), max_states=3, max_symbols=3))
