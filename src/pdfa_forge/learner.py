@@ -8,6 +8,11 @@ through pairwise predicates, so row equality is transitive by construction.
 Once the table is closed and consistent it folds into a hypothesis quotient
 PDFA which an equivalence oracle either accepts or refutes with a
 counterexample word.
+
+Counterexamples are processed as by Rivest & Schapire (1993): a binary
+search over the word finds one distinguishing suffix, which becomes a new
+column. RED only grows by closing, so RED rows stay pairwise distinct and
+the table is always consistent; ``consistent`` checks that invariant.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .automata import QuotientPdfa
 from .distributions import Distribution
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, signature
-from .words import EMPTY, Word, prefixes, word_key
+from .words import EMPTY, Word, word_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .teacher import EqOracle
@@ -203,6 +208,18 @@ class ObservationTable:
 
     # -- filling -----------------------------------------------------------
 
+    def _signature(self, dist: Distribution) -> bytes:
+        """The pooled class signature of a queried distribution."""
+        sig = self._sigs.get(dist)
+        if sig is None:
+            sig = signature(dist, self.equivalence)
+            sig = self._sigs[dist] = self._pool.setdefault(sig, sig)
+        return sig
+
+    def _class_of(self, word: Word) -> bytes:
+        """Query ``word`` outside the table and return its class signature."""
+        return self._signature(self.model.query(word))
+
     def _query_class(self, prefix: Word, suffix: Word) -> bytes:
         """Query one new cell and return its pooled class signature."""
         if len(self._cells) >= self.max_cells:
@@ -210,18 +227,22 @@ class ObservationTable:
                 f"table would exceed {self.max_cells} cells; "
                 "the target may not be regular under this equivalence"
             )
-        dist = self.model.query(prefix + suffix)
-        self._cells[(prefix, suffix)] = dist
-        sig = self._sigs.get(dist)
-        if sig is None:
-            sig = signature(dist, self.equivalence)
-            sig = self._sigs[dist] = self._pool.setdefault(sig, sig)
-        return sig
+        dist = self._cells[(prefix, suffix)] = self.model.query(prefix + suffix)
+        return self._signature(dist)
 
     def _fill_rows(self, prefixes: list[Word]) -> None:
         """Query every column of new rows, row by row in the given order."""
         for p in prefixes:
             self._rows[p] = tuple(self._query_class(p, s) for s in self.suffixes)
+
+    def _add_columns(self, suffixes: list[Word]) -> None:
+        """Append new columns, fill them row by row, and rebuild the class index."""
+        self.suffixes += suffixes
+        for p in self.red + self._blue:
+            self._rows[p] += tuple(self._query_class(p, s) for s in suffixes)
+        self._classes = {}
+        for p in self.red:
+            self._classes.setdefault(self._rows[p], []).append(p)
 
     # -- closedness and consistency ----------------------------------------
 
@@ -273,33 +294,45 @@ class ObservationTable:
         if new_suffix in self.suffixes:
             raise ValueError(f"suffix {new_suffix!r} already present")
         before = self.red_class_count()
-        self.suffixes.append(new_suffix)
-        for p in self.red + self._blue:
-            self._rows[p] += (self._query_class(p, new_suffix),)
-        self._classes = {}
-        for p in self.red:
-            self._classes.setdefault(self._rows[p], []).append(p)
+        self._add_columns([new_suffix])
         if self.red_class_count() <= before:
             raise LearnerInvariantError("a consistency defect must split a RED class")
 
     def update_with_counterexample(self, word: Word) -> None:
-        """Move every prefix of the counterexample into RED and fill new rows.
+        """Add one distinguishing suffix of the counterexample (Rivest–Schapire).
 
-        New rows are filled RED before BLUE, each group in length-lex order.
+        Walks ``word`` through the closed table: ``u_0`` is the empty word and
+        ``u_{i+1}`` the first RED row of the class of ``u_i + word[i]``. With
+        ``h`` the class the hypothesis gives ``word`` and ``α(i)`` the
+        target's class of ``u_i + word[i:]``, ``α(0) ≠ h = α(n)``; a binary
+        search finds ``i`` with ``α(i) ≠ h = α(i+1)``. The suffix
+        ``word[i+1:]`` then separates the row ``u_i + word[i]`` from
+        ``u_{i+1}``, so it becomes a column, with whichever of its tails are
+        missing (shortest first). RED is unchanged, and the separated row
+        matches no RED row, so the next closing step adds a class.
         """
-        before = self.red_class_count()
-        promoted: list[Word] = []
-        new: list[Word] = []
-        for p in prefixes(word):
-            if p not in self._red_set:
-                promoted.append(p)
-                new += self._promote(p)
-        new.sort(key=lambda w: (w in self._blue_set, self._key(w)))
-        self._fill_rows(new)
-        for p in promoted:
-            self._index(p)
-        if self.red_class_count() < before:
-            raise LearnerInvariantError("adding rows can never merge RED classes")
+        ok, offender = self.closed()
+        if not ok:
+            raise ValueError(f"table is not closed (offending row {offender!r})")
+        access = [EMPTY]
+        for symbol in word:
+            access.append(self._classes[self._rows[access[-1] + (symbol,)]][0])
+        h = self._rows[access[-1]][0]
+        if self._class_of(word) == h:
+            raise ValueError(f"the table already classifies {word!r} correctly")
+        lo, hi = 0, len(word)  # α(lo) ≠ h = α(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._class_of(access[mid] + word[mid:]) == h:
+                hi = mid
+            else:
+                lo = mid
+        suffix = word[hi:]
+        self._add_columns(
+            [suffix[k:] for k in reversed(range(len(suffix))) if suffix[k:] not in self.suffixes]
+        )
+        if self._rows[access[lo] + (word[lo],)] in self._classes:
+            raise LearnerInvariantError("the counterexample must leave a row unmatched")
 
     # -- hypothesis construction ---------------------------------------------
 
@@ -375,14 +408,14 @@ class LearnerReport:
     """Outcome of a learning run, including query-complexity accounting.
 
     ``trace`` holds one ``(event, red, blue, suffixes, classes)`` tuple per
-    table step; ``events`` builds the same records as dicts on access.
+    table step; ``events`` builds the same records as dicts on access, and
+    ``table_history`` the table dimensions at each hypothesis.
     """
 
     hypothesis: QuotientPdfa | None
     converged: bool
     rounds: int
     mq_count: int
-    table_history: list[tuple[int, int, int]] = field(default_factory=list)
     trace: list[tuple[str, int, int, int, int]] = field(default_factory=list)
     oracle: str = ""
     stop_reason: str = "converged"
@@ -390,6 +423,11 @@ class LearnerReport:
     @property
     def events(self) -> list[dict]:
         return [dict(zip(EVENT_FIELDS, record)) for record in self.trace]
+
+    @property
+    def table_history(self) -> list[tuple[int, int, int]]:
+        """``(red, blue, suffixes)`` of the table behind each hypothesis."""
+        return [record[1:4] for record in self.trace if record[0] == "hypothesis"]
 
 
 def learn(
@@ -402,9 +440,12 @@ def learn(
 ) -> LearnerReport:
     """Run the table-based learning loop until the oracle accepts.
 
-    Alternates closing and consistency repair, builds a hypothesis, and asks
-    the equivalence oracle; counterexample prefixes are folded back into the
-    table. Guaranteed to terminate when the target is regular under the
+    Closes the table, builds a hypothesis, and asks the equivalence oracle;
+    each counterexample adds one distinguishing suffix as a column
+    (Rivest–Schapire), and the next closing step adds a state. RED rows stay
+    pairwise distinct, so the consistency check that precedes each
+    hypothesis always passes and no ``consistent`` event is recorded.
+    Guaranteed to terminate when the target is regular under the
     equivalence and the oracle exact; otherwise the round and cell limits
     stop the run and the report is flagged as non-converged. Limits below
     1 raise ``ValueError`` before any query.
@@ -429,7 +470,6 @@ def learn(
     rounds = 0
     converged = False
     stop_reason = "round limit exceeded"
-    history: list[tuple[int, int, int]] = []
     try:
         while rounds < max_rounds:
             while True:
@@ -446,7 +486,6 @@ def learn(
                 break
             hypothesis = table.build_hypothesis()
             rounds += 1
-            history.append(table.dimensions())
             record("hypothesis")
             counterexample = teacher.check(hypothesis)
             if counterexample is None:
@@ -463,7 +502,6 @@ def learn(
         converged=converged,
         rounds=rounds,
         mq_count=mq.misses,
-        table_history=history,
         trace=trace,
         oracle=oracle_name,
         stop_reason=stop_reason,

@@ -8,6 +8,7 @@ import pytest
 
 from pdfa_forge import (
     Alphabet,
+    BoundedExhaustiveOracle,
     ConsistencyDefect,
     Distribution,
     ExactOracle,
@@ -30,7 +31,7 @@ from pdfa_forge import (
     signature,
 )
 from pdfa_forge import learner as learner_module
-from pdfa_forge.words import prefixes, word_key
+from pdfa_forge.words import iter_words, word_key
 
 from helpers import FreshCopyModel, random_pdfa, unary_dist
 
@@ -57,6 +58,39 @@ def chain_pdfa() -> Pdfa:
         emissions=(d_half, d_low, d_half, d_high),
         transitions=((1,), (2,), (3,), (3,)),
     )
+
+
+def late_change_pdfa() -> Pdfa:
+    """Four-state unary chain whose emission changes only after three symbols.
+
+    Its first counterexample, ``aaa``, is separated by the two-symbol suffix
+    ``aa``, whose tail ``a`` is not a column yet.
+    """
+    alphabet = Alphabet(("a",))
+    same = Distribution(alphabet, (0.5, 0.5))
+    other = Distribution(alphabet, (0.9, 0.1))
+    return Pdfa(
+        alphabet=alphabet,
+        initial=0,
+        emissions=(same, same, same, other),
+        transitions=((1,), (2,), (3,), (3,)),
+    )
+
+
+def promote(table: ObservationTable, word) -> None:
+    """Move a BLUE row to RED even if it matches a RED row.
+
+    No public step does this: closing promotes only unmatched rows and
+    counterexamples add columns. Tests of consistency repair need equal RED
+    rows, so they build them through the table's private path.
+    """
+    table._fill_rows(table._promote(word))
+    table._index(word)
+
+
+def close(table: ObservationTable) -> None:
+    while not (closed := table.closed())[0]:
+        table.close_step(closed[1])
 
 
 class TestInit:
@@ -96,7 +130,7 @@ class TestLifetime:
     def test_table_is_freed_without_the_cycle_collector(self, fig2a):
         table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
         table.close_step(("a",))
-        table.update_with_counterexample(("a", "a"))
+        table.update_with_counterexample(("a", "a", "a"))
         table.consistent()
         table.red_classes()
         ref = weakref.ref(table)
@@ -158,7 +192,7 @@ class TestConsistent:
             if ok:
                 break
             table.close_step(offender)
-        table.update_with_counterexample(("a", "a"))
+        promote(table, ("a", "a"))
         ok, defect = table.consistent()
         assert not ok
         assert (defect.first, defect.second) == ((), ("a", "a"))
@@ -168,7 +202,7 @@ class TestConsistent:
         table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
         while not table.closed()[0]:
             table.close_step(table.closed()[1])
-        table.update_with_counterexample(("a", "a"))
+        promote(table, ("a", "a"))
         before = table.red_class_count()
         columns_before = len(table.suffixes)
         _, defect = table.consistent()
@@ -182,7 +216,7 @@ class TestConsistent:
         table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
         while not table.closed()[0]:
             table.close_step(table.closed()[1])
-        table.update_with_counterexample(("a", "a"))
+        promote(table, ("a", "a"))
         for _ in range(10):
             ok, offender = table.closed()
             if not ok:
@@ -197,23 +231,69 @@ class TestConsistent:
 
 
 class TestUpdate:
-    def test_prefixes_move_to_red(self, fig2a):
+    def test_red_is_unchanged(self, fig2a):
         table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
         table.close_step(("a",))
-        table.update_with_counterexample(("a", "a"))
-        assert table.red == [(), ("a",), ("a", "a")]
-        assert table.blue == [("a", "a", "a")]
+        table.update_with_counterexample(("a", "a", "a"))
+        assert table.red == [(), ("a",)]
+        assert table.blue == [("a", "a")]
         table.validate()
 
-    def test_update_preserves_prefix_closure(self, fig3a):
-        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
-        table.update_with_counterexample(("a", "a", "a", "a"))
+    def test_update_preserves_prefix_closure(self):
+        table = ObservationTable(PdfaLanguageModel(late_change_pdfa()), EXACT)
+        close(table)
+        table.update_with_counterexample(("a", "a", "a"))
+        table.validate()
+        close(table)
         table.validate()
 
-    def test_suffixes_unchanged(self, fig3a):
-        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
-        table.update_with_counterexample(("a", "a"))
+    def test_one_suffix_and_its_missing_tails_are_added(self):
+        table = ObservationTable(PdfaLanguageModel(late_change_pdfa()), EXACT)
+        close(table)
         assert table.suffixes == [()]
+        table.update_with_counterexample(("a", "a", "a"))
+        assert table.suffixes == [(), ("a",), ("a", "a")]
+
+    def test_separated_row_opens_a_new_class(self, fig2a):
+        table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
+        table.close_step(("a",))
+        table.update_with_counterexample(("a", "a", "a"))
+        assert table.closed() == (False, ("a", "a"))
+        before = table.red_class_count()
+        table.close_step(("a", "a"))
+        assert table.red_class_count() == before + 1
+        assert table.consistent() == (True, None)
+
+    def test_search_costs_logarithmically_many_queries(self):
+        # The breakpoint of a^n under the late-change chain is found by
+        # querying a^n itself, then binary search steps over 64 positions.
+        table = ObservationTable(PdfaLanguageModel(late_change_pdfa()), EXACT)
+        close(table)
+        before = table.model.misses
+        word = ("a",) * 64
+        table.update_with_counterexample(word)
+        column_cells = len(table.red + table.blue) * (len(table.suffixes) - 1)
+        assert table.model.misses - before <= 1 + 6 + column_cells
+
+    def test_rejects_an_unclosed_table(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        with pytest.raises(ValueError, match="not closed"):
+            table.update_with_counterexample(("a", "a"))
+
+    def test_rejects_a_word_the_table_classifies_correctly(self, fig2a):
+        table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
+        table.close_step(("a",))
+        for word in [(), ("a",), ("a", "a")]:
+            with pytest.raises(ValueError, match="already classifies"):
+                table.update_with_counterexample(word)
+        assert table.suffixes == [()]
+
+    def test_invariant_fires_when_the_row_stays_matched(self, fig2a, monkeypatch):
+        table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
+        table.close_step(("a",))
+        monkeypatch.setattr(ObservationTable, "_add_columns", lambda self, suffixes: None)
+        with pytest.raises(LearnerInvariantError, match="unmatched"):
+            table.update_with_counterexample(("a", "a", "a"))
 
 
 class TestBuildHypothesis:
@@ -245,7 +325,7 @@ class TestBuildHypothesis:
         table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
         while not table.closed()[0]:
             table.close_step(table.closed()[1])
-        table.update_with_counterexample(("a", "a"))
+        promote(table, ("a", "a"))
         while not table.closed()[0]:
             table.close_step(table.closed()[1])
         assert not table.consistent()[0]
@@ -419,12 +499,37 @@ class TestNonRegularTargets:
         from pdfa_forge import AlternatingUnaryModel, signature as sig
 
         model = cached(AlternatingUnaryModel())
-        oracle = SamplingOracle(model, EXACT, SamplingConfig(samples=400, max_length=40, seed=7))
+        oracle = BoundedExhaustiveOracle(model, EXACT, 40)
         report = learn(model, EXACT, oracle, max_rounds=16)
         assert report.converged
         inner = AlternatingUnaryModel()
         for n in range(41):
             word = ("a",) * n
+            assert report.hypothesis.class_after(word) == sig(inner.query(word), EXACT)
+
+    def test_sampling_oracle_certifies_only_the_words_it_checked(self):
+        # A sampling oracle is one-sided: its acceptance vouches for the
+        # length-3 sweep and the words it sampled, and for nothing else.
+        from pdfa_forge import AlternatingUnaryModel, signature as sig
+
+        class RecordingOracle(SamplingOracle):
+            def check(self, hypothesis):
+                self.checked = []
+                return super().check(hypothesis)
+
+            def _fails(self, word, hypothesis):
+                self.checked.append(word)
+                return super()._fails(word, hypothesis)
+
+        model = cached(AlternatingUnaryModel())
+        config = SamplingConfig(samples=400, max_length=40, seed=7)
+        oracle = RecordingOracle(model, EXACT, config)
+        report = learn(model, EXACT, oracle, max_rounds=16)
+        assert report.converged
+        assert set(iter_words(model.alphabet, 3)) <= set(oracle.checked)
+        assert len(oracle.checked) == 4 + config.samples
+        inner = AlternatingUnaryModel()
+        for word in oracle.checked:
             assert report.hypothesis.class_after(word) == sig(inner.query(word), EXACT)
 
     def test_cell_limit_reports_non_convergence(self):
@@ -452,10 +557,13 @@ class TestNonRegularTargets:
     def test_table_limit_exception_surface(self):
         from pdfa_forge import AlternatingUnaryModel
 
+        # Closing fills all three cells; the column that the counterexample
+        # ``a^5`` adds needs three more.
         table = ObservationTable(AlternatingUnaryModel(), EXACT, max_cells=3)
+        table.close_step(("a",))
+        assert table.closed() == (True, None)
         with pytest.raises(TableLimitExceeded):
-            for word in [("a",) * n for n in range(1, 10)]:
-                table.update_with_counterexample(word)
+            table.update_with_counterexample(("a",) * 5)
 
 
 class NaiveTable:
@@ -532,7 +640,30 @@ class NaiveTable:
         self.fill()
 
     def update_with_counterexample(self, word):
-        self.red = sorted(set(self.red) | set(prefixes(word)), key=self.key)
+        """Binary-search the breakpoint through the hypothesis's runs."""
+        if not self.closed()[0]:
+            raise ValueError("table is not closed")
+        hypothesis = self.build_hypothesis()
+        access = [rows[0] for rows in self.red_classes().values()]
+
+        def alpha(i):
+            state, _ = hypothesis.run(word[:i])
+            return signature(self.model.query(access[state] + word[i:]), self.spec)
+
+        h = hypothesis.class_after(word)
+        if alpha(0) == h:
+            raise ValueError("the table already classifies the word correctly")
+        lo, hi = 0, len(word)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if alpha(mid) == h:
+                hi = mid
+            else:
+                lo = mid
+        suffix = word[hi:]
+        for k in range(len(suffix), -1, -1):
+            if suffix[k:] not in self.suffixes:
+                self.suffixes.append(suffix[k:])
         self.fill()
 
     def build_hypothesis(self):
@@ -645,7 +776,7 @@ class TestIncrementalTableAgainstNaiveReference:
             assert report.mq_count == misses
             assert report.hypothesis == hypothesis
             events.update(event for event, *_ in trace)
-        assert events == {"close", "consistent", "hypothesis", "counterexample"}
+        assert events == {"close", "hypothesis", "counterexample"}
 
     def test_one_signature_per_distinct_distribution(self, monkeypatch):
         computed = []
@@ -693,3 +824,48 @@ class TestIncrementalTableAgainstNaiveReference:
                 assert report.mq_count == misses
                 assert report.hypothesis == hypothesis
         assert runs >= 15
+
+
+class TestRivestSchapireUpdates:
+    """Each counterexample adds one suffix with its tails and nothing else."""
+
+    def test_on_random_targets(self, monkeypatch):
+        updates = []
+        update = ObservationTable.update_with_counterexample
+
+        def recording(table, word):
+            before = list(table.red), list(table.suffixes), table.red_class_count()
+            update(table, word)
+            after = list(table.red), list(table.suffixes), table.red_class_count()
+            updates.append((word, before, after))
+
+        monkeypatch.setattr(ObservationTable, "update_with_counterexample", recording)
+        rng = random.Random(1993)
+        total = with_tails = 0
+        for _ in range(30):
+            target = random_pdfa(
+                rng, max_states=40, min_states=5, max_symbols=3, min_symbols=2,
+                palette_size=rng.randint(2, 5),
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+            updates.clear()
+            report = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
+            assert report.converged
+            assert isomorphism(report.hypothesis, quotient(target, spec)) is not None
+            assert "consistent" not in [event for event, *_ in report.trace]
+            for word, (red, suffixes, classes), (red_after, suffixes_after, classes_after) in updates:
+                assert red_after == red and classes_after == classes
+                assert suffixes_after[: len(suffixes)] == suffixes
+                added = suffixes_after[len(suffixes):]
+                new = max(added, key=len)
+                assert new and word[len(word) - len(new):] == new
+                assert set(added) == {new[k:] for k in range(len(new))} - set(suffixes)
+                total += 1
+                with_tails += len(added) > 1
+            # The step after each counterexample closes a new class.
+            for (event, *_, classes), (after, *_, classes_after) in zip(
+                report.trace, report.trace[1:]
+            ):
+                if event == "counterexample":
+                    assert after == "close" and classes_after > classes
+        assert total >= 100 and with_tails > 0
