@@ -10,9 +10,9 @@ state is reachable from the initial state.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
 from .relations import EquivalenceSpec, parse_equivalence, signature
@@ -26,28 +26,36 @@ class AutomatonError(ValueError):
 def _check_transitions(
     transitions: Sequence[Sequence[int]], n_states: int, n_symbols: int
 ) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(t) for t in row) for row in transitions)
+    rows = tuple(tuple(map(int, row)) for row in transitions)
     if len(rows) != n_states:
         raise AutomatonError(f"tau not total: {len(rows)} transition rows for {n_states} states")
     for q, row in enumerate(rows):
         if len(row) != n_symbols:
             raise AutomatonError(f"tau not total: state {q} defines {len(row)}/{n_symbols} moves")
-        for t in row:
-            if not 0 <= t < n_states:
-                raise AutomatonError(f"transition target {t} out of range for state {q}")
+        if row and (min(row) < 0 or max(row) >= n_states):
+            t = next(t for t in row if not 0 <= t < n_states)
+            raise AutomatonError(f"transition target {t} out of range for state {q}")
     return rows
 
 
-def _reachable_from(initial: int, transitions: Sequence[Sequence[int]]) -> set[int]:
+def _bfs_order(initial: int, transitions: Sequence[Sequence[int]]) -> list[int]:
+    """States reachable from ``initial`` in order of first visit, expanding
+    symbols in alphabet order."""
     seen = {initial}
-    frontier = deque([initial])
-    while frontier:
-        q = frontier.popleft()
+    order = [initial]
+    for q in order:  # the list grows while it is read: a FIFO queue
         for t in transitions[q]:
             if t not in seen:
                 seen.add(t)
-                frontier.append(t)
-    return seen
+                order.append(t)
+    return order
+
+
+def _check_reachable(initial: int, transitions: Sequence[Sequence[int]]) -> None:
+    order = _bfs_order(initial, transitions)
+    if len(order) != len(transitions):
+        unreachable = set(range(len(transitions))) - set(order)
+        raise AutomatonError(f"unreachable states: {sorted(unreachable)}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +78,14 @@ class Pdfa:
             raise AutomatonError("a PDFA needs at least one state")
         if not 0 <= self.initial < n:
             raise AutomatonError(f"initial state {self.initial} out of range")
+        alphabet = self.alphabet
         for q, dist in enumerate(self.emissions):
-            if dist.alphabet != self.alphabet:
+            if dist.alphabet is not alphabet and dist.alphabet != alphabet:
                 raise AutomatonError(f"state {q} emits over a different alphabet")
         object.__setattr__(
-            self, "transitions", _check_transitions(self.transitions, n, len(self.alphabet))
+            self, "transitions", _check_transitions(self.transitions, n, len(alphabet))
         )
-        unreachable = set(range(n)) - _reachable_from(self.initial, self.transitions)
-        if unreachable:
-            raise AutomatonError(f"unreachable states: {sorted(unreachable)}")
+        _check_reachable(self.initial, self.transitions)
 
     @property
     def n_states(self) -> int:
@@ -100,14 +107,10 @@ class Pdfa:
     def access_words(self) -> list[Word]:
         """Shortest access word per state (alphabet-order tie-break)."""
         access: dict[int, Word] = {self.initial: EMPTY}
-        frontier = deque([self.initial])
-        while frontier:
-            q = frontier.popleft()
-            for symbol in self.alphabet.symbols:
-                t = self.step(q, symbol)
+        for q in _bfs_order(self.initial, self.transitions):
+            for symbol, t in zip(self.alphabet.symbols, self.transitions[q]):
                 if t not in access:
                     access[t] = access[q] + (symbol,)
-                    frontier.append(t)
         return [access[q] for q in range(self.n_states)]
 
 
@@ -138,15 +141,14 @@ class QuotientPdfa:
             raise AutomatonError("one representative distribution per class is required")
         if not 0 <= self.initial < n:
             raise AutomatonError(f"initial state {self.initial} out of range")
+        alphabet = self.alphabet
         for q, dist in enumerate(self.representatives):
-            if dist.alphabet != self.alphabet:
+            if dist.alphabet is not alphabet and dist.alphabet != alphabet:
                 raise AutomatonError(f"class {q} representative over a different alphabet")
         object.__setattr__(
-            self, "transitions", _check_transitions(self.transitions, n, len(self.alphabet))
+            self, "transitions", _check_transitions(self.transitions, n, len(alphabet))
         )
-        unreachable = set(range(n)) - _reachable_from(self.initial, self.transitions)
-        if unreachable:
-            raise AutomatonError(f"unreachable states: {sorted(unreachable)}")
+        _check_reachable(self.initial, self.transitions)
 
     @property
     def n_states(self) -> int:
@@ -186,27 +188,21 @@ def refine_partition(a: Pdfa, seed_keys: Sequence[bytes]) -> StatePartition:
     """
     if len(seed_keys) != a.n_states:
         raise AutomatonError("one seed key per state is required")
-    block_of = _normalize_ids([seed_keys[q] for q in range(a.n_states)])
+    columns = list(zip(*a.transitions))  # columns[i][q]: successor of q on symbol i
+    block_of, count = _normalize_ids(seed_keys)
     while True:
-        refined = _normalize_ids(
-            [
-                (block_of[q], tuple(block_of[t] for t in a.transitions[q]))
-                for q in range(a.n_states)
-            ]
+        refined, refined_count = _normalize_ids(
+            zip(block_of, *[[block_of[t] for t in col] for col in columns])
         )
-        if len(set(refined)) == len(set(block_of)):
-            return StatePartition(tuple(block_of), len(set(block_of)))
-        block_of = refined
+        if refined_count == count:
+            return StatePartition(tuple(block_of), count)
+        block_of, count = refined, refined_count
 
 
-def _normalize_ids(keys: list) -> list[int]:
+def _normalize_ids(keys: Iterable) -> tuple[list[int], int]:
+    """Ids numbering the distinct keys by first occurrence, and their count."""
     ids: dict = {}
-    out = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        out.append(ids[key])
-    return out
+    return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
 
 
 def emission_signatures(
@@ -296,28 +292,13 @@ def realize(h: QuotientPdfa) -> Pdfa:
 # Isomorphism and language-model equivalence
 # ---------------------------------------------------------------------------
 
-def _bfs_numbering(initial: int, transitions: Sequence[Sequence[int]]) -> list[int]:
-    """Order of first visit when expanding symbols in alphabet order."""
-    order = [initial]
-    seen = {initial}
-    frontier = deque([initial])
-    while frontier:
-        q = frontier.popleft()
-        for t in transitions[q]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                frontier.append(t)
-    return order
-
-
 def canonical_form(h: QuotientPdfa) -> tuple[tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
     """Canonically renumbered transition table and class signatures.
 
     Deterministic PDFAs with a single initial state admit a unique BFS
     numbering, so equality of canonical forms decides isomorphism.
     """
-    order = _bfs_numbering(h.initial, h.transitions)
+    order = _bfs_order(h.initial, h.transitions)
     position = {q: i for i, q in enumerate(order)}
     table = tuple(
         tuple(position[t] for t in h.transitions[q]) for q in order
@@ -338,8 +319,8 @@ def isomorphism(h1: QuotientPdfa, h2: QuotientPdfa) -> dict[int, int] | None:
         return None
     if canonical_form(h1) != canonical_form(h2):
         return None
-    order1 = _bfs_numbering(h1.initial, h1.transitions)
-    order2 = _bfs_numbering(h2.initial, h2.transitions)
+    order1 = _bfs_order(h1.initial, h1.transitions)
+    order2 = _bfs_order(h2.initial, h2.transitions)
     return {q1: q2 for q1, q2 in zip(order1, order2)}
 
 
@@ -357,20 +338,40 @@ def lm_equivalent(a: Pdfa, b: Pdfa, spec: EquivalenceSpec) -> Word | None:
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare PDFAs over different alphabets")
-    sig_a = emission_signatures(a.emissions, spec)
-    sig_b = emission_signatures(b.emissions, spec)
-    start = (a.initial, b.initial)
-    seen = {start}
-    frontier: deque[tuple[tuple[int, int], Word]] = deque([(start, EMPTY)])
-    while frontier:
-        (qa, qb), access = frontier.popleft()
-        if sig_a[qa] != sig_b[qb]:
-            return access
-        for i, symbol in enumerate(a.alphabet.symbols):
-            pair = (a.transitions[qa][i], b.transitions[qb][i])
-            if pair not in seen:
-                seen.add(pair)
-                frontier.append((pair, access + (symbol,)))
+    return _first_mismatch(
+        a.alphabet,
+        (a.initial, a.transitions, emission_signatures(a.emissions, spec)),
+        (b.initial, b.transitions, emission_signatures(b.emissions, spec)),
+    )
+
+
+_Side = tuple[int, Sequence[Sequence[int]], Sequence[bytes]]
+
+
+def _first_mismatch(alphabet: Alphabet, a: _Side, b: _Side) -> Word | None:
+    """Shortest word (alphabet-order tie-break) after which the two sides'
+    state keys differ, or None; each side is ``(initial, transitions, keys)``.
+
+    Breadth-first search of the synchronized product. Each pair records its
+    BFS parent and the symbol index leading to it, so a word is spelled
+    only for the mismatch found.
+    """
+    (initial_a, trans_a, keys_a), (initial_b, trans_b, keys_b) = a, b
+    start = (initial_a, initial_b)
+    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
+    order = [start]
+    for pair in order:  # the list grows while it is read: a FIFO queue
+        qa, qb = pair
+        if keys_a[qa] != keys_b[qb]:
+            indices = []
+            while (link := parent[pair]) is not None:
+                pair, i = link
+                indices.append(i)
+            return tuple(alphabet.symbols[i] for i in reversed(indices))
+        for i, succ in enumerate(zip(trans_a[qa], trans_b[qb])):
+            if succ not in parent:
+                parent[succ] = (pair, i)
+                order.append(succ)
     return None
 
 
@@ -444,27 +445,35 @@ def _parse_common_inner(doc: dict, prune: bool):
     n, n_sym = len(ids), len(alphabet)
 
     table: list[list[int | None]] = [[None] * n_sym for _ in range(n)]
+    symbol_index = {symbol: i for i, symbol in enumerate(alphabet.symbols)}
+    filled = 0
     for entry in raw_transitions:
         src, symbol, dst = entry["from"], entry["symbol"], entry["to"]
         if src not in index_of or dst not in index_of:
             raise AutomatonError(f"transition references unknown state: {entry}")
-        i = alphabet.index(symbol)
-        if table[index_of[src]][i] is not None:
+        i = symbol_index.get(symbol)
+        if i is None:
+            i = alphabet.index(symbol)
+        row = table[index_of[src]]
+        if row[i] is not None:
             raise AutomatonError(f"duplicate transition from {src} on {symbol!r}")
-        table[index_of[src]][i] = index_of[dst]
-    for state_id in sorted(ids):
-        row = table[index_of[state_id]]
-        if any(t is None for t in row):
-            missing = [alphabet.symbols[i] for i, t in enumerate(row) if t is None]
-            raise AutomatonError(f"tau not total: state {state_id} lacks moves on {missing}")
+        row[i] = index_of[dst]
+        filled += 1
+    # Every filled cell is distinct (duplicates raised above), so a full count
+    # means every row is total.
+    if filled != n * n_sym:
+        for state_id in sorted(ids):
+            row = table[index_of[state_id]]
+            if any(t is None for t in row):
+                missing = [alphabet.symbols[i] for i, t in enumerate(row) if t is None]
+                raise AutomatonError(f"tau not total: state {state_id} lacks moves on {missing}")
     if raw_initial not in index_of:
         raise AutomatonError(f"initial state {raw_initial} not among states")
     initial = index_of[raw_initial]
 
     keep = list(range(n))
     if prune:
-        reachable = _reachable_from(initial, [tuple(row) for row in table])
-        keep = sorted(reachable)
+        keep = sorted(_bfs_order(initial, table))
         remap = {old: new for new, old in enumerate(keep)}
         table = [[remap[t] for t in table[old]] for old in keep]
         initial = remap[initial]
@@ -473,11 +482,49 @@ def _parse_common_inner(doc: dict, prune: bool):
     return alphabet, initial, kept_states, [tuple(row) for row in table]
 
 
+def _load_distributions(alphabet: Alphabet, raw_maps: list) -> list[Distribution]:
+    """One Distribution per distinct ``"dist"`` map, shared by its states.
+
+    A map without a key is loaded on its own, so it fails as it always did.
+    """
+    memo: dict[tuple, Distribution] = {}
+    dists = []
+    for raw in raw_maps:
+        key = _dist_key(raw)
+        if key is None:
+            dists.append(Distribution.from_map(alphabet, raw))
+            continue
+        dist = memo.get(key)
+        if dist is None:
+            dist = memo[key] = Distribution.from_map(alphabet, raw)
+        dists.append(dist)
+    return dists
+
+
+def _dist_key(raw) -> tuple | None:
+    """Hashable key of a ``"dist"`` map, or None when it is not a dict or
+    holds an unhashable value.
+
+    Maps with equal keys load as equal distributions. ``-0.0 == 0.0``, so the
+    signs of zeros join the key and a loaded zero keeps the sign it was given.
+    """
+    if not isinstance(raw, dict):
+        return None
+    try:
+        key = tuple(raw.items())
+        hash(key)
+        if 0.0 in raw.values():
+            key += tuple(math.copysign(1.0, p) for p in raw.values() if p == 0.0)
+    except (TypeError, ValueError):
+        return None
+    return key
+
+
 def pdfa_from_json(doc: dict, prune: bool = False) -> Pdfa:
     """Load a PDFA; unreachable states are an error unless ``prune`` is set."""
     alphabet, initial, states, table = _parse_common(doc, prune)
     try:
-        emissions = [Distribution.from_map(alphabet, entry["dist"]) for entry in states]
+        emissions = _load_distributions(alphabet, [entry["dist"] for entry in states])
     except (KeyError, TypeError) as exc:
         raise AutomatonError(f"malformed state distribution: {exc!r}") from None
     return Pdfa(alphabet, initial, tuple(emissions), tuple(table))
@@ -490,9 +537,7 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
     label = doc["equivalence"]
     alphabet, initial, states, table = _parse_common(doc, prune)
     try:
-        representatives = [
-            Distribution.from_map(alphabet, entry["dist"]) for entry in states
-        ]
+        representatives = _load_distributions(alphabet, [entry["dist"] for entry in states])
         raw_signatures = [entry["signature"] for entry in states]
     except (KeyError, TypeError) as exc:
         raise AutomatonError(f"malformed state entry: {exc!r}") from None

@@ -119,6 +119,11 @@ class Distribution:
             )
         return cls(alphabet, tuple(probs[sym] for sym in alphabet.extended))
 
+    def __hash__(self) -> int:
+        # Equal distributions have equal probs; hashing only them keeps the
+        # alphabet's Python-level __hash__ off every memo lookup.
+        return hash(self.probs)
+
     def prob(self, symbol: str) -> float:
         return self.probs[self.alphabet.index(symbol)]
 

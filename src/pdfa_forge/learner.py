@@ -470,6 +470,11 @@ def learn(
     rounds = 0
     converged = False
     stop_reason = "round limit exceeded"
+    # An oracle built on the bare model would send its queries past the
+    # cache, uncounted: point it at the cache for this run.
+    borrowed = getattr(teacher, "model", None) is model
+    if borrowed:
+        teacher.model = mq
     try:
         while rounds < max_rounds:
             while True:
@@ -496,6 +501,9 @@ def learn(
             record("counterexample")
     except TableLimitExceeded as exc:
         stop_reason = str(exc)
+    finally:
+        if borrowed:
+            teacher.model = model
 
     return LearnerReport(
         hypothesis=hypothesis,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import abc
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import Pdfa, QuotientPdfa, emission_signatures
+from .automata import Pdfa, QuotientPdfa, _first_mismatch, emission_signatures
 from .distributions import AlphabetMismatch, Distribution
 from .models import LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, signature
-from .words import EMPTY, Word, count_words, iter_words, prefixes, word_key
+from .words import Word, count_words, iter_words, prefixes, word_key
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -79,19 +78,12 @@ class ExactOracle(EqOracle):
     def check(self, hypothesis: QuotientPdfa) -> Word | None:
         if hypothesis.alphabet != self.target.alphabet:
             raise AlphabetMismatch("hypothesis alphabet differs from the target's")
-        start = (self.target.initial, hypothesis.initial)
-        seen = {start}
-        frontier: deque[tuple[tuple[int, int], Word]] = deque([(start, EMPTY)])
-        while frontier:
-            (qt, qh), access = frontier.popleft()
-            if self._target_sigs[qt] != hypothesis.class_signatures[qh]:
-                return self._verify(access, hypothesis)
-            for i, symbol in enumerate(self.target.alphabet.symbols):
-                pair = (self.target.transitions[qt][i], hypothesis.transitions[qh][i])
-                if pair not in seen:
-                    seen.add(pair)
-                    frontier.append((pair, access + (symbol,)))
-        return None
+        word = _first_mismatch(
+            self.target.alphabet,
+            (self.target.initial, self.target.transitions, self._target_sigs),
+            (hypothesis.initial, hypothesis.transitions, hypothesis.class_signatures),
+        )
+        return None if word is None else self._verify(word, hypothesis)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 isomorphism, equivalence search, serialization, DOT export."""
 
 import json
+import math
 import random
+from collections import deque
 
 import pytest
 
@@ -12,6 +14,7 @@ from pdfa_forge import (
     AutomatonError,
     Distribution,
     ExactOracle,
+    InvalidDistribution,
     Pdfa,
     automaton_from_json,
     isomorphic,
@@ -29,7 +32,14 @@ from pdfa_forge import (
     to_dot,
 )
 from pdfa_forge import automata as automata_module
-from pdfa_forge.automata import emission_signatures, lowest_index_representative
+from pdfa_forge.automata import (
+    StatePartition,
+    emission_signatures,
+    lowest_index_representative,
+    quotient_from_partition,
+    refine_partition,
+)
+from pdfa_forge.bundled import fixture_json
 from pdfa_forge.words import iter_words
 
 from helpers import copy_of, random_distribution, random_pdfa, unary_dist
@@ -261,10 +271,10 @@ class TestSharedEmissionObjects:
         for _ in range(10):
             shared = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
                                  max_symbols=2, palette_size=3)
-            # Loading from JSON gives every state its own Distribution object.
-            loaded = pdfa_from_json(json.loads(json.dumps(pdfa_to_json(shared))))
-            assert len({id(d) for d in loaded.emissions}) == loaded.n_states
-            for a in (shared, loaded):
+            copied = Pdfa(shared.alphabet, shared.initial,
+                          tuple(copy_of(d) for d in shared.emissions), shared.transitions)
+            assert len({id(d) for d in copied.emissions}) == copied.n_states
+            for a in (shared, copied):
                 computed.clear()
                 sigs = emission_signatures(a.emissions, QUANT3)
                 assert len(computed) == len(set(a.emissions)) <= 3
@@ -430,6 +440,79 @@ class TestSerialization:
         assert h.equivalence == "quant:7"
 
 
+def one_symbol_doc(*dists) -> dict:
+    """PDFA document over {a}: state i emits ``dists[i]`` and moves to i + 1."""
+    n = len(dists)
+    return {
+        "alphabet": ["a"],
+        "initial": 0,
+        "states": [{"id": q, "dist": d} for q, d in enumerate(dists)],
+        "transitions": [
+            {"from": q, "symbol": "a", "to": min(q + 1, n - 1)} for q in range(n)
+        ],
+    }
+
+
+class TestInternedLoading:
+    """Loaders build one Distribution per distinct map, without changing
+    what a document loads as or how a malformed one fails."""
+
+    def test_round_trip_is_byte_identical(self):
+        docs = [fixture_json(name) for name in ("fig2a", "fig2b", "fig3a")]
+        rng = random.Random(77)
+        for _ in range(30):
+            a = random_pdfa(rng, max_states=12, palette_size=rng.randint(1, 4))
+            docs.append(json.loads(json.dumps(pdfa_to_json(a))))
+        for doc in docs:
+            assert json.dumps(pdfa_to_json(pdfa_from_json(doc))) == json.dumps(doc)
+
+    def test_equal_maps_share_one_object(self):
+        rng = random.Random(78)
+        for _ in range(10):
+            a = random_pdfa(rng, max_states=12, min_states=4, palette_size=2)
+            loaded = pdfa_from_json(json.loads(json.dumps(pdfa_to_json(a))))
+            assert len({id(d) for d in loaded.emissions}) == len(set(a.emissions))
+            h = quotient(a, EXACT)
+            back = quotient_from_json(json.loads(json.dumps(quotient_to_json(h))))
+            assert len({id(d) for d in back.representatives}) == len(set(h.representatives))
+
+    def test_signed_zeros_are_not_merged(self):
+        doc = one_symbol_doc({"a": 0.0, "$": 1.0}, {"a": -0.0, "$": 1.0},
+                             {"a": 0.0, "$": 1.0})
+        a = pdfa_from_json(json.loads(json.dumps(doc)))
+        signs = [math.copysign(1.0, d.probs[0]) for d in a.emissions]
+        assert signs == [1.0, -1.0, 1.0]
+        assert a.emissions[0] is a.emissions[2]
+        assert json.dumps(pdfa_to_json(a)) == json.dumps(doc)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (["a", "$"], AutomatonError,
+         "malformed state distribution: TypeError('list indices must be integers "
+         "or slices, not str')"),
+        ({"a": [0.5], "$": 0.5}, AutomatonError,
+         "malformed state distribution: TypeError(\"float() argument must be a "
+         "string or a real number, not 'list'\")"),
+        ({"a": 1.0}, InvalidDistribution,
+         "probability map does not match alphabet (missing ['$'], extra [])"),
+        ({"a": float("nan"), "$": 0.5}, InvalidDistribution,
+         "probability of 'a' out of [0,1]: nan"),
+    ])
+    def test_malformed_maps_fail_as_before(self, bad, error, message):
+        # The malformed map follows a valid one equal to a later state's, so
+        # it is met with the memo already in use.
+        good = {"a": 0.5, "$": 0.5}
+        doc = json.loads(json.dumps(one_symbol_doc(good, bad, good)))
+        with pytest.raises(error) as caught:
+            pdfa_from_json(doc)
+        assert str(caught.value) == message
+
+    def test_maps_load_as_from_map_builds_them(self):
+        good = {"a": 0.5, "$": 0.5}
+        for odd in ({"a": "0.5", "$": 0.5}, {"$": 0.5, "a": 0.5}, {"a": 1, "$": 0}):
+            a = pdfa_from_json(one_symbol_doc(good, odd, good))
+            assert a.emissions[1] == Distribution.from_map(a.alphabet, odd)
+
+
 class TestDot:
     def test_self_loop_edge_label(self, fig2b):
         dot = to_dot(fig2b)
@@ -532,3 +615,97 @@ def test_every_class_reached_within_class_count_steps():
         h = quotient(a, spec)
         reached = {h.run(w)[0] for w in iter_words(h.alphabet, h.n_states)}
         assert reached == set(range(h.n_states))
+
+
+# ---------------------------------------------------------------------------
+# Naive references for the refinement and the product search
+# ---------------------------------------------------------------------------
+
+def naive_refine_partition(a: Pdfa, seed_keys) -> StatePartition:
+    """Moore refinement as first written: one key tuple per state per round."""
+
+    def normalize(keys):
+        ids = {}
+        out = []
+        for key in keys:
+            if key not in ids:
+                ids[key] = len(ids)
+            out.append(ids[key])
+        return out
+
+    block_of = normalize([seed_keys[q] for q in range(a.n_states)])
+    while True:
+        refined = normalize([
+            (block_of[q], tuple(block_of[t] for t in a.transitions[q]))
+            for q in range(a.n_states)
+        ])
+        if len(set(refined)) == len(set(block_of)):
+            return StatePartition(tuple(block_of), len(set(block_of)))
+        block_of = refined
+
+
+def naive_first_mismatch(symbols, start, trans_a, keys_a, trans_b, keys_b):
+    """Product BFS carrying each pair's access word in the queue."""
+    seen = {start}
+    frontier = deque([(start, ())])
+    while frontier:
+        (qa, qb), access = frontier.popleft()
+        if keys_a[qa] != keys_b[qb]:
+            return access
+        for i, symbol in enumerate(symbols):
+            pair = (trans_a[qa][i], trans_b[qb][i])
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append((pair, access + (symbol,)))
+    return None
+
+
+def random_pair(rng: random.Random) -> tuple[Pdfa, Pdfa]:
+    """Two PDFAs over one alphabet whose emissions come from one palette of
+    2-4. Half the time ``b`` is ``a`` with one state's emission redrawn, so
+    mismatches also lie deep in the product."""
+    k = rng.randint(1, 3)
+    a = random_pdfa(rng, max_states=14, min_states=2, min_symbols=k, max_symbols=k,
+                    palette_size=rng.randint(2, 4))
+    palette = list(dict.fromkeys(a.emissions))
+    if rng.random() < 0.5:
+        emissions = list(a.emissions)
+        emissions[rng.randrange(a.n_states)] = rng.choice(palette)
+        return a, Pdfa(a.alphabet, a.initial, tuple(emissions), a.transitions)
+    shape = random_pdfa(rng, max_states=14, min_states=2, min_symbols=k, max_symbols=k,
+                        palette_size=1)
+    b = Pdfa(a.alphabet, shape.initial,
+             tuple(rng.choice(palette) for _ in range(shape.n_states)), shape.transitions)
+    return a, b
+
+
+def test_refinement_and_product_search_match_the_naive_references():
+    rng = random.Random(2718)
+    words = []
+    for _ in range(60):
+        a, b = random_pair(rng)
+        spec = rng.choice(SPECS)
+        for m in (a, b):
+            keys = emission_signatures(m.emissions, spec)
+            partition = naive_refine_partition(m, keys)
+            assert refine_partition(m, keys) == partition
+            assert quotient(m, spec) == quotient_from_partition(
+                m, partition, keys, spec.spec_string()
+            )
+        want = naive_first_mismatch(
+            a.alphabet.symbols, (a.initial, b.initial),
+            a.transitions, emission_signatures(a.emissions, spec),
+            b.transitions, emission_signatures(b.emissions, spec),
+        )
+        assert lm_equivalent(a, b, spec) == want
+        h = quotient(b, spec)
+        assert ExactOracle(a, spec).check(h) == naive_first_mismatch(
+            a.alphabet.symbols, (a.initial, h.initial),
+            a.transitions, emission_signatures(a.emissions, spec),
+            h.transitions, h.class_signatures,
+        )
+        assert ExactOracle(a, spec).check(quotient(a, spec)) is None
+        words.append(want)
+    # The pairs exercise mismatches deep in the product, and agreement.
+    assert None in words
+    assert sum(w is not None and len(w) >= 2 for w in words) >= 5

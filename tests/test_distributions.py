@@ -12,7 +12,9 @@ from pdfa_forge import (
     top_ranked,
 )
 
-from helpers import UNARY, unary_dist
+from pdfa_forge import distributions as distributions_module
+
+from helpers import UNARY, copy_of, unary_dist
 
 AB = Alphabet(("a", "b"))
 
@@ -61,6 +63,20 @@ class TestDistribution:
     def test_support_uses_noise_floor(self):
         d = Distribution(AB, (1.0 - 5e-10, 5e-10, 0.0))
         assert d.support() == {"a"}
+
+    def test_hash_is_the_hash_of_the_probabilities(self):
+        d = Distribution.from_map(AB, {"a": 0.2, "b": 0.3, "$": 0.5})
+        assert hash(d) == hash(copy_of(d)) == hash(d.probs)
+        # The class's own method, not one generated by the dataclass, which
+        # would hash the alphabet too.
+        own = vars(Distribution)["__hash__"]
+        assert own.__code__.co_filename == distributions_module.__file__
+
+    def test_signed_zeros_hash_and_compare_equal(self):
+        zero = Distribution(AB, (0.0, 0.5, 0.5))
+        negative_zero = Distribution(AB, (-0.0, 0.5, 0.5))
+        assert zero == negative_zero
+        assert hash(zero) == hash(negative_zero)
 
 
 class TestRanking:

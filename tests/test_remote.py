@@ -190,6 +190,16 @@ class TestEndToEndOverHttp:
         assert report.hypothesis.n_states == 3
         assert lm_equivalent(realize(report.hypothesis), fig3a, spec) is None
 
+    def test_mq_count_includes_the_oracle_built_on_the_bare_model(self, lm_server, fig3a):
+        lm_server.serve_pdfa(fig3a)
+        remote = RemoteModel(lm_server.endpoint, fig3a.alphabet, retry_backoff=0.0)
+        spec = parse_equivalence("quant:7")
+        oracle = BoundedExhaustiveOracle(remote, spec, 8)
+        report = learn(remote, spec, oracle, max_rounds=8)
+        assert report.converged
+        assert report.mq_count == len(lm_server.requests) == 9
+        assert oracle.model is remote
+
     def test_served_model_matches_local_model(self, lm_server, fig2a):
         lm_server.serve_pdfa(fig2a)
         remote = RemoteModel(lm_server.endpoint, fig2a.alphabet)
