@@ -51,6 +51,24 @@ def _bfs_order(initial: int, transitions: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
+def _walk(
+    alphabet: Alphabet, transitions: Sequence[Sequence[int]], state: int, word: Iterable[str]
+) -> int:
+    """The state reached by reading ``word`` from ``state``.
+
+    The one place where automata read words: every run, step and model
+    query goes through it. A symbol outside the alphabet, ``$`` included,
+    raises ``AlphabetMismatch``.
+    """
+    columns = alphabet.columns
+    try:
+        for symbol in word:
+            state = transitions[state][columns[symbol]]
+    except KeyError:
+        raise alphabet._mismatch(symbol) from None
+    return state
+
+
 def _check_reachable(initial: int, transitions: Sequence[Sequence[int]]) -> None:
     order = _bfs_order(initial, transitions)
     if len(order) != len(transitions):
@@ -92,17 +110,15 @@ class Pdfa:
         return len(self.emissions)
 
     def step(self, state: int, symbol: str) -> int:
-        return self.transitions[state][self.alphabet.index(symbol)]
+        return _walk(self.alphabet, self.transitions, state, (symbol,))
 
     def run(self, word: Word) -> tuple[int, Distribution]:
         """Final state and its emission after reading ``word`` from the start."""
-        q = self.initial
-        for symbol in word:
-            q = self.step(q, symbol)
+        q = _walk(self.alphabet, self.transitions, self.initial, word)
         return q, self.emissions[q]
 
     def distribution_after(self, word: Word) -> Distribution:
-        return self.run(word)[1]
+        return self.emissions[_walk(self.alphabet, self.transitions, self.initial, word)]
 
     def access_words(self) -> list[Word]:
         """Shortest access word per state (alphabet-order tie-break)."""
@@ -155,17 +171,15 @@ class QuotientPdfa:
         return len(self.class_signatures)
 
     def step(self, state: int, symbol: str) -> int:
-        return self.transitions[state][self.alphabet.index(symbol)]
+        return _walk(self.alphabet, self.transitions, state, (symbol,))
 
     def run(self, word: Word) -> tuple[int, bytes]:
         """Final state and its class signature after reading ``word``."""
-        q = self.initial
-        for symbol in word:
-            q = self.step(q, symbol)
+        q = _walk(self.alphabet, self.transitions, self.initial, word)
         return q, self.class_signatures[q]
 
     def class_after(self, word: Word) -> bytes:
-        return self.run(word)[1]
+        return self.class_signatures[_walk(self.alphabet, self.transitions, self.initial, word)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +459,17 @@ def _parse_common_inner(doc: dict, prune: bool):
     n, n_sym = len(ids), len(alphabet)
 
     table: list[list[int | None]] = [[None] * n_sym for _ in range(n)]
-    symbol_index = {symbol: i for i, symbol in enumerate(alphabet.symbols)}
+    columns = alphabet.columns
     filled = 0
     for entry in raw_transitions:
         src, symbol, dst = entry["from"], entry["symbol"], entry["to"]
         if src not in index_of or dst not in index_of:
             raise AutomatonError(f"transition references unknown state: {entry}")
-        i = symbol_index.get(symbol)
-        if i is None:
-            i = alphabet.index(symbol)
+        i = columns.get(symbol)
+        if i is None:  # a foreign symbol, or the terminal, which has no column
+            raise AutomatonError(
+                f"transition on symbol {symbol!r} outside alphabet {alphabet.symbols!r}: {entry}"
+            )
         row = table[index_of[src]]
         if row[i] is not None:
             raise AutomatonError(f"duplicate transition from {src} on {symbol!r}")

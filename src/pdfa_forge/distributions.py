@@ -33,9 +33,12 @@ class Alphabet:
     """Ordered, duplicate-free symbols; ordering breaks ranking ties.
 
     The ordering is total and fixed for the lifetime of the alphabet.
+    ``columns`` maps each plain symbol (not ``$``) to its column in a
+    transition table; automata read it when they walk a word.
     """
 
     symbols: tuple[str, ...]
+    columns: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
     _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False, hash=False)
 
@@ -48,9 +51,8 @@ class Alphabet:
         for sym in self.symbols:
             if not isinstance(sym, str) or not sym:
                 raise ValueError(f"symbols must be non-empty strings, got {sym!r}")
-        object.__setattr__(
-            self, "_index", {sym: i for i, sym in enumerate(self.symbols + (TERMINAL,))}
-        )
+        object.__setattr__(self, "columns", {sym: i for i, sym in enumerate(self.symbols)})
+        object.__setattr__(self, "_index", {**self.columns, TERMINAL: len(self.symbols)})
         object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
 
     @property
@@ -63,7 +65,10 @@ class Alphabet:
         try:
             return self._index[symbol]
         except KeyError:
-            raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet {self.symbols!r}") from None
+            raise self._mismatch(symbol) from None
+
+    def _mismatch(self, symbol: str) -> AlphabetMismatch:
+        return AlphabetMismatch(f"symbol {symbol!r} not in alphabet {self.symbols!r}")
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._symbol_set
@@ -90,13 +95,19 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        n = len(self.alphabet.extended)
-        if len(self.probs) != n:
+        probs = tuple(self.probs)
+        extended = self.alphabet.extended
+        if len(probs) != len(extended):
             raise InvalidDistribution(
-                f"expected {n} probabilities (one per symbol incl. {TERMINAL!r}), got {len(self.probs)}"
+                f"expected {len(extended)} probabilities (one per symbol incl. {TERMINAL!r}), "
+                f"got {len(probs)}"
             )
-        for sym, p in zip(self.alphabet.extended, self.probs):
+        # float() would parse a string and take a bool as 0 or 1.
+        for sym, p in zip(extended, probs):
+            if p is None or isinstance(p, (str, bytes, bytearray, bool)):
+                raise InvalidDistribution(f"probability of {sym!r} is not a number: {p!r}")
+        object.__setattr__(self, "probs", tuple(map(float, probs)))
+        for sym, p in zip(extended, self.probs):
             if not -SUM_TOLERANCE <= p <= 1.0 + SUM_TOLERANCE:
                 raise InvalidDistribution(f"probability of {sym!r} out of [0,1]: {p!r}")
         total = sum(self.probs)

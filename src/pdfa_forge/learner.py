@@ -21,7 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .automata import QuotientPdfa
+from .automata import QuotientPdfa, _walk
 from .distributions import Distribution
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, signature
@@ -73,8 +73,9 @@ class ObservationTable:
       rows.
 
     Only new rows and new columns are filled, so each (prefix, suffix) cell
-    is queried exactly once. After ``TableLimitExceeded`` the table is left
-    partly filled and must not be used further.
+    is queried exactly once; each batch of new cells is filled in one loop,
+    row by row. After ``TableLimitExceeded`` the table is left partly filled
+    and must not be used further.
     """
 
     def __init__(
@@ -87,6 +88,7 @@ class ObservationTable:
         if max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self.model: CachedModel = cached(model)
+        self._alphabet = self.model.alphabet
         self.equivalence = equivalence
         self.max_cells = max_cells
         self.red: list[Word] = []
@@ -184,19 +186,20 @@ class ObservationTable:
 
         Returns the words that entered the table and still need a row.
         """
+        alphabet = self._alphabet
         new: list[Word] = []
         if prefix in self._blue_set:
             self._blue_set.remove(prefix)
             del self._blue[bisect_left(self._blue, self._keys[prefix], key=self._key)]
         else:
-            self._keys[prefix] = word_key(self.model.alphabet, prefix)
+            self._keys[prefix] = word_key(alphabet, prefix)
             new.append(prefix)
         self._red_set.add(prefix)
         insort(self.red, prefix, key=self._key)
-        for symbol in self.model.alphabet.symbols:
+        for symbol in alphabet.symbols:
             word = prefix + (symbol,)
             if word not in self._keys:
-                self._keys[word] = word_key(self.model.alphabet, word)
+                self._keys[word] = word_key(alphabet, word)
                 self._blue_set.add(word)
                 insort(self._blue, word, key=self._key)
                 new.append(word)
@@ -220,26 +223,41 @@ class ObservationTable:
         """Query ``word`` outside the table and return its class signature."""
         return self._signature(self.model.query(word))
 
-    def _query_class(self, prefix: Word, suffix: Word) -> bytes:
-        """Query one new cell and return its pooled class signature."""
-        if len(self._cells) >= self.max_cells:
+    def _query_cells(self, prefixes: list[Word], suffixes: list[Word]) -> list[tuple[bytes, ...]]:
+        """Query the new cells ``prefixes × suffixes`` row by row, in one loop.
+
+        Returns each prefix's pooled class signatures, one per suffix. When
+        the cells do not fit the cell budget, the ones that fit are queried
+        and stored, in the same order, before ``TableLimitExceeded`` is raised.
+        """
+        cells = [(p, s) for p in prefixes for s in suffixes]
+        room = self.max_cells - len(self._cells)
+        over = len(cells) > room
+        query, store, sigs = self.model.query, self._cells, self._sigs
+        out = []
+        for cell in cells[:room] if over else cells:
+            dist = store[cell] = query(cell[0] + cell[1])
+            sig = sigs.get(dist)
+            out.append(self._signature(dist) if sig is None else sig)
+        if over:
             raise TableLimitExceeded(
                 f"table would exceed {self.max_cells} cells; "
                 "the target may not be regular under this equivalence"
             )
-        dist = self._cells[(prefix, suffix)] = self.model.query(prefix + suffix)
-        return self._signature(dist)
+        width = len(suffixes)
+        return [tuple(out[i * width : (i + 1) * width]) for i in range(len(prefixes))]
 
     def _fill_rows(self, prefixes: list[Word]) -> None:
         """Query every column of new rows, row by row in the given order."""
-        for p in prefixes:
-            self._rows[p] = tuple(self._query_class(p, s) for s in self.suffixes)
+        self._rows.update(zip(prefixes, self._query_cells(prefixes, self.suffixes)))
 
     def _add_columns(self, suffixes: list[Word]) -> None:
         """Append new columns, fill them row by row, and rebuild the class index."""
         self.suffixes += suffixes
-        for p in self.red + self._blue:
-            self._rows[p] += tuple(self._query_class(p, s) for s in suffixes)
+        prefixes = self.red + self._blue
+        rows = self._rows
+        for p, cells in zip(prefixes, self._query_cells(prefixes, suffixes)):
+            rows[p] += cells
         self._classes = {}
         for p in self.red:
             self._classes.setdefault(self._rows[p], []).append(p)
@@ -273,7 +291,7 @@ class ObservationTable:
         first, no two rows differ, so the first defect pairs the first row
         with a later one, as a scan of all pairs would find.
         """
-        symbols = self.model.alphabet.symbols
+        symbols = self._alphabet.symbols
         rows = self._rows
         shared = [members for members in self._classes.values() if len(members) > 1]
         shared.sort(key=lambda members: self._key(members[0]))
@@ -345,32 +363,37 @@ class ObservationTable:
         if not ok:
             raise ValueError(f"table is not consistent ({defect!r})")
 
-        classes = self.red_classes()
-        class_id = {sig: i for i, sig in enumerate(classes)}
-        representatives = [rows[0] for rows in classes.values()]
+        # RED is in length-lex order, so classes are numbered by their first
+        # row in that order, as ``red_classes`` orders them.
+        rows = self._rows
+        class_id: dict[tuple[bytes, ...], int] = {}
+        representatives: list[Word] = []
+        for p in self.red:
+            if rows[p] not in class_id:
+                class_id[rows[p]] = len(class_id)
+                representatives.append(p)
 
-        transitions: list[list[int | None]] = [
-            [None] * len(self.model.alphabet) for _ in classes
-        ]
-        for sig, rows in classes.items():
-            src = class_id[sig]
-            for p in rows:
-                for i, symbol in enumerate(self.model.alphabet.symbols):
-                    dst_sig = self._rows[p + (symbol,)]
-                    if dst_sig not in class_id:
-                        raise LearnerInvariantError("closedness violated during build")
-                    dst = class_id[dst_sig]
-                    if transitions[src][i] is None:
-                        transitions[src][i] = dst
-                    elif transitions[src][i] != dst:
-                        raise LearnerInvariantError("consistency violated during build")
+        # A class's first row is seen before its other rows, so its
+        # transition row is appended first and the others compared to it.
+        symbols = self._alphabet.symbols
+        transitions: list[tuple[int, ...]] = []
+        for p in self.red:
+            try:
+                row = tuple([class_id[rows[p + (symbol,)]] for symbol in symbols])
+            except KeyError:
+                raise LearnerInvariantError("closedness violated during build") from None
+            src = class_id[rows[p]]
+            if src == len(transitions):
+                transitions.append(row)
+            elif transitions[src] != row:
+                raise LearnerInvariantError("consistency violated during build")
 
         hypothesis = QuotientPdfa(
-            alphabet=self.model.alphabet,
-            initial=class_id[self._rows[EMPTY]],
-            class_signatures=tuple(self._rows[rep][0] for rep in representatives),
+            alphabet=self._alphabet,
+            initial=class_id[rows[EMPTY]],
+            class_signatures=tuple(rows[rep][0] for rep in representatives),
             representatives=tuple(self._cells[(rep, EMPTY)] for rep in representatives),
-            transitions=tuple(tuple(row) for row in transitions),
+            transitions=tuple(transitions),
             equivalence=self.equivalence.spec_string(),
         )
         self._check_hypothesis_against_table(hypothesis, class_id)
@@ -383,17 +406,19 @@ class ObservationTable:
 
         Every RED prefix must run to its own row class, and running any
         prefix+suffix must land in the class of the queried distribution.
-        Each suffix is stepped from the state its prefix reached.
+        RED is prefix-closed and in length-lex order, so each prefix's state
+        is one step from its parent's, and each suffix is walked from there.
         """
+        alphabet, transitions = self._alphabet, hypothesis.transitions
+        columns, signatures = alphabet.columns, hypothesis.class_signatures
+        state_of: dict[Word, int] = {}
         for p in self.red:
-            state, _ = hypothesis.run(p)
+            state = transitions[state_of[p[:-1]]][columns[p[-1]]] if p else hypothesis.initial
+            state_of[p] = state
             if state != class_id[self._rows[p]]:
                 raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
             for s, sig in zip(self.suffixes, self._rows[p]):
-                q = state
-                for symbol in s:
-                    q = hypothesis.step(q, symbol)
-                if hypothesis.class_signatures[q] != sig:
+                if signatures[_walk(alphabet, transitions, state, s)] != sig:
                     raise LearnerInvariantError(
                         f"hypothesis class after {p + s!r} disagrees with the table"
                     )

@@ -20,7 +20,7 @@ import weakref
 from typing import Callable, Mapping
 from urllib.parse import urlsplit
 
-from .automata import Pdfa
+from .automata import Pdfa, _walk
 from .distributions import (
     Alphabet,
     AlphabetMismatch,
@@ -65,7 +65,8 @@ class PdfaLanguageModel(LanguageModel):
         return self.pdfa.alphabet
 
     def query(self, word: Word) -> Distribution:
-        return self.pdfa.distribution_after(word)
+        pdfa = self.pdfa
+        return pdfa.emissions[_walk(pdfa.alphabet, pdfa.transitions, pdfa.initial, word)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +167,13 @@ class CachedModel(LanguageModel):
 
     def query(self, word: Word) -> Distribution:
         word = tuple(word)
-        with self._lock:
-            cached = self._cache.get(word)
-            if cached is not None:
+        # A dict lookup is atomic; the lock guards the counters and the
+        # insertion only.
+        cached = self._cache.get(word)
+        if cached is not None:
+            with self._lock:
                 self.hits += 1
-                return cached
+            return cached
         result = self.inner.query(word)
         with self._lock:
             self.misses += 1

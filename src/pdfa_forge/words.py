@@ -19,7 +19,10 @@ EMPTY: Word = ()
 
 def word_key(alphabet: Alphabet, word: Word) -> tuple[int, tuple[int, ...]]:
     """Sort key realizing length-lexicographic order."""
-    return (len(word), tuple(alphabet.index(s) for s in word))
+    try:
+        return (len(word), tuple(map(alphabet._index.__getitem__, word)))
+    except KeyError as missing:
+        raise alphabet._mismatch(missing.args[0]) from None
 
 
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:

@@ -4,6 +4,7 @@ isomorphism, equivalence search, serialization, DOT export."""
 import json
 import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -34,6 +35,7 @@ from pdfa_forge import (
 from pdfa_forge import automata as automata_module
 from pdfa_forge.automata import (
     StatePartition,
+    _walk,
     emission_signatures,
     lowest_index_representative,
     quotient_from_partition,
@@ -66,6 +68,50 @@ class TestRun:
     def test_symbol_outside_alphabet(self, fig3a):
         with pytest.raises(AlphabetMismatch):
             fig3a.run(("b",))
+
+
+class TestWordsOutsideTheAlphabet:
+    """``$`` and foreign symbols fail the same way in every word reader."""
+
+    READERS = {
+        "Pdfa.run": lambda a, w: a.run(w),
+        "Pdfa.distribution_after": lambda a, w: a.distribution_after(w),
+        "Pdfa.step": lambda a, w: [a.step(a.initial, s) for s in w],
+        "QuotientPdfa.run": lambda a, w: quotient(a, QUANT7).run(w),
+        "QuotientPdfa.class_after": lambda a, w: quotient(a, QUANT7).class_after(w),
+        "QuotientPdfa.step": lambda a, w: [quotient(a, QUANT7).step(0, s) for s in w],
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("word, offender", [(("$",), "$"), (("a", "$"), "$"), (("z",), "z")])
+    def test_alphabet_mismatch_names_the_symbol(self, fig3a, reader, word, offender):
+        with pytest.raises(AlphabetMismatch) as caught:
+            self.READERS[reader](fig3a, word)
+        assert str(caught.value) == f"symbol {offender!r} not in alphabet ('a',)"
+
+
+class TestWalkKernel:
+    def test_agrees_with_the_per_symbol_step_loop(self):
+        # Reference: one transition lookup and one Alphabet.index per symbol.
+        def stepwise(a, q, word):
+            for symbol in word:
+                q = a.transitions[q][a.alphabet.index(symbol)]
+            return q
+
+        rng = random.Random(3030)
+        for _ in range(30):
+            a = random_pdfa(rng, max_states=40, max_symbols=3)
+            h = quotient(a, QUANT7)
+            for _ in range(50):
+                word = tuple(rng.choice(a.alphabet.symbols) for _ in range(rng.randint(0, 20)))
+                start = rng.randrange(a.n_states)
+                assert _walk(a.alphabet, a.transitions, start, word) == stepwise(a, start, word)
+                state = stepwise(a, a.initial, word)
+                assert a.run(word) == (state, a.emissions[state])
+                assert a.distribution_after(word) is a.emissions[state]
+                state = stepwise(h, h.initial, word)
+                assert h.run(word) == (state, h.class_signatures[state])
+                assert h.class_after(word) == h.class_signatures[state]
 
 
 class TestStructureValidation:
@@ -366,6 +412,15 @@ class TestSerialization:
         with pytest.raises(AutomatonError, match="tau not total"):
             pdfa_from_json(doc)
 
+    @pytest.mark.parametrize("symbol", ["$", "z"])
+    def test_transition_outside_the_alphabet_is_reported(self, fig3a, symbol):
+        # ``$`` has a probability in every state but no transition column.
+        extra = {"from": 0, "symbol": symbol, "to": 0}
+        for doc in (pdfa_to_json(fig3a), quotient_to_json(quotient(fig3a, QUANT7))):
+            doc["transitions"].append(extra)
+            with pytest.raises(AutomatonError, match=re.escape(f"symbol {symbol!r} outside")):
+                automaton_from_json(doc)
+
     def test_string_alphabet_is_rejected(self):
         # A string is iterable, so it would otherwise be split into symbols.
         doc = {
@@ -508,9 +563,12 @@ class TestInternedLoading:
 
     def test_maps_load_as_from_map_builds_them(self):
         good = {"a": 0.5, "$": 0.5}
-        for odd in ({"a": "0.5", "$": 0.5}, {"$": 0.5, "a": 0.5}, {"a": 1, "$": 0}):
+        for odd in ({"$": 0.5, "a": 0.5}, {"a": 1, "$": 0}):
             a = pdfa_from_json(one_symbol_doc(good, odd, good))
             assert a.emissions[1] == Distribution.from_map(a.alphabet, odd)
+        # A probability given as a string is not a number, whichever path loads it.
+        with pytest.raises(InvalidDistribution, match="not a number: '0.5'"):
+            pdfa_from_json(one_symbol_doc(good, {"a": "0.5", "$": 0.5}, good))
 
 
 class TestDot:

@@ -163,6 +163,14 @@ class TestCliquesCommand:
             [[0, 2], [1]],
         ]
 
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_probabilities_that_are_not_numbers_are_io_errors(self, tmp_path, capsys, value):
+        path = tmp_path / "dists.json"
+        path.write_text(json.dumps([{"a": 0.5, "$": 0.5}, {"a": value, "$": 0.5}]))
+        code = run_cli("cliques", str(path), "--sim", "vd:0.15", out_dir=tmp_path)
+        assert code == 2
+        assert "is not a number" in capsys.readouterr().err
+
     def test_bare_list_input(self, tmp_path, capsys):
         path = tmp_path / "dists.json"
         path.write_text(json.dumps([{"a": 0.5, "$": 0.5}, {"a": 0.4, "$": 0.6}]))
@@ -282,6 +290,21 @@ class TestConfigAndErrors:
             out_dir=tmp_path,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("symbol", ["$", "z"])
+    def test_transition_outside_the_alphabet_is_an_io_error(self, tmp_path, capsys, symbol):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "alphabet": ["a"], "initial": 0,
+            "states": [{"id": 0, "dist": {"a": 0.5, "$": 0.5}}],
+            "transitions": [
+                {"from": 0, "symbol": "a", "to": 0},
+                {"from": 0, "symbol": symbol, "to": 0},
+            ],
+        }))
+        code = run_cli("compare", str(bad), "fixture:fig2a", "--equiv", "exact")
+        assert code == 2
+        assert f"symbol {symbol!r} outside alphabet" in capsys.readouterr().err
 
     def test_malformed_model_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Alphabet/Distribution invariants and the ranking primitives."""
 
+import re
+
 import pytest
 
 from pdfa_forge import (
@@ -51,6 +53,23 @@ class TestDistribution:
     def test_no_extra_entries(self):
         with pytest.raises(InvalidDistribution):
             Distribution.from_map(AB, {"a": 0.2, "b": 0.3, "c": 0.0, "$": 0.5})
+
+    @pytest.mark.parametrize("value, rest", [("0.5", 0.5), (b"0.5", 0.5), (True, 0), (None, 1)])
+    def test_probabilities_must_be_numbers(self, value, rest):
+        # float() would parse the string and bytes and take True as 1, so
+        # all but None would load as a valid distribution.
+        message = re.escape(f"probability of 'a' is not a number: {value!r}")
+        with pytest.raises(InvalidDistribution, match=message):
+            Distribution(UNARY, (value, rest))
+        with pytest.raises(InvalidDistribution, match="not a number"):
+            Distribution.from_map(UNARY, {"a": value, "$": rest})
+
+    def test_integers_and_float_subclasses_are_numbers(self):
+        class Prob(float):
+            pass
+
+        assert Distribution(UNARY, (1, 0)).probs == (1.0, 0.0)
+        assert Distribution(UNARY, (Prob(0.25), 0.75)).probs == (0.25, 0.75)
 
     def test_sum_must_be_one(self):
         with pytest.raises(InvalidDistribution):

@@ -9,6 +9,7 @@ import pytest
 from pdfa_forge import (
     Alphabet,
     BoundedExhaustiveOracle,
+    CachedModel,
     ConsistencyDefect,
     Distribution,
     ExactOracle,
@@ -824,6 +825,79 @@ class TestIncrementalTableAgainstNaiveReference:
                 assert report.mq_count == misses
                 assert report.hypothesis == hypothesis
         assert runs >= 15
+
+
+class PerCellTable(ObservationTable):
+    """The table filling one cell at a time, as it did before batched fills:
+    one budget test and one model query per cell, row by row."""
+
+    def _query_class(self, prefix, suffix):
+        if len(self._cells) >= self.max_cells:
+            raise TableLimitExceeded(
+                f"table would exceed {self.max_cells} cells; "
+                "the target may not be regular under this equivalence"
+            )
+        dist = self._cells[(prefix, suffix)] = self.model.query(prefix + suffix)
+        return self._signature(dist)
+
+    def _fill_rows(self, prefixes):
+        for p in prefixes:
+            self._rows[p] = tuple(self._query_class(p, s) for s in self.suffixes)
+
+    def _add_columns(self, suffixes):
+        self.suffixes += suffixes
+        for p in self.red + self._blue:
+            self._rows[p] += tuple(self._query_class(p, s) for s in suffixes)
+        self._classes = {}
+        for p in self.red:
+            self._classes.setdefault(self._rows[p], []).append(p)
+
+
+class RecordingCache(CachedModel):
+    """A cache that records every lookup, hit or miss, in order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.words = []
+
+    def query(self, word):
+        self.words.append(tuple(word))
+        return super().query(word)
+
+
+class TestBatchedFillAgainstPerCellFill:
+    """Batched fills ask the model the same words, in the same order."""
+
+    def run(self, table_class, target, spec, max_cells, monkeypatch):
+        model = RecordingCache(PdfaLanguageModel(target))
+        monkeypatch.setattr(learner_module, "ObservationTable", table_class)
+        report = learn(model, spec, ExactOracle(target, spec), max_cells=max_cells)
+        return model.words, report
+
+    def test_same_words_in_the_same_order(self, monkeypatch):
+        rng = random.Random(8080)
+        limited = 0
+        for _ in range(10):
+            target = random_pdfa(
+                rng, max_states=50, min_states=10, max_symbols=3, min_symbols=2,
+                palette_size=rng.randint(2, 5),
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+            runs = {100_000: self.run(PerCellTable, target, spec, 100_000, monkeypatch)}
+            assert runs[100_000][1].converged
+            # Half the final table's cells: the budget runs out during a fill.
+            _, red, blue, suffixes, _ = runs[100_000][1].trace[-1]
+            half = (red + blue) * suffixes // 2 + 1
+            runs[half] = self.run(PerCellTable, target, spec, half, monkeypatch)
+            for max_cells, (expected, reference) in runs.items():
+                got, batched = self.run(ObservationTable, target, spec, max_cells, monkeypatch)
+                assert got == expected
+                assert batched.trace == reference.trace
+                assert batched.mq_count == reference.mq_count
+                assert batched.hypothesis == reference.hypothesis
+                assert batched.stop_reason == reference.stop_reason
+                limited += not batched.converged
+        assert limited == 10
 
 
 class TestRivestSchapireUpdates:

@@ -61,6 +61,13 @@ class TestPdfaModel:
         with pytest.raises(AlphabetMismatch):
             PdfaLanguageModel(fig2a).query(("z",))
 
+    @pytest.mark.parametrize("word, offender", [(("$",), "$"), (("a", "$"), "$"), (("z",), "z")])
+    def test_terminal_and_foreign_symbols_are_alphabet_mismatches(self, fig2a, word, offender):
+        # ``$`` has a probability in every answer but no transition column.
+        with pytest.raises(AlphabetMismatch) as caught:
+            PdfaLanguageModel(fig2a).query(word)
+        assert str(caught.value) == f"symbol {offender!r} not in alphabet ('a',)"
+
 
 class TestTriangularPredicate:
     def test_members(self):
