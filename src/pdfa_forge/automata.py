@@ -451,8 +451,8 @@ def _parse_common_inner(doc: dict, prune: bool):
     alphabet = Alphabet(raw_alphabet)
     raw_states = doc["states"]
     raw_transitions = doc["transitions"]
-    raw_initial = doc["initial"]
-    ids = [entry["id"] for entry in raw_states]
+    raw_initial = _state_ref(doc["initial"], "initial")
+    ids = [_state_ref(entry["id"], "id") for entry in raw_states]
     if len(set(ids)) != len(ids):
         raise AutomatonError("duplicate state ids")
     index_of = {state_id: i for i, state_id in enumerate(sorted(ids))}
@@ -463,7 +463,9 @@ def _parse_common_inner(doc: dict, prune: bool):
     filled = 0
     for entry in raw_transitions:
         src, symbol, dst = entry["from"], entry["symbol"], entry["to"]
-        if src not in index_of or dst not in index_of:
+        if not (type(src) is int and type(dst) is int and src in index_of and dst in index_of):
+            _state_ref(src, "from")
+            _state_ref(dst, "to")
             raise AutomatonError(f"transition references unknown state: {entry}")
         i = columns.get(symbol)
         if i is None:  # a foreign symbol, or the terminal, which has no column
@@ -496,6 +498,14 @@ def _parse_common_inner(doc: dict, prune: bool):
     by_index = {index_of[entry["id"]]: entry for entry in raw_states}
     kept_states = [by_index[old] for old in keep]
     return alphabet, initial, kept_states, [tuple(row) for row in table]
+
+
+def _state_ref(value, name: str) -> int:
+    """A state id or reference, which must be a JSON integer: ``false`` and
+    ``0.0`` would otherwise find state 0, and a string id would load."""
+    if type(value) is not int:
+        raise AutomatonError(f"{name!r} must be an integer state id, got {value!r}")
+    return value
 
 
 def _load_distributions(alphabet: Alphabet, raw_maps: list) -> list[Distribution]:

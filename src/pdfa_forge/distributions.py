@@ -89,10 +89,16 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector over an alphabet's extended symbols, in alphabet order."""
+    """Probability vector over an alphabet's extended symbols, in alphabet order.
+
+    The hash is computed once, at construction, from the probabilities only:
+    equal distributions have equal probabilities, and memo lookups then
+    neither rehash the tuple nor call the alphabet's Python-level hash.
+    """
 
     alphabet: Alphabet
     probs: tuple[float, ...]
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         probs = tuple(self.probs)
@@ -113,6 +119,7 @@ class Distribution:
         total = sum(self.probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "_hash", hash(self.probs))
 
     @classmethod
     def from_map(cls, alphabet: Alphabet, probs: Mapping[str, float]) -> "Distribution":
@@ -131,9 +138,7 @@ class Distribution:
         return cls(alphabet, tuple(probs[sym] for sym in alphabet.extended))
 
     def __hash__(self) -> int:
-        # Equal distributions have equal probs; hashing only them keeps the
-        # alphabet's Python-level __hash__ off every memo lookup.
-        return hash(self.probs)
+        return self._hash
 
     def prob(self, symbol: str) -> float:
         return self.probs[self.alphabet.index(symbol)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .automata import QuotientPdfa, _walk
@@ -68,14 +69,19 @@ class ObservationTable:
       and identical signatures are pooled, so equal cells share one
       ``bytes`` object.
     - The class index maps each row signature to its RED rows in
-      length-lexicographic order. ``closed`` and ``red_class_count`` are
-      lookups in it, and ``consistent`` visits only classes of two or more
-      rows.
+      length-lexicographic order. ``red_class_count`` is a lookup in it, and
+      ``consistent`` visits only classes of two or more rows.
+    - The unmatched index is a length-lexicographic heap of BLUE rows that
+      matched no RED row when they were filed: a new BLUE row when its RED
+      parent is indexed, every unmatched BLUE row when new columns rebuild
+      it. A row promoted or matched since is dropped when it reaches the
+      top, so ``closed`` reads the heap's top instead of scanning BLUE.
 
     Only new rows and new columns are filled, so each (prefix, suffix) cell
     is queried exactly once; each batch of new cells is filled in one loop,
-    row by row. After ``TableLimitExceeded`` the table is left partly filled
-    and must not be used further.
+    row by row, after the model is asked to prefetch their words. After
+    ``TableLimitExceeded`` the table is left partly filled and must not be
+    used further.
     """
 
     def __init__(
@@ -103,6 +109,7 @@ class ObservationTable:
         self._cells: dict[tuple[Word, Word], Distribution] = {}
         self._rows: dict[Word, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[Word]] = {}
+        self._unmatched: list[tuple[tuple[int, tuple[int, ...]], Word]] = []
         self._pool: dict[bytes, bytes] = {}
         # Pooled signature per distinct queried distribution.
         self._sigs: dict[Distribution, bytes] = {}
@@ -141,7 +148,9 @@ class ObservationTable:
         uncovered one-symbol continuations, RED and BLUE are in
         length-lexicographic order, and every row has a queried cell per
         suffix equal to the model's answer. The row cache and the class index
-        must equal their recomputation from the cells.
+        must equal their recomputation from the cells, and the unmatched
+        index must be a heap whose live rows are exactly the unmatched BLUE
+        rows.
         """
         red = set(self.red)
         if EMPTY not in red:
@@ -178,6 +187,15 @@ class ObservationTable:
             classes.setdefault(self._rows[p], []).append(p)
         if self._classes != classes:
             raise LearnerInvariantError("the RED class index is stale")
+        heap = self._unmatched
+        live = [
+            p for key, p in sorted(heap)
+            if p in self._blue_set and self._rows[p] not in classes and key == self._keys[p]
+        ]
+        if live != [p for p in self._blue if self._rows[p] not in classes] or any(
+            heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))
+        ):
+            raise LearnerInvariantError("the unmatched BLUE index is stale")
 
     # -- maintenance -------------------------------------------------------
 
@@ -206,8 +224,24 @@ class ObservationTable:
         return new
 
     def _index(self, prefix: Word) -> None:
-        """Add a RED row to the class index."""
-        insort(self._classes.setdefault(self._rows[prefix], []), prefix, key=self._key)
+        """Add a filled RED row to the class index, and file its
+        continuations that match no RED row in the unmatched index (they
+        are new, so BLUE)."""
+        rows, classes, keys = self._rows, self._classes, self._keys
+        insort(classes.setdefault(rows[prefix], []), prefix, key=self._key)
+        for symbol in self._alphabet.symbols:
+            word = prefix + (symbol,)
+            if rows[word] not in classes:
+                heappush(self._unmatched, (keys[word], word))
+
+    def _reindex(self) -> None:
+        """Rebuild the class and unmatched indexes after new columns."""
+        rows, keys = self._rows, self._keys
+        self._classes = classes = {}
+        for p in self.red:
+            classes.setdefault(rows[p], []).append(p)
+        # BLUE is in length-lex order, so the list is sorted: a heap.
+        self._unmatched = [(keys[p], p) for p in self._blue if rows[p] not in classes]
 
     # -- filling -----------------------------------------------------------
 
@@ -233,9 +267,13 @@ class ObservationTable:
         cells = [(p, s) for p in prefixes for s in suffixes]
         room = self.max_cells - len(self._cells)
         over = len(cells) > room
+        if over:
+            cells = cells[:room]
+        if self.model.batches:
+            self.model.prefetch([p + s for p, s in cells])
         query, store, sigs = self.model.query, self._cells, self._sigs
         out = []
-        for cell in cells[:room] if over else cells:
+        for cell in cells:
             dist = store[cell] = query(cell[0] + cell[1])
             sig = sigs.get(dist)
             out.append(self._signature(dist) if sig is None else sig)
@@ -252,23 +290,24 @@ class ObservationTable:
         self._rows.update(zip(prefixes, self._query_cells(prefixes, self.suffixes)))
 
     def _add_columns(self, suffixes: list[Word]) -> None:
-        """Append new columns, fill them row by row, and rebuild the class index."""
+        """Append new columns and fill them row by row; ``_reindex`` follows."""
         self.suffixes += suffixes
         prefixes = self.red + self._blue
         rows = self._rows
         for p, cells in zip(prefixes, self._query_cells(prefixes, suffixes)):
             rows[p] += cells
-        self._classes = {}
-        for p in self.red:
-            self._classes.setdefault(self._rows[p], []).append(p)
 
     # -- closedness and consistency ----------------------------------------
 
     def closed(self) -> tuple[bool, Word | None]:
-        """Whether every BLUE row matches some RED row; else the first offender."""
-        for p in self._blue:
-            if self._rows[p] not in self._classes:
-                return False, p
+        """Whether every BLUE row matches some RED row; else the
+        length-lex first offender."""
+        heap, blue, rows, classes = self._unmatched, self._blue_set, self._rows, self._classes
+        while heap:
+            word = heap[0][1]
+            if word in blue and rows[word] not in classes:
+                return False, word
+            heappop(heap)  # promoted or matched since it was filed
         return True, None
 
     def close_step(self, offender: Word) -> None:
@@ -313,6 +352,7 @@ class ObservationTable:
             raise ValueError(f"suffix {new_suffix!r} already present")
         before = self.red_class_count()
         self._add_columns([new_suffix])
+        self._reindex()
         if self.red_class_count() <= before:
             raise LearnerInvariantError("a consistency defect must split a RED class")
 
@@ -349,6 +389,7 @@ class ObservationTable:
         self._add_columns(
             [suffix[k:] for k in reversed(range(len(suffix))) if suffix[k:] not in self.suffixes]
         )
+        self._reindex()
         if self._rows[access[lo] + (word[lo],)] in self._classes:
             raise LearnerInvariantError("the counterexample must leave a row unmatched")
 

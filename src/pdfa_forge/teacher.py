@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .automata import Pdfa, QuotientPdfa, _first_mismatch, emission_signatures
 from .distributions import AlphabetMismatch, Distribution
-from .models import LanguageModel, PdfaLanguageModel
+from .models import CachedModel, LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, signature
 from .words import Word, count_words, iter_words, prefixes, word_key
 
@@ -113,8 +113,10 @@ class SamplingOracle(EqOracle):
 
     Exhaustively tests every word up to length 3, then draws i.i.d. random
     words. The answer is the length-lex smallest shortest failing prefix of
-    a failing word. A None answer is evidence, not proof. The generator is
-    re-seeded per call, so verdicts are reproducible.
+    a failing word. A None answer is evidence, not proof. The samples are
+    drawn once per oracle from the configured seed, so every check tests the
+    same words and verdicts are reproducible. All samples are queried, so a
+    caching model gets them as one batch to prefetch.
     """
 
     SWEEP_LENGTH = 3
@@ -126,6 +128,18 @@ class SamplingOracle(EqOracle):
             f"sample[{spec.spec_string()},n={config.samples},"
             f"maxlen={config.max_length},seed={config.seed}]"
         )
+        self._samples: list[Word] | None = None
+
+    def _draw(self) -> list[Word]:
+        """The random words every check tests, drawn on first use."""
+        if self._samples is None:
+            config, symbols = self.config, self.model.alphabet.symbols
+            rng = random.Random(config.seed)
+            self._samples = []
+            for _ in range(config.samples):
+                length = min(_geometric(rng, config.geometric_p), config.max_length)
+                self._samples.append(tuple(rng.choice(symbols) for _ in range(length)))
+        return self._samples
 
     def check(self, hypothesis: QuotientPdfa) -> Word | None:
         if hypothesis.alphabet != self.model.alphabet:
@@ -138,13 +152,10 @@ class SamplingOracle(EqOracle):
                 return self._verify(word, hypothesis)
         if not alphabet.symbols:
             return None
-        rng = random.Random(self.config.seed)
-        failures: set[Word] = set()
-        for _ in range(self.config.samples):
-            length = min(_geometric(rng, self.config.geometric_p), self.config.max_length)
-            word = tuple(rng.choice(alphabet.symbols) for _ in range(length))
-            if self._fails(word, hypothesis):
-                failures.add(word)
+        samples = self._draw()
+        if isinstance(self.model, CachedModel):
+            self.model.prefetch(samples)
+        failures = {word for word in samples if self._fails(word, hypothesis)}
         # Shrink the failures in length-lex order. Prefixes come in increasing
         # order too, so a prefix that is not below the best answer so far ends
         # the scan: the word's shortest failing prefix cannot beat it.

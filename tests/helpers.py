@@ -81,6 +81,20 @@ def random_pdfa(
     )
 
 
+def content_length_reply(status: int, data: bytes) -> bytes:
+    """The stub's usual reply: HTTP/1.1 with a ``Content-Length`` body."""
+    head = (
+        f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(data)}\r\n\r\n"
+    )
+    return head.encode("ascii") + data
+
+
+def _announces_close(reply: bytes) -> bool:
+    head = reply.split(b"\r\n\r\n", 1)[0].lower()
+    return head.startswith(b"http/1.0") or b"\r\nconnection: close" in head
+
+
 class _LmHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -97,16 +111,29 @@ class _LmHandler(BaseHTTPRequestHandler):
         time.sleep(owner.delay_s)
         status, payload = owner.behavior(self.path, body)
         data = json.dumps(payload).encode()
-        head = (
-            f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n"
-        ).encode("ascii")
+        reply = owner.reply(status, data)
         if truncate:
-            data = data[: len(data) // 2]
+            reply = reply[: len(reply) - (len(data) + 1) // 2]
         # One write; closing without a "Connection: close" header is what a
         # server dropping an idle keep-alive connection looks like.
-        self.wfile.write(head + data)
-        self.close_connection = truncate or owner.close_after_reply
+        self.wfile.write(reply)
+        self.linger = truncate or _announces_close(reply)
+        self.close_connection = self.linger or owner.close_after_reply
+
+    def finish(self):
+        super().finish()
+        if getattr(self, "linger", False):
+            # A lingering close, as HTTP servers make one when the client
+            # may have pipelined requests: closing with requests unread
+            # would reset the connection, and the reset can destroy replies
+            # before the client reads them.
+            try:
+                self.connection.shutdown(socket.SHUT_WR)
+                self.connection.settimeout(2.0)
+                while self.connection.recv(65536):
+                    pass
+            except OSError:
+                pass
 
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -127,16 +154,19 @@ class LmServer:
     """In-process HTTP/1.1 keep-alive language-model stub.
 
     The behavior maps ``(path, body)`` to ``(status, payload)`` and is
-    swappable. ``delay_s`` delays every reply, ``truncated_replies`` cuts the
-    body of that many next replies short and closes, and
-    ``close_after_reply`` closes every connection after its reply. The
-    server counts connections: ``closed`` lets a test wait until a close
-    has happened. ``close()`` (or leaving a ``with`` block) joins every
+    swappable, and so is ``reply``, which frames ``(status, body bytes)`` as
+    the bytes sent; the connection closes after a reply that is HTTP/1.0 or
+    says ``Connection: close``. ``delay_s`` delays every reply,
+    ``truncated_replies`` cuts the body of that many next replies short and
+    closes, and ``close_after_reply`` closes every connection after its
+    reply. The server counts connections: ``closed`` lets a test wait until
+    a close has happened. ``close()`` (or leaving a ``with`` block) joins every
     handler thread.
     """
 
     def __init__(self):
         self.behavior = lambda path, body: (500, {})
+        self.reply = content_length_reply
         self.delay_s = 0.0
         self.truncated_replies = 0
         self.close_after_reply = False

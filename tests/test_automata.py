@@ -483,6 +483,35 @@ class TestSerialization:
         assert a.n_states == 2
         assert a.emissions[a.initial].prob("a") == pytest.approx(0.6)
 
+    def assert_rejected(self, fig3a, field, value, edit):
+        """Both loaders reject ``value`` where ``edit`` puts it."""
+        message = re.escape(f"{field!r} must be an integer state id, got {value!r}")
+        exact = parse_equivalence("exact")
+        for doc in (pdfa_to_json(fig3a), quotient_to_json(quotient(fig3a, exact))):
+            edit(doc, value)
+            with pytest.raises(AutomatonError, match=message):
+                automaton_from_json(doc)
+
+    def test_boolean_initial_state_is_rejected(self, fig3a):
+        self.assert_rejected(fig3a, "initial", False, lambda doc, v: doc.update(initial=v))
+
+    def test_boolean_state_id_is_rejected(self, fig3a):
+        self.assert_rejected(fig3a, "id", True, lambda doc, v: doc["states"][1].update(id=v))
+
+    def test_float_state_id_is_rejected(self, fig3a):
+        self.assert_rejected(fig3a, "id", 1.5, lambda doc, v: doc["states"][1].update(id=v))
+
+    def test_string_state_id_is_rejected(self, fig3a):
+        self.assert_rejected(fig3a, "id", "x", lambda doc, v: doc["states"][2].update(id=v))
+
+    def test_float_transition_source_is_rejected(self, fig3a):
+        self.assert_rejected(
+            fig3a, "from", 0.0, lambda doc, v: doc["transitions"][0].update({"from": v})
+        )
+
+    def test_boolean_transition_target_is_rejected(self, fig3a):
+        self.assert_rejected(fig3a, "to", True, lambda doc, v: doc["transitions"][0].update(to=v))
+
     def test_quotient_signature_mismatch_is_detected(self, fig3a):
         doc = quotient_to_json(quotient(fig3a, QUANT7))
         doc["states"][0]["signature"] = signature(unary_dist(0.9), QUANT7).hex()

@@ -13,6 +13,7 @@ from pdfa_forge import (
     quotient_from_json,
     realize,
 )
+from pdfa_forge.bundled import fixture_json
 from pdfa_forge.cli import main
 
 
@@ -351,6 +352,15 @@ class TestRemoteModelSource:
             out_dir=tmp_path,
         )
         assert code == 1
+
+
+def test_a_non_integer_state_reference_is_an_io_error(tmp_path, capsys):
+    doc = fixture_json("fig2a")
+    doc["initial"] = False
+    path = tmp_path / "bool_initial.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("compare", str(path), "fixture:fig2b", "--equiv", "exact") == 2
+    assert "'initial' must be an integer state id, got False" in capsys.readouterr().err
 
 
 class TestPruneFlag:

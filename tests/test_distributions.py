@@ -91,6 +91,14 @@ class TestDistribution:
         own = vars(Distribution)["__hash__"]
         assert own.__code__.co_filename == distributions_module.__file__
 
+    def test_hash_is_computed_once_at_construction(self):
+        d = Distribution.from_map(AB, {"a": 0.2, "b": 0.3, "$": 0.5})
+        assert vars(d)["_hash"] == hash(d.probs)
+        # Hashing reads the stored value: a changed one shows through.
+        object.__setattr__(d, "_hash", 12345)
+        assert hash(d) == 12345
+        assert "_hash" not in repr(d) and d == copy_of(d)
+
     def test_signed_zeros_hash_and_compare_equal(self):
         zero = Distribution(AB, (0.0, 0.5, 0.5))
         negative_zero = Distribution(AB, (-0.0, 0.5, 0.5))

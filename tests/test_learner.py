@@ -126,6 +126,13 @@ class TestInit:
         with pytest.raises(LearnerInvariantError, match="class index"):
             table.validate()
 
+    def test_validate_detects_a_stale_unmatched_index(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        assert table._unmatched
+        table._unmatched.pop()
+        with pytest.raises(LearnerInvariantError, match="unmatched BLUE index"):
+            table.validate()
+
 
 class TestLifetime:
     def test_table_is_freed_without_the_cycle_collector(self, fig2a):
@@ -173,6 +180,43 @@ class TestClosed:
             assert table._cells[key] == value
         assert table.red == [(), ("a",)]
         assert ("a", "a") in table.blue
+
+    def test_offender_is_the_first_unmatched_row_of_a_blue_scan(self):
+        # Through closing, counterexample columns and consistency repair
+        # after promoting a matched row, the unmatched index names the row
+        # a length-lex scan of BLUE finds first.
+        rng = random.Random(515)
+        repairs = 0
+        for _ in range(20):
+            target = random_pdfa(
+                rng, max_states=25, min_states=5, min_symbols=2, palette_size=rng.randint(2, 4)
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+            table = ObservationTable(PdfaLanguageModel(target), spec)
+            oracle = ExactOracle(target, spec)
+            promoted = False
+            while True:
+                classes = table.red_classes()
+                scan = next((p for p in table.blue if table.row_signature(p) not in classes), None)
+                assert table.closed() == (scan is None, scan)
+                table.validate()
+                if scan is not None:
+                    table.close_step(scan)
+                    continue
+                ok, defect = table.consistent()
+                if not ok:
+                    table.consistent_step(defect)
+                    repairs += 1
+                    continue
+                if not promoted and table.blue:
+                    promote(table, table.blue[0])
+                    promoted = True
+                    continue
+                counterexample = oracle.check(table.build_hypothesis())
+                if counterexample is None:
+                    break
+                table.update_with_counterexample(counterexample)
+        assert repairs > 0
 
     def test_close_step_rejects_non_blue_rows(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
@@ -863,6 +907,52 @@ class RecordingCache(CachedModel):
     def query(self, word):
         self.words.append(tuple(word))
         return super().query(word)
+
+
+class BatchPathModel(PdfaLanguageModel):
+    """A PDFA model with a batch path of its own, as a remote model has."""
+
+    def query_many(self, words):
+        return [self.query(word) for word in words]
+
+
+class PrefetchRecordingCache(RecordingCache):
+    """A recording cache that also keeps every prefetch request."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.prefetched = []
+
+    def prefetch(self, words):
+        self.prefetched.append(list(words))
+        super().prefetch(words)
+
+
+class TestPrefetchedFills:
+    def test_each_fill_prefetches_the_words_it_queries(self, monkeypatch):
+        target = random_pdfa(random.Random(77), max_states=30, min_states=10, min_symbols=2)
+        fill = ObservationTable._query_cells
+        full = learn(PdfaLanguageModel(target), QUANT3, ExactOracle(target, QUANT3))
+        _, red, blue, suffixes, _ = full.trace[-1]
+        for max_cells in (100_000, (red + blue) * suffixes // 2 + 1):
+            model = PrefetchRecordingCache(BatchPathModel(target))
+            filled = []
+
+            def recording(table, prefixes, suffixes):
+                start = len(model.words)
+                try:
+                    return fill(table, prefixes, suffixes)
+                finally:
+                    filled.append(model.words[start:])
+
+            monkeypatch.setattr(ObservationTable, "_query_cells", recording)
+            report = learn(model, QUANT3, ExactOracle(target, QUANT3), max_cells=max_cells)
+            # A fill the budget cuts short prefetches only the cells that fit.
+            assert report.converged == (max_cells == 100_000)
+            assert model.prefetched == filled and len(filled) > 2
+        model = PrefetchRecordingCache(PdfaLanguageModel(target))
+        learn(model, QUANT3, ExactOracle(target, QUANT3))
+        assert model.prefetched == []  # no batch path: no batch is built
 
 
 class TestBatchedFillAgainstPerCellFill:

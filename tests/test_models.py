@@ -209,3 +209,48 @@ class CountingModel(LanguageModel):
     def query(self, word):
         self.calls += 1
         return Distribution(self._alphabet, (0.25, 0.25, 0.5))
+
+
+class BatchingModel(CountingModel):
+    """``CountingModel`` with a batch path that records each batch."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def query_many(self, words):
+        words = list(words)
+        self.batches.append(words)
+        return [self.query(word) for word in words]
+
+
+class TestPrefetch:
+    def test_one_batch_of_the_distinct_words_not_cached(self):
+        inner = BatchingModel()
+        model = cached(inner)
+        model.query(("a",))
+        model.prefetch([("b",), ("a",), ("b",), (), ("a", "b")])
+        assert inner.batches == [[("b",), (), ("a", "b")]]
+        model.prefetch([("b",), ("b", "b")])  # ("b",) is already prefetched
+        assert inner.batches[1:] == [[("b", "b")]]
+
+    def test_prefetched_answers_count_as_misses_and_leave_the_inner_model_alone(self):
+        words = [("a",), ("b",), ("a",), (), ("b",), ("a", "a")]
+        plain, prefetching = cached(CountingModel()), cached(BatchingModel())
+        expected = [plain.query(w) for w in words]
+        prefetching.prefetch(words)
+        calls = prefetching.inner.calls
+        assert [prefetching.query(w) for w in words] == expected
+        assert prefetching.inner.calls == calls == 4
+        assert (prefetching.hits, prefetching.misses) == (plain.hits, plain.misses) == (2, 4)
+
+    def test_a_model_without_a_batch_path_is_not_asked(self):
+        inner = CountingModel()
+        model = cached(inner)
+        model.prefetch([("a",), ("b",)])
+        assert inner.calls == 0 and model.misses == 0
+
+    def test_the_default_batch_path_is_a_loop(self):
+        inner = CountingModel()
+        assert inner.query_many([("a",), ("a",)]) == [inner.query(("a",))] * 2
+        assert inner.calls == 3

@@ -1,27 +1,34 @@
 """The HTTP next-token-distribution wire protocol, exercised against a live
 in-process server."""
 
+import random
 import sys
 import threading
 import warnings
+from collections import Counter
 
 import pytest
 
 from pdfa_forge import (
     Alphabet,
+    AlphabetMismatch,
+    LanguageModel,
     PdfaLanguageModel,
     RemoteModel,
     RemoteModelError,
+    SamplingConfig,
+    SamplingOracle,
     lm_equivalent,
     parse_equivalence,
     realize,
 )
+from pdfa_forge import models
 from pdfa_forge.learner import learn
 from pdfa_forge.models import TIMEOUT_ENV_VAR
 from pdfa_forge.teacher import BoundedExhaustiveOracle
 from pdfa_forge.words import iter_words
 
-from helpers import LmServer
+from helpers import LmServer, content_length_reply, random_pdfa
 
 AB = Alphabet(("a", "b"))
 PROBS = {"a": 0.2, "b": 0.3, "$": 0.5}
@@ -307,3 +314,358 @@ class TestKeepAliveTransport:
         assert len(server.requests) == len(words)
         assert server.peak_connections <= 2
         assert server.connections <= 2
+
+
+def tokens(server) -> list[tuple[str, ...]]:
+    return [tuple(body["tokens"]) for _, body in server.requests]
+
+
+def answer_after(pdfa):
+    """A behaviour serving ``pdfa``: the stub's ``serve_pdfa`` without the reset."""
+
+    def behavior(path, body):
+        return 200, {"probs": pdfa.distribution_after(tuple(body["tokens"])).as_dict()}
+
+    return behavior
+
+
+class OneWordModel(LanguageModel):
+    """A remote model seen through a wrapper without a batch path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def alphabet(self):
+        return self.inner.alphabet
+
+    def query(self, word):
+        return self.inner.query(word)
+
+
+class TestPipelinedBatches:
+    def assert_answers(self, answers, words, pdfa):
+        assert [d.as_dict() for d in answers] == [
+            pytest.approx(pdfa.distribution_after(w).as_dict()) for w in words
+        ]
+
+    def test_answers_in_order_and_a_duplicate_is_sent_once(self, fig2a):
+        words = [("a",) * n for n in (3, 0, 1, 3, 5, 0, 2)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            answers = model.query_many(words)
+            model.close()
+        self.assert_answers(answers, words, fig2a)
+        assert answers[0] is answers[3]
+        assert tokens(server) == list(dict.fromkeys(words))
+
+    def test_a_batch_is_pipelined_on_one_connection(self, fig2a, monkeypatch):
+        writes = []
+        send = models._Connection.send
+
+        def recording(conn, data):
+            writes.append(data.count(b"POST "))
+            send(conn, data)
+
+        monkeypatch.setattr(models._Connection, "send", recording)
+        words = [("a",) * n for n in range(30)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.delay_s = 0.001
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_in_flight=6)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert server.connections == server.peak_connections == 1
+        # Six requests go out before the first response is read; each
+        # response then makes room for one more.
+        assert writes == [6] + [1] * 24
+
+    def test_depth_is_capped_at_sixteen(self, fig2a, monkeypatch):
+        writes = []
+        send = models._Connection.send
+        monkeypatch.setattr(
+            models._Connection, "send",
+            lambda conn, data: (writes.append(data.count(b"POST ")), send(conn, data)),
+        )
+        words = [("a",) * n for n in range(20)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_in_flight=64)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert writes[0] == models.PIPELINE_DEPTH == 16
+
+    def test_connection_close_mid_batch_costs_no_attempt(self, fig2a):
+        words = [("a",) * n for n in range(12)]
+        replies = []
+
+        def closing_third(status, data):
+            replies.append(status)
+            reply = content_length_reply(status, data)
+            if len(replies) == 3:
+                reply = reply.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1)
+            return reply
+
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = closing_third
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert tokens(server) == words
+        assert server.connections == 2
+
+    def test_server_error_mid_batch_is_retried(self, fig2a):
+        words = [("a",) * n for n in range(12)]
+        failed = []
+
+        def flaky(path, body):
+            if body["tokens"] == ["a"] * 4 and not failed:
+                failed.append(True)
+                return 503, {}
+            return answer_after(fig2a)(path, body)
+
+        with LmServer() as server:
+            server.set_behavior(flaky)
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        counts = Counter(tokens(server))
+        assert counts[("a",) * 4] == 2
+        assert all(counts[w] == 1 for w in words if w != ("a",) * 4)
+        assert server.connections == 1
+
+    def test_truncated_reply_mid_batch_is_retried(self, fig2a):
+        words = [("a",) * n for n in range(12)]
+        serve = answer_after(fig2a)
+
+        def truncate_fifth(path, body):
+            if len(server.requests) == 4:
+                server.truncated_replies = 1  # the next reply, the fifth
+            return serve(path, body)
+
+        with LmServer() as server:
+            server.set_behavior(truncate_fifth)
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        counts = Counter(tokens(server))
+        assert counts[("a",) * 4] == 2
+        assert all(counts[w] == 1 for w in words if w != ("a",) * 4)
+        assert server.connections == 2
+
+    def test_chunked_replies(self, fig2a):
+        def chunked(status, data):
+            cut = len(data) // 3
+            body = (
+                b"%x;ext=1\r\n%s\r\n" % (cut, data[:cut])
+                + b"%X\r\n%s\r\n" % (len(data) - cut, data[cut:])
+                + b"0\r\nX-Trailer: 1\r\n\r\n"
+            )
+            return b"HTTP/1.1 %d OK\r\nTransfer-Encoding: chunked\r\n\r\n%s" % (status, body)
+
+        words = [("a",) * n for n in range(8)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = chunked
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("with_length", [True, False])
+    def test_http_1_0_replies_close_the_connection(self, fig2a, with_length):
+        def http10(status, data):
+            length = b"Content-Length: %d\r\n" % len(data) if with_length else b""
+            return b"HTTP/1.0 %d OK\r\n%s\r\n%s" % (status, length, data)
+
+        words = [("a",) * n for n in range(5)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = http10
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert tokens(server) == words
+        assert server.connections == 5
+
+    def test_informational_replies_are_skipped(self, fig2a):
+        def early(status, data):
+            return (
+                b"HTTP/1.1 100 Continue\r\n\r\n"
+                b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>\r\n\r\n"
+                + content_length_reply(status, data)
+            )
+
+        words = [("a",) * n for n in range(6)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = early
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert server.connections == 1
+
+    def with_headers(self, lines):
+        def reply(status, data):
+            extra = b"".join(b"%s\r\n" % line for line in lines)
+            return content_length_reply(status, data).replace(b"\r\n", b"\r\n" + extra, 1)
+
+        return reply
+
+    def test_a_hundred_header_lines_are_read(self, fig2a):
+        # Content-Type and Content-Length are two of the hundred.
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = self.with_headers([b"X-N: %d" % i for i in range(98)])
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            assert model.query(("a",)) == fig2a.distribution_after(("a",))
+            model.close()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([b"X-N: %d" % i for i in range(99)], "more than 100 header lines"),
+            ([b"X-Big: " + b"x" * 65536], "longer than 65536 bytes"),
+        ],
+    )
+    def test_header_limits_are_enforced(self, fig2a, lines, message):
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = self.with_headers(lines)
+            model = RemoteModel(server.endpoint, fig2a.alphabet, retry_backoff=0.0)
+            with pytest.raises(RemoteModelError, match=f"3 attempts: .*{message}"):
+                model.query_many([(), ("a",)])
+        counts = Counter(tokens(server))
+        assert counts[()] == 3 and counts[("a",)] <= 3
+
+    @pytest.mark.parametrize(
+        "behavior",
+        [
+            lambda path, body: (404, {}) if body["tokens"] == ["b"] else (200, {"probs": PROBS}),
+            lambda path, body: (500, {}) if body["tokens"] == ["b"] else (200, {"probs": PROBS}),
+            lambda path, body: (200, {"probs": {"a": 1.0} if body["tokens"] == ["b"] else PROBS}),
+        ],
+        ids=["unexpected status", "server error", "malformed body"],
+    )
+    def test_the_first_word_failing_for_good_raises_what_query_raises(self, behavior):
+        with LmServer() as server:
+            server.set_behavior(behavior)
+            model = RemoteModel(server.endpoint, AB, retry_backoff=0.0)
+            with pytest.raises(RemoteModelError) as alone:
+                model.query(("b",))
+            with pytest.raises(RemoteModelError) as batched:
+                model.query_many([("a",), ("b",), ("a", "b"), ("b",)])
+            model.close()
+        assert str(batched.value) == str(alone.value)
+
+    def test_an_earlier_failure_wins_over_a_later_one(self):
+        def behavior(path, body):
+            if body["tokens"] == ["a"]:
+                return 500, {}
+            if body["tokens"] == ["b"]:
+                return 404, {}
+            return 200, {"probs": PROBS}
+
+        with LmServer() as server:
+            server.set_behavior(behavior)
+            model = RemoteModel(server.endpoint, AB, retry_backoff=0.0)
+            with pytest.raises(RemoteModelError, match="3 attempts: server error 500"):
+                model.query_many([(), ("a",), ("b",), ("a", "a")])
+            model.close()
+        counts = Counter(tokens(server))
+        assert counts[("a",)] == 3 and counts[()] == 1 and counts[("b",)] <= 1
+
+    def test_a_word_outside_the_alphabet_fails_after_the_words_before_it(self):
+        with LmServer() as server:
+            constant_server(server, PROBS)
+            model = RemoteModel(server.endpoint, AB)
+            with pytest.raises(AlphabetMismatch) as alone:
+                model.query(("z",))
+            with pytest.raises(AlphabetMismatch) as batched:
+                model.query_many([("a",), ("z",), ("b",)])
+            model.close()
+        assert str(batched.value) == str(alone.value)
+        assert tokens(server) == [("a",)]
+
+    def test_threads_batching_at_once_stay_within_max_in_flight(self, fig3a):
+        words = list(iter_words(fig3a.alphabet, 40))
+        errors = []
+        with LmServer() as server:
+            server.serve_pdfa(fig3a)
+            server.delay_s = 0.001
+            model = RemoteModel(server.endpoint, fig3a.alphabet, max_in_flight=3)
+
+            def worker(offset):
+                try:
+                    chunk = words[offset::4]
+                    got = model.query_many(chunk)
+                    if got != [fig3a.distribution_after(w) for w in chunk]:
+                        errors.append(offset)
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(thread.is_alive() for thread in threads)
+            model.close()
+        assert errors == []
+        assert sorted(tokens(server)) == sorted(words)
+        assert server.peak_connections <= 3
+
+    def test_learning_matches_the_one_word_path(self):
+        rng = random.Random(909)
+        spec = parse_equivalence("quant:5")
+        config = SamplingConfig(samples=150, max_length=12, seed=3)
+        for _ in range(3):
+            target = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2, palette_size=4)
+            runs = []
+            with LmServer() as server:
+                server.serve_pdfa(target)
+                for wrap in (lambda m: m, OneWordModel):
+                    server.requests.clear()
+                    model = wrap(RemoteModel(server.endpoint, target.alphabet, max_attempts=1))
+                    report = learn(model, spec, SamplingOracle(model, spec, config))
+                    runs.append((report, tokens(server)))
+                    (model.inner if isinstance(model, OneWordModel) else model).close()
+            (batched, sent), (one_word, expected) = runs
+            assert batched.converged and one_word.converged
+            assert batched.hypothesis == one_word.hypothesis
+            assert batched.trace == one_word.trace
+            assert batched.mq_count == one_word.mq_count == len(expected)
+            assert sent == expected
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize(
+        "endpoint, host, port, header",
+        [
+            ("http://127.0.0.1:8080", "127.0.0.1", 8080, "127.0.0.1:8080"),
+            ("http://example.com:80/v1", "example.com", 80, "example.com"),
+            ("https://Example.com", "example.com", 443, "example.com"),
+            ("https://[::1]:8443", "::1", 8443, "[::1]:8443"),
+            ("http://bücher.example", "bücher.example", 80, "xn--bcher-kva.example"),
+        ],
+    )
+    def test_host_header_as_http_client_sent_it(self, endpoint, host, port, header):
+        tls, got_host, got_port, _, got_header = models._split_endpoint(endpoint)
+        assert (tls, got_host, got_port, got_header) == (
+            endpoint.startswith("https"), host, port, header
+        )
+
+    def test_an_unrequested_protocol_switch_is_a_failed_attempt(self, fig2a):
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = lambda status, data: b"HTTP/1.1 101 Switching Protocols\r\n\r\n"
+            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            with pytest.raises(RemoteModelError, match="2 attempts: unrequested 101"):
+                model.query(())

@@ -250,6 +250,29 @@ class TestSamplingOracle:
         counterexample = oracle.check(one_state_hypothesis(unary_dist(0.5), QUANT7))
         assert counterexample == ()  # the empty word already separates
 
+    def test_samples_are_drawn_once_and_prefetched_on_every_check(self, monkeypatch):
+        rng = random.Random(31)
+        target = random_pdfa(rng, max_states=8, min_states=4, min_symbols=2)
+        config = SamplingConfig(samples=200, max_length=15, seed=9)
+        reference = ShrinkEveryFailure(PdfaLanguageModel(target), QUANT3, config)
+        draws = random.Random(config.seed)
+        expected = [
+            tuple(draws.choice(target.alphabet.symbols) for _ in range(length))
+            for length in (min(reference.geometric(draws), config.max_length)
+                           for _ in range(config.samples))
+        ]
+        prefetched = []
+        cache = cached(PdfaLanguageModel(target))
+        monkeypatch.setattr(cache, "prefetch", prefetched.append)
+        oracle = SamplingOracle(cache, QUANT3, config)
+        wrong = quotient(target, parse_equivalence("quant:1"))
+        hypothesis = quotient(target, QUANT3)
+        for h in (hypothesis, hypothesis, wrong, hypothesis):
+            oracle.check(h)
+        # One list, drawn once; the sweep catches the wrong hypothesis
+        # before the samples are reached.
+        assert prefetched == [expected] * 3 and all(p is prefetched[0] for p in prefetched)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplingConfig(samples=0)
