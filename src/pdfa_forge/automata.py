@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
@@ -24,18 +25,42 @@ class AutomatonError(ValueError):
 
 
 def _check_transitions(
-    transitions: Sequence[Sequence[int]], n_states: int, n_symbols: int
+    transitions: Iterable[Iterable[int]], n_states: int, n_symbols: int
 ) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(map(int, row)) for row in transitions)
+    """The table as a tuple of rows, each ``n_symbols`` ``int`` targets in
+    ``range(n_states)``, one row per state.
+
+    A valid table is checked in C-level passes over its rows and their
+    flattening; the rows are walked one by one only to name the first fault.
+    """
+    rows = tuple(map(tuple, transitions))
     if len(rows) != n_states:
         raise AutomatonError(f"tau not total: {len(rows)} transition rows for {n_states} states")
-    for q, row in enumerate(rows):
-        if len(row) != n_symbols:
-            raise AutomatonError(f"tau not total: state {q} defines {len(row)}/{n_symbols} moves")
-        if row and (min(row) < 0 or max(row) >= n_states):
-            t = next(t for t in row if not 0 <= t < n_states)
-            raise AutomatonError(f"transition target {t} out of range for state {q}")
+    flat = tuple(chain.from_iterable(rows))
+    if not (
+        set(map(len, rows)) <= {n_symbols}
+        and set(map(type, flat)) <= {int}
+        and (not flat or (min(flat) >= 0 and max(flat) < n_states))
+    ):
+        for q, row in enumerate(rows):
+            if len(row) != n_symbols:
+                raise AutomatonError(
+                    f"tau not total: state {q} defines {len(row)}/{n_symbols} moves"
+                )
+            for t in row:
+                # type(), not isinstance(): a bool is no state id.
+                if type(t) is not int:
+                    raise AutomatonError(f"transition target {t!r} of state {q} is not an int")
+                if not 0 <= t < n_states:
+                    raise AutomatonError(f"transition target {t} out of range for state {q}")
     return rows
+
+
+def _check_initial(initial: int, n_states: int) -> None:
+    if type(initial) is not int:
+        raise AutomatonError(f"initial state {initial!r} is not an int")
+    if not 0 <= initial < n_states:
+        raise AutomatonError(f"initial state {initial} out of range")
 
 
 def _bfs_order(initial: int, transitions: Sequence[Sequence[int]]) -> list[int]:
@@ -94,8 +119,7 @@ class Pdfa:
         n = len(self.emissions)
         if n == 0:
             raise AutomatonError("a PDFA needs at least one state")
-        if not 0 <= self.initial < n:
-            raise AutomatonError(f"initial state {self.initial} out of range")
+        _check_initial(self.initial, n)
         alphabet = self.alphabet
         for q, dist in enumerate(self.emissions):
             if dist.alphabet is not alphabet and dist.alphabet != alphabet:
@@ -155,8 +179,7 @@ class QuotientPdfa:
             raise AutomatonError("a quotient PDFA needs at least one state")
         if len(self.representatives) != n:
             raise AutomatonError("one representative distribution per class is required")
-        if not 0 <= self.initial < n:
-            raise AutomatonError(f"initial state {self.initial} out of range")
+        _check_initial(self.initial, n)
         alphabet = self.alphabet
         for q, dist in enumerate(self.representatives):
             if dist.alphabet is not alphabet and dist.alphabet != alphabet:

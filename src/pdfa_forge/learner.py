@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from .automata import QuotientPdfa, _walk
+from .automata import QuotientPdfa
 from .distributions import Distribution
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, signature
@@ -60,9 +60,13 @@ class ObservationTable:
     The table maintains its structure instead of recomputing it, so its
     bookkeeping grows linearly with the cells:
 
-    - RED and BLUE are kept in length-lexicographic order by binary insertion,
-      with one ``word_key`` computed per word when it enters the table; BLUE
-      is also kept as a set.
+    - RED and BLUE are kept in length-lexicographic order by binary insertion;
+      BLUE is also kept as a set. Each word's length-lex key is stored when it
+      enters the table: a BLUE word's key is derived from its parent's, so
+      ``word_key`` runs only for the empty word.
+    - There is one cell store: the table's ``CachedModel``. A cell's
+      distribution is the cached answer to its word, read with ``peek``
+      (no hit is counted), and a cell counter enforces ``max_cells``.
     - The row cache holds one tuple of cell class signatures per RED or BLUE
       prefix. Adding a column extends every tuple by one entry. A signature
       is computed once per distinct distribution the model returns,
@@ -82,6 +86,10 @@ class ObservationTable:
     row by row, after the model is asked to prefetch their words. After
     ``TableLimitExceeded`` the table is left partly filled and must not be
     used further.
+
+    ``build_hypothesis`` takes each state's transitions from its class's
+    first RED row, compares the other rows of a class only when it has
+    some, and checks the hypothesis against the table column by column.
     """
 
     def __init__(
@@ -106,7 +114,7 @@ class ObservationTable:
         # dict's own method keeps the table free of reference cycles.
         self._keys: dict[Word, tuple[int, tuple[int, ...]]] = {}
         self._key = self._keys.__getitem__
-        self._cells: dict[tuple[Word, Word], Distribution] = {}
+        self._n_cells = 0
         self._rows: dict[Word, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[Word]] = {}
         self._unmatched: list[tuple[tuple[int, tuple[int, ...]], Word]] = []
@@ -127,7 +135,12 @@ class ObservationTable:
         return len(self.red), len(self._blue), len(self.suffixes)
 
     def cell(self, prefix: Word, suffix: Word) -> Distribution:
-        return self._cells[(prefix, suffix)]
+        """The queried distribution of a cell; ``KeyError`` when
+        ``(prefix, suffix)`` is no cell of the table, even if the model has
+        answered ``prefix + suffix`` for someone else."""
+        if prefix not in self._rows or suffix not in self.suffixes:
+            raise KeyError((prefix, suffix))
+        return self.model.peek(prefix + suffix)
 
     def row_signature(self, prefix: Word) -> tuple[bytes, ...]:
         return self._rows[prefix]
@@ -146,11 +159,11 @@ class ObservationTable:
         RED is prefix-closed and contains the empty word, the suffix set is
         suffix-closed and contains the empty word, BLUE is exactly RED's
         uncovered one-symbol continuations, RED and BLUE are in
-        length-lexicographic order, and every row has a queried cell per
-        suffix equal to the model's answer. The row cache and the class index
-        must equal their recomputation from the cells, and the unmatched
-        index must be a heap whose live rows are exactly the unmatched BLUE
-        rows.
+        length-lexicographic order, every row has a cell per suffix that the
+        model has answered, and the cell counter counts them. The row cache
+        and the class index must equal their recomputation from the cells,
+        and the unmatched index must be a heap whose live rows are exactly
+        the unmatched BLUE rows.
         """
         red = set(self.red)
         if EMPTY not in red:
@@ -173,15 +186,21 @@ class ObservationTable:
             raise LearnerInvariantError("RED is not a length-lex ordered set")
         if self._blue != sorted(expected_blue, key=length_lex):
             raise LearnerInvariantError("BLUE is not in length-lex order")
+        peek = self.model.peek
         for p in self.red + self._blue:
+            cells = []
             for s in self.suffixes:
-                if self._cells.get((p, s)) != self.model.query(p + s):
-                    raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is stale or missing")
-            row = tuple(signature(self._cells[(p, s)], self.equivalence) for s in self.suffixes)
+                try:
+                    cells.append(peek(p + s))
+                except KeyError:
+                    raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is missing") from None
+            row = tuple(signature(dist, self.equivalence) for dist in cells)
             if self._rows.get(p) != row:
                 raise LearnerInvariantError(f"cached row of {p!r} is stale")
             if self._keys.get(p) != length_lex(p):
                 raise LearnerInvariantError(f"cached key of {p!r} is stale")
+        if self._n_cells != (len(self.red) + len(self._blue)) * len(self.suffixes):
+            raise LearnerInvariantError("the cell count is stale")
         classes: dict[tuple[bytes, ...], list[Word]] = {}
         for p in self.red:
             classes.setdefault(self._rows[p], []).append(p)
@@ -204,20 +223,21 @@ class ObservationTable:
 
         Returns the words that entered the table and still need a row.
         """
-        alphabet = self._alphabet
+        keys = self._keys
         new: list[Word] = []
         if prefix in self._blue_set:
             self._blue_set.remove(prefix)
-            del self._blue[bisect_left(self._blue, self._keys[prefix], key=self._key)]
+            del self._blue[bisect_left(self._blue, keys[prefix], key=self._key)]
         else:
-            self._keys[prefix] = word_key(alphabet, prefix)
+            keys[prefix] = word_key(self._alphabet, prefix)
             new.append(prefix)
         self._red_set.add(prefix)
         insort(self.red, prefix, key=self._key)
-        for symbol in alphabet.symbols:
+        length, indices = keys[prefix]
+        for i, symbol in enumerate(self._alphabet.symbols):
             word = prefix + (symbol,)
-            if word not in self._keys:
-                self._keys[word] = word_key(alphabet, word)
+            if word not in keys:
+                keys[word] = (length + 1, indices + (i,))
                 self._blue_set.add(word)
                 insort(self._blue, word, key=self._key)
                 new.append(word)
@@ -261,20 +281,20 @@ class ObservationTable:
         """Query the new cells ``prefixes × suffixes`` row by row, in one loop.
 
         Returns each prefix's pooled class signatures, one per suffix. When
-        the cells do not fit the cell budget, the ones that fit are queried
-        and stored, in the same order, before ``TableLimitExceeded`` is raised.
+        the cells do not fit the cell budget, the ones that fit are queried,
+        in the same order, before ``TableLimitExceeded`` is raised.
         """
-        cells = [(p, s) for p in prefixes for s in suffixes]
-        room = self.max_cells - len(self._cells)
-        over = len(cells) > room
+        words = [p + s for p in prefixes for s in suffixes]
+        room = self.max_cells - self._n_cells
+        over = len(words) > room
         if over:
-            cells = cells[:room]
+            del words[room:]
+        self._n_cells += len(words)
         if self.model.batches:
-            self.model.prefetch([p + s for p, s in cells])
-        query, store, sigs = self.model.query, self._cells, self._sigs
+            self.model.prefetch(words)
+        sigs = self._sigs
         out = []
-        for cell in cells:
-            dist = store[cell] = query(cell[0] + cell[1])
+        for dist in map(self.model.query, words):
             sig = sigs.get(dist)
             out.append(self._signature(dist) if sig is None else sig)
         if over:
@@ -414,26 +434,27 @@ class ObservationTable:
                 class_id[rows[p]] = len(class_id)
                 representatives.append(p)
 
-        # A class's first row is seen before its other rows, so its
-        # transition row is appended first and the others compared to it.
+        # Each class's transitions come from its first row; the other rows
+        # of a class, if any, must agree with them.
         symbols = self._alphabet.symbols
-        transitions: list[tuple[int, ...]] = []
-        for p in self.red:
+
+        def successor_classes(p: Word) -> tuple[int, ...]:
             try:
-                row = tuple([class_id[rows[p + (symbol,)]] for symbol in symbols])
+                return tuple([class_id[rows[p + (symbol,)]] for symbol in symbols])
             except KeyError:
                 raise LearnerInvariantError("closedness violated during build") from None
-            src = class_id[rows[p]]
-            if src == len(transitions):
-                transitions.append(row)
-            elif transitions[src] != row:
-                raise LearnerInvariantError("consistency violated during build")
+
+        transitions = list(map(successor_classes, representatives))
+        for sig, members in self._classes.items():
+            for p in members[1:]:
+                if successor_classes(p) != transitions[class_id[sig]]:
+                    raise LearnerInvariantError("consistency violated during build")
 
         hypothesis = QuotientPdfa(
             alphabet=self._alphabet,
             initial=class_id[rows[EMPTY]],
             class_signatures=tuple(rows[rep][0] for rep in representatives),
-            representatives=tuple(self._cells[(rep, EMPTY)] for rep in representatives),
+            representatives=tuple(map(self.model.peek, representatives)),
             transitions=tuple(transitions),
             equivalence=self.equivalence.spec_string(),
         )
@@ -448,21 +469,41 @@ class ObservationTable:
         Every RED prefix must run to its own row class, and running any
         prefix+suffix must land in the class of the queried distribution.
         RED is prefix-closed and in length-lex order, so each prefix's state
-        is one step from its parent's, and each suffix is walked from there.
+        is one step from its parent's. The suffixes are checked column-wise:
+        ``after[s][q]``, the class signature reached by reading ``s`` from
+        state ``q``, is ``after[s[1:]][δ(q, s[0])]`` for all states in one
+        pass (a tail that is not a column is computed on demand), and each
+        RED row is compared with ``after[·][q]`` of its state as one tuple.
+        The first disagreeing cell, in RED then column order, is reported.
         """
-        alphabet, transitions = self._alphabet, hypothesis.transitions
-        columns, signatures = alphabet.columns, hypothesis.class_signatures
+        transitions, rows = hypothesis.transitions, self._rows
+        successors = dict(zip(self._alphabet.symbols, zip(*transitions)))
+        after: dict[Word, tuple[bytes, ...]] = {EMPTY: hypothesis.class_signatures}
+
+        def signatures_after(s: Word) -> tuple[bytes, ...]:
+            missing = []
+            while s not in after:
+                missing.append(s)
+                s = s[1:]
+            sigs = after[s]
+            for s in reversed(missing):
+                sigs = after[s] = tuple(map(sigs.__getitem__, successors[s[0]]))
+            return sigs
+
+        # expected[q]: the row a RED prefix reaching state q must have.
+        expected = list(zip(*map(signatures_after, self.suffixes)))
+        columns = self._alphabet.columns
         state_of: dict[Word, int] = {}
         for p in self.red:
             state = transitions[state_of[p[:-1]]][columns[p[-1]]] if p else hypothesis.initial
             state_of[p] = state
-            if state != class_id[self._rows[p]]:
+            if state != class_id[rows[p]]:
                 raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
-            for s, sig in zip(self.suffixes, self._rows[p]):
-                if signatures[_walk(alphabet, transitions, state, s)] != sig:
-                    raise LearnerInvariantError(
-                        f"hypothesis class after {p + s!r} disagrees with the table"
-                    )
+            if expected[state] != rows[p]:
+                s = next(s for s, a, b in zip(self.suffixes, expected[state], rows[p]) if a != b)
+                raise LearnerInvariantError(
+                    f"hypothesis class after {p + s!r} disagrees with the table"
+                )
 
 
 #: Names of the fields of a trace event, in the order a trace tuple holds them.

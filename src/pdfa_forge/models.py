@@ -165,7 +165,9 @@ class CachedModel(LanguageModel):
     it would have, counting a miss, so counts and the words the inner model
     sees, in their order, do not depend on prefetching. ``batches`` tells
     whether the inner model has a batch path of its own, so callers can
-    skip building a batch that ``prefetch`` would ignore.
+    skip building a batch that ``prefetch`` would ignore. ``peek`` reads a
+    cached answer without counting it, so a caller that keeps the words it
+    queried needs no store of its own.
     """
 
     def __init__(self, inner: LanguageModel):
@@ -190,12 +192,18 @@ class CachedModel(LanguageModel):
             with self._lock:
                 self.hits += 1
             return cached
-        result = self._prefetched.pop(word, None)
+        ready = self._prefetched
+        result = ready.pop(word, None) if ready else None
         if result is None:
             result = self.inner.query(word)
         with self._lock:
             self.misses += 1
             return self._cache.setdefault(word, result)
+
+    def peek(self, word: Word) -> Distribution:
+        """The cached answer to ``word``, counted neither as a hit nor as a
+        miss; ``KeyError`` when ``word`` was never queried."""
+        return self._cache[word]
 
     def prefetch(self, words: Iterable[Word]) -> None:
         """Ask the inner model's ``query_many`` once for the distinct words
@@ -257,8 +265,12 @@ class RemoteModel(LanguageModel):
     close`` and HTTP/1.0 honoured, 1xx responses skipped. Idle connections
     are reused; one the server has closed is replaced without costing an
     attempt, and so are requests left unanswered when the server closes a
-    connection after answering earlier ones. ``close()``, or collecting the
-    model, closes the idle connections.
+    connection after answering earlier ones. A server that closes with
+    unread requests in its socket may reset the connection, and the reset
+    can destroy replies it had already sent; the client cannot tell those
+    from unanswered requests and sends them again at no attempt cost, so
+    the server may answer a word twice, even with ``max_attempts=1``.
+    ``close()``, or collecting the model, closes the idle connections.
 
     Transient failures of a word's own request (connection errors,
     timeouts, truncated or malformed replies, 5xx) are retried up to

@@ -8,6 +8,8 @@ import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfa_forge import (
     Alphabet,
@@ -17,6 +19,7 @@ from pdfa_forge import (
     ExactOracle,
     InvalidDistribution,
     Pdfa,
+    QuotientPdfa,
     automaton_from_json,
     isomorphic,
     isomorphism,
@@ -35,6 +38,7 @@ from pdfa_forge import (
 from pdfa_forge import automata as automata_module
 from pdfa_forge.automata import (
     StatePartition,
+    _check_transitions,
     _walk,
     emission_signatures,
     lowest_index_representative,
@@ -141,6 +145,97 @@ class TestStructureValidation:
                 emissions=(unary_dist(0.5),),
                 transitions=((3,),),
             )
+
+
+def one_state_automaton(kind, initial, transitions):
+    if kind is Pdfa:
+        return Pdfa(Alphabet(("a",)), initial, (unary_dist(0.5),), transitions)
+    return QuotientPdfa(Alphabet(("a",)), initial, (b"x",), (unary_dist(0.5),), transitions, "x")
+
+
+class TestIntegerStates:
+    """Transition targets and the initial state must be ``int``s: ``int()``
+    used to truncate ``0.7`` to state 0, parse ``"0"`` and keep ``False``."""
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    @pytest.mark.parametrize("target", [0.7, 0.0, "0", True, False, None])
+    def test_non_int_targets_are_rejected(self, kind, target):
+        with pytest.raises(AutomatonError, match=f"target {re.escape(repr(target))} of state 0"):
+            one_state_automaton(kind, 0, ((target,),))
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    @pytest.mark.parametrize("initial", [False, True, 0.0, "0", None])
+    def test_non_int_initial_states_are_rejected(self, kind, initial):
+        with pytest.raises(AutomatonError, match="initial state .* is not an int"):
+            one_state_automaton(kind, initial, ((0,),))
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rows_of_any_sequence_type_load_as_tuples(self, kind):
+        a = one_state_automaton(kind, 0, [[0]])
+        assert a.transitions == ((0,),) and type(a.transitions[0]) is tuple
+
+
+def per_row_check_transitions(transitions, n_states, n_symbols):
+    """``_check_transitions`` as it was: one row at a time, coercing every
+    entry with ``int()``."""
+    rows = tuple(tuple(map(int, row)) for row in transitions)
+    if len(rows) != n_states:
+        raise AutomatonError(f"tau not total: {len(rows)} transition rows for {n_states} states")
+    for q, row in enumerate(rows):
+        if len(row) != n_symbols:
+            raise AutomatonError(f"tau not total: state {q} defines {len(row)}/{n_symbols} moves")
+        if row and (min(row) < 0 or max(row) >= n_states):
+            t = next(t for t in row if not 0 <= t < n_states)
+            raise AutomatonError(f"transition target {t} out of range for state {q}")
+    return rows
+
+
+@st.composite
+def transition_tables(draw):
+    """Tables near ``n_states`` rows of ``n_symbols`` targets: rows too
+    short or too long, rows missing or extra, targets negative or out of
+    range, zero states, an empty alphabet, and now and then a non-int."""
+    n_states = draw(st.integers(0, 4))
+    n_symbols = draw(st.integers(0, 3))
+    valid = draw(st.booleans())
+    n_rows = n_states if valid else draw(st.integers(max(0, n_states - 1), n_states + 1))
+    target = st.integers(-2, n_states + 1)
+    if not valid and draw(st.booleans()):
+        target = st.one_of(target, st.sampled_from([0.0, 1.0, 0.7, True, False, "0"]))
+    rows = []
+    for _ in range(n_rows):
+        length = n_symbols if valid else draw(st.integers(max(0, n_symbols - 1), n_symbols + 1))
+        if valid and n_states:
+            row = draw(st.lists(st.integers(0, n_states - 1), min_size=length, max_size=length))
+        else:
+            row = draw(st.lists(target, min_size=length, max_size=length))
+        rows.append(draw(st.sampled_from([tuple, list]))(row))
+    return rows, n_states, n_symbols
+
+
+class TestCheckTransitionsAgainstPerRowReference:
+    @settings(max_examples=400, deadline=None)
+    @given(transition_tables())
+    def test_same_rows_or_same_error(self, case):
+        rows, n_states, n_symbols = case
+        try:
+            expected = per_row_check_transitions(rows, n_states, n_symbols)
+        except (AutomatonError, TypeError, ValueError) as exc:
+            expected = exc
+        if all(type(t) is int for row in rows for t in row):
+            if isinstance(expected, AutomatonError):
+                with pytest.raises(AutomatonError) as raised:
+                    _check_transitions(rows, n_states, n_symbols)
+                assert str(raised.value) == str(expected)
+            else:
+                assert _check_transitions(rows, n_states, n_symbols) == expected
+        else:
+            # The reference coerced what ``int()`` takes; such a table fails
+            # now, at its first fault in row order.
+            with pytest.raises(AutomatonError) as raised:
+                _check_transitions(rows, n_states, n_symbols)
+            if isinstance(expected, tuple):
+                assert "is not an int" in str(raised.value)
 
 
 class TestStateCongruence:

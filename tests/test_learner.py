@@ -1,5 +1,6 @@
 """Observation-table mechanics and the learning loop."""
 
+import copy
 import gc
 import random
 import weakref
@@ -32,6 +33,7 @@ from pdfa_forge import (
     signature,
 )
 from pdfa_forge import learner as learner_module
+from pdfa_forge.automata import _walk
 from pdfa_forge.words import iter_words, word_key
 
 from helpers import FreshCopyModel, random_pdfa, unary_dist
@@ -94,6 +96,18 @@ def close(table: ObservationTable) -> None:
         table.close_step(closed[1])
 
 
+def hypotheses(table: ObservationTable, oracle):
+    """Yield each hypothesis of the learning loop, up to the accepted one."""
+    while True:
+        close(table)
+        hypothesis = table.build_hypothesis()
+        yield hypothesis
+        counterexample = oracle.check(hypothesis)
+        if counterexample is None:
+            return
+        table.update_with_counterexample(counterexample)
+
+
 class TestInit:
     def test_constant_model(self):
         table = ObservationTable(UniformUnaryModel(), QUANT3)
@@ -132,6 +146,61 @@ class TestInit:
         table._unmatched.pop()
         with pytest.raises(LearnerInvariantError, match="unmatched BLUE index"):
             table.validate()
+
+
+class TestOneCellStore:
+    """A cell is its word's answer in the table's cache, and nowhere else."""
+
+    def test_a_cell_is_the_cached_answer_read_without_a_hit(self, fig3a):
+        model = CachedModel(PdfaLanguageModel(fig3a))
+        table = ObservationTable(model, QUANT7)
+        close(table)
+        counts = model.hits, model.misses
+        for p in table.red + table.blue:
+            for s in table.suffixes:
+                assert table.cell(p, s) is model.peek(p + s)
+        assert (model.hits, model.misses) == counts
+
+    def test_words_the_model_answered_for_others_are_no_cells(self, fig3a):
+        model = CachedModel(PdfaLanguageModel(fig3a))
+        table = ObservationTable(model, QUANT7)
+        assert table.red == [()] and table.blue == [("a",)] and table.suffixes == [()]
+        model.query(("a", "a"))  # as an equivalence oracle sharing the cache would
+        for prefix, suffix in [(("a", "a"), ()), (("a",), ("a",)), ((), ("a", "a"))]:
+            with pytest.raises(KeyError):
+                table.cell(prefix, suffix)
+
+    def test_validate_detects_a_missing_cell(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        table.close_step(("a",))
+        del table.model._cache[("a", "a")]
+        with pytest.raises(LearnerInvariantError, match=r"cell \(\('a', 'a'\), \(\)\) is missing"):
+            table.validate()
+
+    def test_validate_detects_a_stale_cell_count(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        table.close_step(("a",))
+        table._n_cells -= 1
+        with pytest.raises(LearnerInvariantError, match="cell count"):
+            table.validate()
+
+    def test_only_the_empty_word_needs_word_key(self, monkeypatch):
+        # Every other word's key is derived from its parent's; ``validate``
+        # recomputes them all, so it runs with the original.
+        calls = []
+
+        def counting_word_key(alphabet, word):
+            calls.append(word)
+            return word_key(alphabet, word)
+
+        target = random_pdfa(random.Random(99), max_states=30, min_states=10, min_symbols=3)
+        monkeypatch.setattr(learner_module, "word_key", counting_word_key)
+        table = ObservationTable(PdfaLanguageModel(target), EXACT)
+        for _ in hypotheses(table, ExactOracle(target, EXACT)):
+            pass
+        assert calls == [()] and len(table.red) > 5
+        monkeypatch.setattr(learner_module, "word_key", word_key)
+        table.validate()
 
 
 class TestLifetime:
@@ -174,10 +243,11 @@ class TestClosed:
 
     def test_close_step_preserves_existing_cells(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
-        before = dict(table._cells)
+        before = {(p, s): table.cell(p, s) for p in table.red + table.blue for s in table.suffixes}
+        assert len(before) == 2
         table.close_step(("a",))
-        for key, value in before.items():
-            assert table._cells[key] == value
+        for (p, s), value in before.items():
+            assert table.cell(p, s) == value
         assert table.red == [(), ("a",)]
         assert ("a", "a") in table.blue
 
@@ -376,6 +446,117 @@ class TestBuildHypothesis:
         assert not table.consistent()[0]
         with pytest.raises(ValueError, match="not consistent"):
             table.build_hypothesis()
+
+    def test_other_rows_of_a_class_must_agree_with_its_first(self, monkeypatch):
+        # Only ``consistent`` keeps such rows from reaching the build.
+        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
+        close(table)
+        promote(table, ("a", "a"))
+        close(table)
+        assert [len(rows) for rows in table.red_classes().values()] == [2, 1, 1]
+        monkeypatch.setattr(table, "consistent", lambda: (True, None))
+        with pytest.raises(LearnerInvariantError, match="consistency violated during build"):
+            table.build_hypothesis()
+
+
+def per_cell_check(table, hypothesis, class_id):
+    """The self-check as it was, cell by cell: each RED prefix walked from the
+    initial state, each suffix walked from the prefix's state. Returns the
+    first failure's message, or None."""
+    alphabet, transitions = table.model.alphabet, hypothesis.transitions
+    for p in table.red:
+        state = _walk(alphabet, transitions, hypothesis.initial, p)
+        if state != class_id[table.row_signature(p)]:
+            return f"red prefix {p!r} runs to a foreign class"
+        for s, sig in zip(table.suffixes, table.row_signature(p)):
+            if hypothesis.class_signatures[_walk(alphabet, transitions, state, s)] != sig:
+                return f"hypothesis class after {p + s!r} disagrees with the table"
+    return None
+
+
+class TestColumnWiseSelfCheck:
+    """The column-wise self-check names the cell the per-cell walk names."""
+
+    def compare(self, table, hypothesis, rng, corruptions=20):
+        """Compare both checks on ``hypothesis`` and on copies with one
+        transition, then one class signature, changed; returns the messages
+        of the refutations."""
+        class_id = {sig: i for i, sig in enumerate(table.red_classes())}
+
+        def column_wise(h):
+            try:
+                table._check_hypothesis_against_table(h, class_id)
+            except LearnerInvariantError as exc:
+                return str(exc)
+            return None
+
+        def corrupt(**fields):
+            bad = copy.copy(hypothesis)  # no validation: targets may go unreached
+            for name, value in fields.items():
+                object.__setattr__(bad, name, value)
+            return bad
+
+        n, width = hypothesis.n_states, len(hypothesis.alphabet)
+        copies = []
+        for _ in range(corruptions):
+            rows = [list(row) for row in hypothesis.transitions]
+            q, i = rng.randrange(n), rng.randrange(width)
+            rows[q][i] = (rows[q][i] + rng.randrange(1, n)) % n if n > 1 else rows[q][i]
+            copies.append(corrupt(transitions=tuple(map(tuple, rows))))
+            sigs = list(hypothesis.class_signatures)
+            sigs[rng.randrange(n)] = rng.choice(sigs[1:] + [b"foreign"])
+            copies.append(corrupt(class_signatures=tuple(sigs)))
+        assert column_wise(hypothesis) is per_cell_check(table, hypothesis, class_id) is None
+        refuted = []
+        for h in copies:
+            expected = per_cell_check(table, h, class_id)
+            assert column_wise(h) == expected
+            if expected is not None:
+                refuted.append(expected)
+        return refuted
+
+    def test_on_hypotheses_of_learning_runs(self):
+        rng = random.Random(2718)
+        built, refuted = 0, []
+        for _ in range(16):
+            target = random_pdfa(
+                rng, max_states=40, min_states=5, max_symbols=3, min_symbols=2,
+                palette_size=rng.randint(2, 5),
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+            table = ObservationTable(PdfaLanguageModel(target), spec)
+            for hypothesis in hypotheses(table, ExactOracle(target, spec)):
+                refuted += self.compare(table, hypothesis, rng, corruptions=3)
+                built += 1
+        assert built > 50 and len(refuted) > 3 * built
+        assert {message.split()[0] for message in refuted} == {"red", "hypothesis"}
+
+    def test_after_a_consistency_repair(self):
+        # ``consistent_step`` adds ``symbol + suffix`` alone, with no tails
+        # added by counterexample processing.
+        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
+        close(table)
+        promote(table, ("a", "a"))
+        _, defect = table.consistent()
+        table.consistent_step(defect)
+        close(table)
+        assert table.suffixes == [(), ("a",)] and table.consistent()[0]
+        assert self.compare(table, table.build_hypothesis(), random.Random(1))
+
+    def test_a_column_whose_tails_are_no_columns(self):
+        # Tails missing from the columns are computed on demand. The final
+        # hypothesis is exact, so it also agrees with the new column.
+        rng = random.Random(2)
+        target = random_pdfa(rng, max_states=20, min_states=8, min_symbols=2, max_symbols=2)
+        table = ObservationTable(PdfaLanguageModel(target), EXACT)
+        *_, hypothesis = hypotheses(table, ExactOracle(target, EXACT))
+        column = next(
+            w for w in iter_words(target.alphabet, 4)
+            if len(w) == 4 and all(w[k:] not in table.suffixes for k in range(4))
+        )
+        table._add_columns([column])
+        table._reindex()
+        assert self.compare(table, hypothesis, rng)
 
 
 class TestLearn:
@@ -876,13 +1057,13 @@ class PerCellTable(ObservationTable):
     one budget test and one model query per cell, row by row."""
 
     def _query_class(self, prefix, suffix):
-        if len(self._cells) >= self.max_cells:
+        if self._n_cells >= self.max_cells:
             raise TableLimitExceeded(
                 f"table would exceed {self.max_cells} cells; "
                 "the target may not be regular under this equivalence"
             )
-        dist = self._cells[(prefix, suffix)] = self.model.query(prefix + suffix)
-        return self._signature(dist)
+        self._n_cells += 1
+        return self._signature(self.model.query(prefix + suffix))
 
     def _fill_rows(self, prefixes):
         for p in prefixes:

@@ -159,6 +159,16 @@ class TestCachedModel:
         first = model.query(("a",))
         assert model.query(("a",)) is first
 
+    def test_peek_reads_an_answer_without_counting_it(self):
+        inner = CountingModel()
+        model = cached(inner)
+        first = model.query(("a",))
+        assert model.peek(("a",)) is first
+        assert (model.hits, model.misses, inner.calls) == (0, 1, 1)
+        with pytest.raises(KeyError):
+            model.peek(("b",))  # never queried: the inner model is not asked
+        assert inner.calls == 1
+
     def test_wrapping_is_idempotent(self):
         model = cached(CountingModel())
         assert cached(model) is model
