@@ -292,18 +292,16 @@ class ObservationTable:
         self._n_cells += len(words)
         if self.model.batches:
             self.model.prefetch(words)
-        sigs = self._sigs
-        out = []
-        for dist in map(self.model.query, words):
-            sig = sigs.get(dist)
-            out.append(self._signature(dist) if sig is None else sig)
+        # Signatures are non-empty byte strings, so a memo miss is the only
+        # falsy ``get``.
+        get, signature_of = self._sigs.get, self._signature
+        out = [get(d) or signature_of(d) for d in map(self.model.query, words)]
         if over:
             raise TableLimitExceeded(
                 f"table would exceed {self.max_cells} cells; "
                 "the target may not be regular under this equivalence"
             )
-        width = len(suffixes)
-        return [tuple(out[i * width : (i + 1) * width]) for i in range(len(prefixes))]
+        return list(zip(*[iter(out)] * len(suffixes)))
 
     def _fill_rows(self, prefixes: list[Word]) -> None:
         """Query every column of new rows, row by row in the given order."""

@@ -158,7 +158,12 @@ class CachedModel(LanguageModel):
     """Memoizes an inner model; exposes hit/miss counters.
 
     Returns the identical Distribution objects the inner model produced.
-    Thread-safe for concurrent read-only use.
+    Thread-safe for concurrent read-only use, and ``query`` takes no lock:
+    dict ``get``, ``pop`` and ``setdefault`` on word tuples are atomic, and
+    each querying thread counts into its own ``[hits, misses]`` tally, so
+    no count is lost. ``hits`` and ``misses`` sum the tallies when read.
+    Two threads missing the same word at once both ask the inner model and
+    both count a miss; both get the answer cached first.
 
     ``prefetch`` hands words the caller is about to query to the inner
     model's batch path in one call. ``query`` then answers each of them as
@@ -175,30 +180,51 @@ class CachedModel(LanguageModel):
         self.batches = type(inner).query_many is not LanguageModel.query_many
         self._cache: dict[Word, Distribution] = {}
         self._prefetched: dict[Word, Distribution] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        # One [hits, misses] list per thread that has queried; only that
+        # thread writes it, and the lock guards the list of tallies.
+        self._local = threading.local()
+        self._tallies: list[list[int]] = []
+        self._tallies_lock = threading.Lock()
 
     @property
     def alphabet(self) -> Alphabet:
         return self.inner.alphabet
 
+    @property
+    def hits(self) -> int:
+        """Queries answered from the cache, over all threads."""
+        with self._tallies_lock:
+            return sum(tally[0] for tally in self._tallies)
+
+    @property
+    def misses(self) -> int:
+        """Queries passed on to the inner model (or its prefetched answers)."""
+        with self._tallies_lock:
+            return sum(tally[1] for tally in self._tallies)
+
+    def _tally(self) -> list[int]:
+        """Register the calling thread's first query."""
+        tally = self._local.tally = [0, 0]
+        with self._tallies_lock:
+            self._tallies.append(tally)
+        return tally
+
     def query(self, word: Word) -> Distribution:
         word = tuple(word)
-        # Dict lookups and pops are atomic; the lock guards the counters and
-        # the insertion only.
+        try:
+            tally = self._local.tally
+        except AttributeError:
+            tally = self._tally()
         cached = self._cache.get(word)
         if cached is not None:
-            with self._lock:
-                self.hits += 1
+            tally[0] += 1
             return cached
         ready = self._prefetched
         result = ready.pop(word, None) if ready else None
         if result is None:
             result = self.inner.query(word)
-        with self._lock:
-            self.misses += 1
-            return self._cache.setdefault(word, result)
+        tally[1] += 1
+        return self._cache.setdefault(word, result)
 
     def peek(self, word: Word) -> Distribution:
         """The cached answer to ``word``, counted neither as a hit nor as a

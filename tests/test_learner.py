@@ -606,6 +606,32 @@ class TestLearn:
         assert report.oracle.startswith("exact")
         assert report.table_history[-1] == (3, 1, 1)
 
+    def test_every_query_goes_through_the_instance_query(self, fig3a):
+        # A cache that wraps ``query`` on the instance, as a tracer does,
+        # sees every counted lookup: the table's fills and the
+        # counterexample search call the instance's ``query`` once per word,
+        # and no other path moves the counters.
+        class WrappedCache(CachedModel):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.calls = 0
+                query = self.query
+
+                def counted(word):
+                    self.calls += 1
+                    return query(word)
+
+                self.query = counted
+
+        rng = random.Random(4242)
+        targets = [fig3a] + [random_pdfa(rng, max_states=12, max_symbols=3) for _ in range(6)]
+        for target in targets:
+            model = WrappedCache(PdfaLanguageModel(target))
+            report = learn(model, QUANT7, ExactOracle(target, QUANT7))
+            assert report.converged
+            assert model.calls == model.hits + model.misses > 0
+            assert report.mq_count == model.misses
+
     def test_trace_record_shape(self, fig3a):
         report = learn(PdfaLanguageModel(fig3a), QUANT7, ExactOracle(fig3a, QUANT7))
         for event in report.events:

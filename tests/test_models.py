@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from pdfa_forge import (
     string_tolerant,
     synthetic_model,
 )
+from pdfa_forge.words import iter_words
 
 from helpers import random_pdfa
 
@@ -182,27 +185,59 @@ class TestCachedModel:
             assert wrapped.query(word) == plain.query(word)
 
     def test_concurrent_queries_are_safe(self):
-        import threading
-
-        model = cached(CountingModel())
-        words = [("a",) * (i % 7) + ("b",) * (i % 3) for i in range(50)]
+        # The threads start together and walk the words from different
+        # offsets, so they race on first queries (misses) as well as on
+        # repeats (hits). A tiny switch interval forces thread switches
+        # inside ``query``, where a counter the threads shared would lose
+        # updates.
+        inner = RecordingModel()
+        model = cached(inner)
+        words = list(iter_words(inner.alphabet, 10))
+        start = threading.Barrier(8, timeout=30)
         results = [None] * 8
         errors = []
 
         def worker(slot):
             try:
-                results[slot] = [model.query(w) for w in words]
+                order = words[slot * 97 :] + words[: slot * 97]
+                start.wait()
+                results[slot] = dict(zip(order, map(model.query, order)))
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert all(r == results[0] for r in results)
+        assert all(r[w] is results[0][w] for r in results for w in words)
+        assert model.misses == len(inner.calls)
         assert model.hits + model.misses == 8 * len(words)
+        assert set(inner.calls) == set(words)
+
+
+class RecordingModel(LanguageModel):
+    """Constant model over {a, b} recording each query with ``list.append``,
+    which loses no call under concurrent use."""
+
+    def __init__(self):
+        self.calls = []
+        self._alphabet = Alphabet(("a", "b"))
+
+    @property
+    def alphabet(self):
+        return self._alphabet
+
+    def query(self, word):
+        self.calls.append(word)
+        return Distribution(self._alphabet, (0.25, 0.25, 0.5))
 
 
 class CountingModel(LanguageModel):

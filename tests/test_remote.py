@@ -2,12 +2,17 @@
 in-process server."""
 
 import random
+import socket
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfa_forge import (
     Alphabet,
@@ -669,3 +674,142 @@ class TestRequestFraming:
             model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
             with pytest.raises(RemoteModelError, match="2 attempts: unrequested 101"):
                 model.query(())
+
+
+# ---------------------------------------------------------------------------
+# The strict response reader, over a socket pair
+# ---------------------------------------------------------------------------
+
+INTERIM_REPLIES = [
+    b"HTTP/1.1 100 Continue\r\n\r\n",
+    b"HTTP/1.1 102 Processing\r\n\r\n",
+    b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n",
+]
+
+
+class Reply(NamedTuple):
+    raw: bytes
+    status: int
+    body: bytes
+    keep_alive: bool
+    close_delimited: bool
+    body_start: int  # offset of the final response's body in ``raw``
+
+
+def split_at(data: bytes, cuts: list[int]) -> list[bytes]:
+    """``data`` cut at the given offsets into non-empty pieces."""
+    bounds = [0, *sorted({c for c in cuts if 0 < c < len(data)}), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+@st.composite
+def chunked_bodies(draw, body: bytes) -> bytes:
+    """``body`` in chunks whose size lines vary in hex case and leading
+    zeros and may carry extensions, ended by a trailer section."""
+    extension = st.sampled_from([b"", b";name=value", b';q="a b"', b" ;flag"])
+    out = []
+    for piece in split_at(body, draw(st.lists(st.integers(0, len(body)), max_size=4))):
+        size = (b"%X" if draw(st.booleans()) else b"%x") % len(piece)
+        zeros = b"0" * draw(st.integers(0, 2))
+        out.append(zeros + size + draw(extension) + b"\r\n" + piece + b"\r\n")
+    out.append(b"0" + draw(extension) + b"\r\n")
+    trailers = draw(st.lists(st.sampled_from([b"Expires: 0\r\n", b"X-Sum: ab\r\n"]), max_size=2))
+    return b"".join(out + trailers + [b"\r\n"])
+
+
+@st.composite
+def replies(draw) -> Reply:
+    """A final response framed by Content-Length, chunked or by closing the
+    connection, after zero to two 1xx responses."""
+    interim = b"".join(draw(st.lists(st.sampled_from(INTERIM_REPLIES), max_size=2)))
+    version = draw(st.sampled_from([b"HTTP/1.0", b"HTTP/1.1"]))
+    status = draw(st.sampled_from([200, 201, 400, 404, 500, 503]))
+    body = draw(st.binary(max_size=40))
+    framing = draw(st.sampled_from(["length", "chunked", "close"]))
+    connection = draw(st.sampled_from([None, b"close", b"keep-alive", b"Keep-Alive", b"keep-alive, close"]))
+    headers = [b"Server: stub", b"Content-Type: application/json"]
+    if connection is not None:
+        headers.append(b"Connection: " + connection)
+    payload = body
+    if framing == "length":
+        headers.append(b"Content-Length: %d" % len(body))
+    elif framing == "chunked":
+        headers.append(b"Transfer-Encoding: " + draw(st.sampled_from([b"chunked", b"Chunked"])))
+        payload = draw(chunked_bodies(body))
+    head = b"%s%s %d Reason\r\n%s\r\n" % (
+        interim, version, status, b"".join(h + b"\r\n" for h in draw(st.permutations(headers)))
+    )
+    tokens = {t.strip().lower() for t in (connection or b"").split(b",")}
+    keep_alive = (
+        framing != "close"
+        and b"close" not in tokens
+        and (version == b"HTTP/1.1" or b"keep-alive" in tokens)
+    )
+    return Reply(head + payload, status, body, keep_alive, framing == "close", len(head))
+
+
+def read_replies(pieces: list[bytes], count: int, close: bool) -> list[tuple[int, bytes, bool]]:
+    """Read ``count`` responses from ``pieces`` sent over a socket pair.
+
+    The client drains each piece before the next is sent, so every receive
+    sees at most one piece. ``close`` shuts the server's side after the last.
+    """
+    client, server = socket.socketpair()
+    client.settimeout(5)
+    conn = models._Connection(client)
+
+    def serve():
+        for i, piece in enumerate(pieces):
+            server.sendall(piece)
+            deadline = time.monotonic() + 5
+            while i + 1 < len(pieces) and models._readable(client) and time.monotonic() < deadline:
+                time.sleep(0)
+        if close:
+            server.shutdown(socket.SHUT_WR)
+
+    sender = threading.Thread(target=serve)
+    sender.start()
+    try:
+        got = [conn.read_response() for _ in range(count)]
+    finally:
+        sender.join(timeout=30)
+        conn.close()
+        server.close()
+    assert not sender.is_alive()
+    return got
+
+
+class TestStrictReader:
+    """``_Connection.read_response`` on replies it must accept, whole, in
+    fragments and cut short."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(replies(), st.data())
+    def test_fragments_parse_as_the_whole_reply(self, reply, data):
+        expected = (reply.status, reply.body, reply.keep_alive)
+        # A reply framed by its own bytes is read without reading past it:
+        # the same reply pipelined behind it parses the same.
+        count = 1 if reply.close_delimited else 2
+        assert read_replies([reply.raw * count], count, reply.close_delimited) == [expected] * count
+        cuts = data.draw(st.lists(st.integers(1, len(reply.raw) - 1), max_size=8))
+        pieces = split_at(reply.raw, cuts)
+        assert read_replies(pieces, 1, reply.close_delimited) == [expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(replies())
+    def test_a_reply_cut_short_is_never_returned(self, reply):
+        # A close-delimited body ends where the connection does, so a cut
+        # inside it reads as a shorter body (RFC 9112 §6.3); only cuts
+        # before that body can be told apart.
+        end = reply.body_start if reply.close_delimited else len(reply.raw)
+        for cut in range(end):
+            client, server = socket.socketpair()
+            conn = models._Connection(client)
+            try:
+                server.sendall(reply.raw[:cut])
+                server.shutdown(socket.SHUT_WR)
+                with pytest.raises((models._ProtocolError, models._Unanswered)):
+                    conn.read_response()
+            finally:
+                conn.close()
+                server.close()
