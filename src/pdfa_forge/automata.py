@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
 from .relations import EquivalenceSpec, parse_equivalence, signature
@@ -56,13 +56,6 @@ def _check_transitions(
     return rows
 
 
-def _check_initial(initial: int, n_states: int) -> None:
-    if type(initial) is not int:
-        raise AutomatonError(f"initial state {initial!r} is not an int")
-    if not 0 <= initial < n_states:
-        raise AutomatonError(f"initial state {initial} out of range")
-
-
 def _bfs_order(initial: int, transitions: Sequence[Sequence[int]]) -> list[int]:
     """States reachable from ``initial`` in order of first visit, expanding
     symbols in alphabet order."""
@@ -94,55 +87,64 @@ def _walk(
     return state
 
 
-def _check_reachable(initial: int, transitions: Sequence[Sequence[int]]) -> None:
-    order = _bfs_order(initial, transitions)
-    if len(order) != len(transitions):
-        unreachable = set(range(len(transitions))) - set(order)
-        raise AutomatonError(f"unreachable states: {sorted(unreachable)}")
+Output = TypeVar("Output")
 
 
 @dataclass(frozen=True)
-class Pdfa:
-    """Probabilistic deterministic finite automaton.
+class _Automaton(Generic[Output]):
+    """What a PDFA and a quotient PDFA share: an initial state, a total
+    transition table and one output per state.
 
-    ``emissions[q]`` is the next-symbol distribution of state ``q`` and
-    ``transitions[q][i]`` the successor on the i-th alphabet symbol.
+    A subclass declares ``transitions`` among its own fields, names each
+    state's output (``_outputs``) and distribution (``_dists``), and its
+    ``__post_init__`` tuples its per-state fields, then calls ``_validate``.
     """
 
     alphabet: Alphabet
     initial: int
-    emissions: tuple[Distribution, ...]
-    transitions: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "emissions", tuple(self.emissions))
-        n = len(self.emissions)
+    def _validate(self, kind: str, foreign: str) -> None:
+        """Require at least one state, one distribution per state, an ``int``
+        initial state in range, distributions over the alphabet, a total
+        table of ``int`` targets, and every state reachable.
+
+        ``kind`` names the automaton and ``foreign`` is the message for a
+        distribution over another alphabet, with ``{}`` for the state.
+        """
+        n = len(self._outputs)
         if n == 0:
-            raise AutomatonError("a PDFA needs at least one state")
-        _check_initial(self.initial, n)
+            raise AutomatonError(f"{kind} needs at least one state")
+        if len(self._dists) != n:
+            raise AutomatonError("one representative distribution per class is required")
+        initial = self.initial
+        if type(initial) is not int:
+            raise AutomatonError(f"initial state {initial!r} is not an int")
+        if not 0 <= initial < n:
+            raise AutomatonError(f"initial state {initial} out of range")
         alphabet = self.alphabet
-        for q, dist in enumerate(self.emissions):
+        for q, dist in enumerate(self._dists):
             if dist.alphabet is not alphabet and dist.alphabet != alphabet:
-                raise AutomatonError(f"state {q} emits over a different alphabet")
-        object.__setattr__(
-            self, "transitions", _check_transitions(self.transitions, n, len(alphabet))
-        )
-        _check_reachable(self.initial, self.transitions)
+                raise AutomatonError(foreign.format(q))
+        transitions = _check_transitions(self.transitions, n, len(alphabet))
+        object.__setattr__(self, "transitions", transitions)
+        order = _bfs_order(initial, transitions)
+        if len(order) != n:
+            raise AutomatonError(f"unreachable states: {sorted(set(range(n)) - set(order))}")
 
     @property
     def n_states(self) -> int:
-        return len(self.emissions)
+        return len(self.transitions)
 
     def step(self, state: int, symbol: str) -> int:
         return _walk(self.alphabet, self.transitions, state, (symbol,))
 
-    def run(self, word: Word) -> tuple[int, Distribution]:
-        """Final state and its emission after reading ``word`` from the start."""
+    def run(self, word: Word) -> tuple[int, Output]:
+        """Final state and its output after reading ``word`` from the start."""
         q = _walk(self.alphabet, self.transitions, self.initial, word)
-        return q, self.emissions[q]
+        return q, self._outputs[q]
 
-    def distribution_after(self, word: Word) -> Distribution:
-        return self.emissions[_walk(self.alphabet, self.transitions, self.initial, word)]
+    def _output_after(self, word: Word) -> Output:
+        return self._outputs[_walk(self.alphabet, self.transitions, self.initial, word)]
 
     def access_words(self) -> list[Word]:
         """Shortest access word per state (alphabet-order tie-break)."""
@@ -155,7 +157,30 @@ class Pdfa:
 
 
 @dataclass(frozen=True)
-class QuotientPdfa:
+class Pdfa(_Automaton[Distribution]):
+    """Probabilistic deterministic finite automaton.
+
+    ``emissions[q]`` is the next-symbol distribution of state ``q`` and
+    ``transitions[q][i]`` the successor on the i-th alphabet symbol.
+    """
+
+    emissions: tuple[Distribution, ...]
+    transitions: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "emissions", tuple(self.emissions))
+        self._validate("a PDFA", "state {} emits over a different alphabet")
+
+    @property
+    def _outputs(self) -> tuple[Distribution, ...]:
+        return self.emissions
+
+    _dists = _outputs
+    distribution_after = _Automaton._output_after
+
+
+@dataclass(frozen=True)
+class QuotientPdfa(_Automaton[bytes]):
     """PDFA whose states emit equivalence classes of distributions.
 
     ``class_signatures[q]`` is the canonical key of state q's class;
@@ -164,8 +189,6 @@ class QuotientPdfa:
     descriptive label for clique-induced equivalences).
     """
 
-    alphabet: Alphabet
-    initial: int
     class_signatures: tuple[bytes, ...]
     representatives: tuple[Distribution, ...]
     transitions: tuple[tuple[int, ...], ...]
@@ -174,35 +197,17 @@ class QuotientPdfa:
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_signatures", tuple(self.class_signatures))
         object.__setattr__(self, "representatives", tuple(self.representatives))
-        n = len(self.class_signatures)
-        if n == 0:
-            raise AutomatonError("a quotient PDFA needs at least one state")
-        if len(self.representatives) != n:
-            raise AutomatonError("one representative distribution per class is required")
-        _check_initial(self.initial, n)
-        alphabet = self.alphabet
-        for q, dist in enumerate(self.representatives):
-            if dist.alphabet is not alphabet and dist.alphabet != alphabet:
-                raise AutomatonError(f"class {q} representative over a different alphabet")
-        object.__setattr__(
-            self, "transitions", _check_transitions(self.transitions, n, len(alphabet))
-        )
-        _check_reachable(self.initial, self.transitions)
+        self._validate("a quotient PDFA", "class {} representative over a different alphabet")
 
     @property
-    def n_states(self) -> int:
-        return len(self.class_signatures)
+    def _outputs(self) -> tuple[bytes, ...]:
+        return self.class_signatures
 
-    def step(self, state: int, symbol: str) -> int:
-        return _walk(self.alphabet, self.transitions, state, (symbol,))
+    @property
+    def _dists(self) -> tuple[Distribution, ...]:
+        return self.representatives
 
-    def run(self, word: Word) -> tuple[int, bytes]:
-        """Final state and its class signature after reading ``word``."""
-        q = _walk(self.alphabet, self.transitions, self.initial, word)
-        return q, self.class_signatures[q]
-
-    def class_after(self, word: Word) -> bytes:
-        return self.class_signatures[_walk(self.alphabet, self.transitions, self.initial, word)]
+    class_after = _Automaton._output_after
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +381,22 @@ def lm_equivalent(a: Pdfa, b: Pdfa, spec: EquivalenceSpec) -> Word | None:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("cannot compare PDFAs over different alphabets")
     return _first_mismatch(
-        a.alphabet,
-        (a.initial, a.transitions, emission_signatures(a.emissions, spec)),
-        (b.initial, b.transitions, emission_signatures(b.emissions, spec)),
+        a, emission_signatures(a.emissions, spec), b, emission_signatures(b.emissions, spec)
     )
 
 
-_Side = tuple[int, Sequence[Sequence[int]], Sequence[bytes]]
-
-
-def _first_mismatch(alphabet: Alphabet, a: _Side, b: _Side) -> Word | None:
-    """Shortest word (alphabet-order tie-break) after which the two sides'
-    state keys differ, or None; each side is ``(initial, transitions, keys)``.
+def _first_mismatch(
+    a: _Automaton, keys_a: Sequence[bytes], b: _Automaton, keys_b: Sequence[bytes]
+) -> Word | None:
+    """Shortest word (alphabet-order tie-break) after which state keys
+    ``keys_a`` of ``a`` and ``keys_b`` of ``b`` differ, or None.
 
     Breadth-first search of the synchronized product. Each pair records its
     BFS parent and the symbol index leading to it, so a word is spelled
     only for the mismatch found.
     """
-    (initial_a, trans_a, keys_a), (initial_b, trans_b, keys_b) = a, b
-    start = (initial_a, initial_b)
+    trans_a, trans_b = a.transitions, b.transitions
+    start = (a.initial, b.initial)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     order = [start]
     for pair in order:  # the list grows while it is read: a FIFO queue
@@ -404,7 +406,7 @@ def _first_mismatch(alphabet: Alphabet, a: _Side, b: _Side) -> Word | None:
             while (link := parent[pair]) is not None:
                 pair, i = link
                 indices.append(i)
-            return tuple(alphabet.symbols[i] for i in reversed(indices))
+            return tuple(a.alphabet.symbols[i] for i in reversed(indices))
         for i, succ in enumerate(zip(trans_a[qa], trans_b[qb])):
             if succ not in parent:
                 parent[succ] = (pair, i)
@@ -417,40 +419,32 @@ def _first_mismatch(alphabet: Alphabet, a: _Side, b: _Side) -> Word | None:
 # ---------------------------------------------------------------------------
 
 def pdfa_to_json(a: Pdfa) -> dict:
-    return {
-        "alphabet": list(a.alphabet.symbols),
-        "initial": a.initial,
-        "states": [
-            {"id": q, "dist": _dist_to_json(a.emissions[q])} for q in range(a.n_states)
-        ],
-        "transitions": [
-            {"from": q, "symbol": symbol, "to": a.transitions[q][i]}
-            for q in range(a.n_states)
-            for i, symbol in enumerate(a.alphabet.symbols)
-        ],
-    }
+    return _to_json(a, {})
 
 
 def quotient_to_json(h: QuotientPdfa) -> dict:
-    doc = {
-        "alphabet": list(h.alphabet.symbols),
-        "equivalence": h.equivalence,
-        "initial": h.initial,
-        "states": [
-            {
-                "id": q,
-                "dist": _dist_to_json(h.representatives[q]),
-                "signature": h.class_signatures[q].hex(),
-            }
-            for q in range(h.n_states)
-        ],
+    return _to_json(h, {"equivalence": h.equivalence}, h.class_signatures)
+
+
+def _to_json(a: _Automaton, head: dict, signatures: Sequence[bytes] = ()) -> dict:
+    """The document of either flavour: ``head`` holds the fields between
+    ``"alphabet"`` and ``"initial"``, and the i-th state entry ends with
+    ``signatures[i]`` in hex when there is one."""
+    states = [{"id": q, "dist": _dist_to_json(d)} for q, d in enumerate(a._dists)]
+    for entry, sig in zip(states, signatures):
+        entry["signature"] = sig.hex()
+    symbols = a.alphabet.symbols
+    return {
+        "alphabet": list(symbols),
+        **head,
+        "initial": a.initial,
+        "states": states,
         "transitions": [
-            {"from": q, "symbol": symbol, "to": h.transitions[q][i]}
-            for q in range(h.n_states)
-            for i, symbol in enumerate(h.alphabet.symbols)
+            {"from": q, "symbol": symbol, "to": t}
+            for q, row in enumerate(a.transitions)
+            for symbol, t in zip(symbols, row)
         ],
     }
-    return doc
 
 
 def _dist_to_json(d: Distribution) -> dict[str, float]:
@@ -584,6 +578,8 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
     if "equivalence" not in doc:
         raise AutomatonError("quotient document lacks an 'equivalence' field")
     label = doc["equivalence"]
+    if not isinstance(label, str):
+        raise AutomatonError(f"'equivalence' must be a string, got {label!r}")
     alphabet, initial, states, table = _parse_common(doc, prune)
     try:
         representatives = _load_distributions(alphabet, [entry["dist"] for entry in states])
@@ -592,7 +588,7 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
         raise AutomatonError(f"malformed state entry: {exc!r}") from None
     try:
         signatures = [bytes.fromhex(raw) for raw in raw_signatures]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise AutomatonError(f"malformed class signature: {exc}") from None
     try:
         spec = parse_equivalence(label)
@@ -626,17 +622,13 @@ def _fmt_prob(p: float) -> str:
 
 def to_dot(a: Pdfa | QuotientPdfa, name: str = "pdfa") -> str:
     """Graphviz rendering: nodes carry the stop probability, edges 'symbol/p'."""
-    dists = a.emissions if isinstance(a, Pdfa) else a.representatives
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  __start__ [shape=point];",
              f"  __start__ -> q{a.initial};"]
-    for q in range(a.n_states):
-        stop = dists[q].prob(TERMINAL)
+    for q, dist in enumerate(a._dists):
+        stop = dist.prob(TERMINAL)
         lines.append(f'  q{q} [shape=circle, label="q{q}\\n{TERMINAL}:{_fmt_prob(stop)}"];')
-    for q in range(a.n_states):
-        for i, symbol in enumerate(a.alphabet.symbols):
-            p = dists[q].prob(symbol)
-            lines.append(
-                f'  q{q} -> q{a.transitions[q][i]} [label="{symbol}/{_fmt_prob(p)}"];'
-            )
+    for q, dist in enumerate(a._dists):
+        for symbol, t in zip(a.alphabet.symbols, a.transitions[q]):
+            lines.append(f'  q{q} -> q{t} [label="{symbol}/{_fmt_prob(dist.prob(symbol))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

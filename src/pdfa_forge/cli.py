@@ -192,11 +192,10 @@ def _resolve_model(args) -> tuple[LanguageModel, Pdfa | None]:
     if source.startswith(("http://", "https://")):
         if not args.alphabet:
             raise _config_error("remote models need --alphabet sym1,sym2,...")
-        alphabet = Alphabet(tuple(s for s in args.alphabet.split(",") if s))
         try:
             model = RemoteModel(
                 source,
-                alphabet,
+                Alphabet(tuple(s for s in args.alphabet.split(",") if s)),
                 timeout=args.timeout,
                 renormalize=args.renormalize,
                 max_query_length=args.max_query_length,
@@ -372,6 +371,12 @@ def cmd_cliques(args) -> int:
             alphabet = Alphabet(sorted({s for d in doc for s in d} - {"$"}))
             entries = doc
         else:
+            # Alphabet() takes any iterable: a string would be split into letters.
+            if not isinstance(doc["alphabet"], list):
+                raise _io_error(
+                    "'alphabet' must be a list of symbols, "
+                    f"got {type(doc['alphabet']).__name__}"
+                )
             alphabet = Alphabet(doc["alphabet"])
             entries = doc["distributions"]
         dists = [Distribution.from_map(alphabet, entry) for entry in entries]

@@ -107,7 +107,6 @@ class ObservationTable:
         self.max_cells = max_cells
         self.red: list[Word] = []
         self.suffixes: list[Word] = [EMPTY]
-        self._red_set: set[Word] = set()
         self._blue: list[Word] = []
         self._blue_set: set[Word] = set()
         # Length-lex key of every RED and BLUE word. Bisecting through the
@@ -182,7 +181,7 @@ class ObservationTable:
         if self._blue_set != expected_blue:
             raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
         length_lex = lambda w: word_key(alphabet, w)  # noqa: E731
-        if self.red != sorted(red, key=length_lex) or self._red_set != red:
+        if self.red != sorted(red, key=length_lex):
             raise LearnerInvariantError("RED is not a length-lex ordered set")
         if self._blue != sorted(expected_blue, key=length_lex):
             raise LearnerInvariantError("BLUE is not in length-lex order")
@@ -231,7 +230,6 @@ class ObservationTable:
         else:
             keys[prefix] = word_key(self._alphabet, prefix)
             new.append(prefix)
-        self._red_set.add(prefix)
         insort(self.red, prefix, key=self._key)
         length, indices = keys[prefix]
         for i, symbol in enumerate(self._alphabet.symbols):

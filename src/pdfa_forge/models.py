@@ -304,8 +304,8 @@ class RemoteModel(LanguageModel):
     probability sum off by more than 1e-6 is an error unless
     ``renormalize`` is set. Limits are validated at construction:
     ``max_in_flight`` and ``max_attempts`` must be at least 1, the timeout
-    positive and the retry backoff non-negative. A malformed endpoint raises
-    ``ValueError``.
+    positive and finite, and the retry backoff and ``max_query_length``
+    non-negative. A malformed endpoint raises ``ValueError``.
     """
 
     def __init__(
@@ -324,15 +324,17 @@ class RemoteModel(LanguageModel):
         self._alphabet = alphabet
         env_ms = os.environ.get(TIMEOUT_ENV_VAR)
         self.timeout = float(env_ms) / 1000.0 if env_ms else timeout
-        if not self.timeout > 0:
+        if not 0 < self.timeout < math.inf:
             source = f"{TIMEOUT_ENV_VAR}={env_ms}" if env_ms else f"timeout={timeout!r}"
-            raise ValueError(f"the request timeout must be positive, got {source}")
+            raise ValueError(f"the request timeout must be positive and finite, got {source}")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be at least 1, got {max_attempts!r}")
         if not retry_backoff >= 0:
             raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff!r}")
+        if max_query_length is not None and max_query_length < 0:
+            raise ValueError(f"max_query_length must be non-negative, got {max_query_length!r}")
         self.renormalize = renormalize
         self.max_attempts = max_attempts
         self.max_query_length = max_query_length

@@ -79,9 +79,7 @@ class ExactOracle(EqOracle):
         if hypothesis.alphabet != self.target.alphabet:
             raise AlphabetMismatch("hypothesis alphabet differs from the target's")
         word = _first_mismatch(
-            self.target.alphabet,
-            (self.target.initial, self.target.transitions, self._target_sigs),
-            (hypothesis.initial, hypothesis.transitions, hypothesis.class_signatures),
+            self.target, self._target_sigs, hypothesis, hypothesis.class_signatures
         )
         return None if word is None else self._verify(word, hypothesis)
 

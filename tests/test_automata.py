@@ -118,33 +118,70 @@ class TestWalkKernel:
                 assert h.class_after(word) == h.class_signatures[state]
 
 
+def automaton_of(kind, alphabet, dists, transitions, signatures=None):
+    """A ``kind`` automaton from state 0 whose states emit ``dists``; a
+    quotient's classes are named ``c0``, ``c1``, ... unless given."""
+    if kind is Pdfa:
+        return Pdfa(alphabet, 0, dists, transitions)
+    if signatures is None:
+        signatures = tuple(b"c%d" % q for q in range(len(dists)))
+    return QuotientPdfa(alphabet, 0, signatures, dists, transitions, "x")
+
+
 class TestStructureValidation:
-    def test_rejects_unreachable_states(self):
-        with pytest.raises(AutomatonError, match="unreachable"):
-            Pdfa(
-                alphabet=Alphabet(("a",)),
-                initial=0,
-                emissions=(unary_dist(0.5), unary_dist(0.4)),
-                transitions=((0,), (1,)),
-            )
+    """Both automaton kinds reject the same faults with the same messages,
+    but for the kind's own name and how it calls a state's distribution."""
 
-    def test_rejects_partial_tau(self):
-        with pytest.raises(AutomatonError, match="tau not total"):
-            Pdfa(
-                alphabet=Alphabet(("a", "b")),
-                initial=0,
-                emissions=(Distribution(Alphabet(("a", "b")), (0.4, 0.3, 0.3)),),
-                transitions=((0,),),
-            )
+    NAME = {Pdfa: "a PDFA", QuotientPdfa: "a quotient PDFA"}
+    FOREIGN = {
+        Pdfa: "state 0 emits over a different alphabet",
+        QuotientPdfa: "class 0 representative over a different alphabet",
+    }
 
-    def test_rejects_bad_target(self):
-        with pytest.raises(AutomatonError):
-            Pdfa(
-                alphabet=Alphabet(("a",)),
-                initial=0,
-                emissions=(unary_dist(0.5),),
-                transitions=((3,),),
-            )
+    def assert_rejected(self, message, kind, *args, **kwargs):
+        with pytest.raises(AutomatonError) as caught:
+            automaton_of(kind, *args, **kwargs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rejects_unreachable_states(self, kind):
+        self.assert_rejected(
+            "unreachable states: [1]",
+            kind, Alphabet(("a",)), (unary_dist(0.5), unary_dist(0.4)), ((0,), (1,)),
+        )
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rejects_partial_tau(self, kind):
+        ab = Alphabet(("a", "b"))
+        self.assert_rejected(
+            "tau not total: state 0 defines 1/2 moves",
+            kind, ab, (Distribution(ab, (0.4, 0.3, 0.3)),), ((0,),),
+        )
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rejects_bad_target(self, kind):
+        self.assert_rejected(
+            "transition target 3 out of range for state 0",
+            kind, Alphabet(("a",)), (unary_dist(0.5),), ((3,),),
+        )
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rejects_zero_states(self, kind):
+        self.assert_rejected(
+            f"{self.NAME[kind]} needs at least one state", kind, Alphabet(("a",)), (), (),
+        )
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    def test_rejects_a_distribution_over_a_foreign_alphabet(self, kind):
+        foreign = Distribution(Alphabet(("a", "b")), (0.4, 0.3, 0.3))
+        self.assert_rejected(self.FOREIGN[kind], kind, Alphabet(("a",)), (foreign,), ((0,),))
+
+    def test_rejects_a_representative_count_mismatch(self):
+        self.assert_rejected(
+            "one representative distribution per class is required",
+            QuotientPdfa, Alphabet(("a",)), (unary_dist(0.5),), ((0,), (1,)),
+            signatures=(b"c0", b"c1"),
+        )
 
 
 def one_state_automaton(kind, initial, transitions):
@@ -496,6 +533,33 @@ class TestSerialization:
         h = quotient(fig3a, QUANT7)
         again = quotient_from_json(json.loads(json.dumps(quotient_to_json(h))))
         assert again == h
+
+    def test_quotient_document_bytes(self, fig3a):
+        assert json.dumps(quotient_to_json(quotient(fig3a, QUANT7))) == (
+            '{"alphabet": ["a"], "equivalence": "quant:7", "initial": 0, "states": ['
+            '{"id": 0, "dist": {"a": 0.4, "$": 0.6}, '
+            '"signature": "5b227175616e74222c372c5b322c345d5d"}, '
+            '{"id": 1, "dist": {"a": 0.5, "$": 0.5}, '
+            '"signature": "5b227175616e74222c372c5b332c335d5d"}, '
+            '{"id": 2, "dist": {"a": 0.6, "$": 0.4}, '
+            '"signature": "5b227175616e74222c372c5b342c325d5d"}], '
+            '"transitions": [{"from": 0, "symbol": "a", "to": 1}, '
+            '{"from": 1, "symbol": "a", "to": 2}, {"from": 2, "symbol": "a", "to": 2}]}'
+        )
+
+    @pytest.mark.parametrize("label", [5, None, ["quant:7"]])
+    def test_non_string_equivalence_is_rejected(self, fig3a, label):
+        doc = quotient_to_json(quotient(fig3a, QUANT7))
+        doc["equivalence"] = label
+        with pytest.raises(AutomatonError, match="'equivalence' must be a string"):
+            quotient_from_json(doc)
+
+    @pytest.mark.parametrize("value", [5, None, ["5b"]])
+    def test_non_string_signature_is_rejected(self, fig3a, value):
+        doc = quotient_to_json(quotient(fig3a, QUANT7))
+        doc["states"][1]["signature"] = value
+        with pytest.raises(AutomatonError, match="malformed class signature"):
+            quotient_from_json(doc)
 
     def test_missing_transition_is_reported(self):
         doc = {

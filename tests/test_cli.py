@@ -172,6 +172,16 @@ class TestCliquesCommand:
         assert code == 2
         assert "is not a number" in capsys.readouterr().err
 
+    def test_string_alphabet_is_an_io_error(self, tmp_path, capsys):
+        # A string is iterable, so it would otherwise be split into symbols.
+        path = tmp_path / "dists.json"
+        path.write_text(json.dumps({"alphabet": "ab", "distributions": [
+            {"a": 0.5, "b": 0.25, "$": 0.25}, {"a": 0.25, "b": 0.5, "$": 0.25},
+        ]}))
+        code = run_cli("cliques", str(path), "--sim", "vd:0.15", out_dir=tmp_path)
+        assert code == 2
+        assert "'alphabet' must be a list of symbols, got str" in capsys.readouterr().err
+
     def test_bare_list_input(self, tmp_path, capsys):
         path = tmp_path / "dists.json"
         path.write_text(json.dumps([{"a": 0.5, "$": 0.5}, {"a": 0.4, "$": 0.6}]))
@@ -198,6 +208,27 @@ class TestExportCommand:
                 out_dir=tmp_path)
         code = run_cli("export", "--model", str(tmp_path / "quotient.json"))
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("equivalence", None, "'equivalence' must be a string"),
+            ("signature", 5, "malformed class signature"),
+        ],
+    )
+    def test_malformed_quotient_document_is_an_io_error(
+        self, tmp_path, capsys, field, value, message
+    ):
+        run_cli("quotient", "--model", "fixture:fig3a", "--equiv", "quant:7",
+                out_dir=tmp_path)
+        path = tmp_path / "quotient.json"
+        doc = json.loads(path.read_text())
+        (doc if field == "equivalence" else doc["states"][0])[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("export", "--model", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestDemoCommand:
@@ -344,6 +375,16 @@ class TestRemoteModelSource:
             out_dir=tmp_path,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("symbols", ["a,a", "a,$"])
+    def test_invalid_alphabet_is_a_configuration_error(self, tmp_path, capsys, symbols):
+        code = run_cli(
+            "learn", "--model", "http://127.0.0.1:9", "--alphabet", symbols,
+            "--equiv", "quant:3", "--eq", "exhaustive:3",
+            out_dir=tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_positive_timeout_is_a_configuration_error(self, tmp_path):
         code = run_cli(

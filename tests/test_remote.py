@@ -149,6 +149,8 @@ class TestClientConfiguration:
             {"timeout": 0.0},
             {"timeout": -1.0},
             {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"max_query_length": -1},
             {"retry_backoff": -0.1},
             {"retry_backoff": float("nan")},
             {"endpoint": "http://"},
@@ -165,8 +167,9 @@ class TestClientConfiguration:
     )
     def test_invalid_limits_are_rejected(self, option):
         # Rejected at construction: a zero-slot semaphore would make every
-        # query block forever, zero attempts would never send a request, and
-        # a malformed endpoint would only fail at the first query.
+        # query block forever, zero attempts would never send a request, a
+        # negative length limit would refuse every word, and a malformed
+        # endpoint or an infinite timeout would only fail at the first query.
         with pytest.raises(ValueError):
             RemoteModel(**{"endpoint": "http://127.0.0.1:9", "alphabet": AB, **option})
 
@@ -175,10 +178,18 @@ class TestClientConfiguration:
         with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
             RemoteModel("http://127.0.0.1:9", AB)
 
+    def test_infinite_timeout_from_the_environment_is_rejected(self, monkeypatch):
+        # An infinite socket timeout would only fail at the first query, with
+        # an OverflowError rather than a RemoteModelError.
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "inf")
+        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
+            RemoteModel("http://127.0.0.1:9", AB)
+
     def test_smallest_valid_limits_are_accepted(self, lm_server):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
         model = RemoteModel(
-            lm_server.endpoint, AB, max_in_flight=1, max_attempts=1, retry_backoff=0.0
+            lm_server.endpoint, AB, max_in_flight=1, max_attempts=1, retry_backoff=0.0,
+            max_query_length=0,
         )
         assert model.query(()).prob("$") == pytest.approx(0.5)
 
