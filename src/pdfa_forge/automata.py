@@ -452,6 +452,9 @@ def _dist_to_json(d: Distribution) -> dict[str, float]:
 
 
 def _parse_common(doc: dict, prune: bool):
+    if not isinstance(doc, dict):
+        kind = type(doc).__name__
+        raise AutomatonError(f"automaton document must be a JSON object, got {kind}")
     try:
         return _parse_common_inner(doc, prune)
     except (KeyError, TypeError) as exc:
@@ -575,12 +578,12 @@ def pdfa_from_json(doc: dict, prune: bool = False) -> Pdfa:
 
 def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
     """Load a quotient PDFA, re-deriving signatures when the spec parses."""
+    alphabet, initial, states, table = _parse_common(doc, prune)
     if "equivalence" not in doc:
         raise AutomatonError("quotient document lacks an 'equivalence' field")
     label = doc["equivalence"]
     if not isinstance(label, str):
         raise AutomatonError(f"'equivalence' must be a string, got {label!r}")
-    alphabet, initial, states, table = _parse_common(doc, prune)
     try:
         representatives = _load_distributions(alphabet, [entry["dist"] for entry in states])
         raw_signatures = [entry["signature"] for entry in states]
@@ -607,7 +610,7 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
 
 def automaton_from_json(doc: dict, prune: bool = False) -> Pdfa | QuotientPdfa:
     """Dispatch on the document flavor: quotient when 'equivalence' is present."""
-    if "equivalence" in doc:
+    if isinstance(doc, dict) and "equivalence" in doc:
         return quotient_from_json(doc, prune=prune)
     return pdfa_from_json(doc, prune=prune)
 

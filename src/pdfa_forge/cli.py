@@ -74,14 +74,33 @@ def _io_error(message: str) -> CliError:
 
 
 # ---------------------------------------------------------------------------
-# Config file (key = value lines mirroring flags; flags override the file)
+# Options: flags, and config files of key = value lines naming them (flags win)
 # ---------------------------------------------------------------------------
 
-def _log_level(value: str) -> str:
-    if value not in ("debug", "info", "warning", "error"):
-        raise ValueError(f"unknown log level {value!r}")
-    return value
-
+#: Every flag, keyed by its destination: its ``add_argument`` keywords.
+#: Config keys are exactly these names.
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="seed for sampling oracles"),
+    "log": dict(default="warning", choices=["debug", "info", "warning", "error"]),
+    "out_dir": dict(default=".", help="directory for emitted files"),
+    "model": dict(help="PDFA JSON file or fixture:<name>; export also reads quotient "
+                       "files, learn builtin:<name> and URLs"),
+    "alphabet": dict(help="comma-separated symbols (remote models only)"),
+    "timeout": dict(type=float, default=10.0, help="remote request timeout (s)"),
+    "renormalize": dict(action="store_true",
+                        help="accept remote distributions with off-by-noise sums"),
+    "max_query_length": dict(type=int, help="reject queries longer than this (remote models)"),
+    "prune": dict(action="store_true", help="drop unreachable states when loading automata"),
+    "prefix": dict(default="", help="output file name prefix"),
+    "equiv": dict(help="equivalence spec, e.g. quant:7"),
+    "eq": dict(default="exact",
+               help="exact | sample:<n>:<maxlen>[:<seed>] | exhaustive:<maxlen>"),
+    "max_rounds": dict(type=int, default=64),
+    "max_cells": dict(type=int, default=100_000),
+    "sim": dict(help="similarity spec, e.g. vd:0.15"),
+    "out": dict(help="output path (stdout when omitted)"),
+    "bound": dict(type=int, default=21),
+}
 
 _BOOLEAN_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -89,31 +108,14 @@ _BOOLEAN_WORDS = {
 }
 
 
-def _boolean(value: str) -> bool:
-    try:
+def _convert(key: str, value: str):
+    """A config value, converted as the flag ``key`` converts its argument."""
+    spec = _FLAGS[key]
+    if spec.get("action") == "store_true":
         return _BOOLEAN_WORDS[value.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {value!r}") from None
-
-
-_CONFIG_TYPES = {
-    "seed": int,
-    "max_rounds": int,
-    "max_cells": int,
-    "max_query_length": int,
-    "bound": int,
-    "max_len": int,
-    "timeout": float,
-    "log": _log_level,
-    "renormalize": _boolean,
-    "prune": _boolean,
-}
-
-_CONFIG_KEYS = {
-    "seed", "log", "out_dir", "model", "equiv", "eq", "sim", "alphabet",
-    "max_rounds", "max_cells", "max_query_length", "bound", "max_len",
-    "timeout", "renormalize", "prune", "prefix",
-}
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(value)
+    return spec.get("type", str)(value)
 
 
 def _load_config(path: str) -> dict:
@@ -131,12 +133,11 @@ def _load_config(path: str) -> dict:
             raise _config_error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FLAGS:
             raise _config_error(f"{path}:{lineno}: unknown config key {key!r}")
-        convert = _CONFIG_TYPES.get(key, str)
         try:
-            values[key] = convert(value)
-        except ValueError:
+            values[key] = _convert(key, value)
+        except (KeyError, ValueError):
             raise _config_error(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
 
@@ -163,39 +164,36 @@ def _load_document(source: str) -> dict:
     return _read_json(source)
 
 
-def _load_pdfa(source: str, prune: bool = False) -> Pdfa:
+def _load(source: str, prune: bool, decode) -> Pdfa | QuotientPdfa:
     doc = _load_document(source)
     try:
-        return pdfa_from_json(doc, prune=prune)
+        return decode(doc, prune=prune)
     except (AutomatonError, InvalidDistribution, ValueError) as exc:
         raise _io_error(f"{source}: {exc}") from None
 
 
-def _load_automaton(source: str, prune: bool = False) -> Pdfa | QuotientPdfa:
-    doc = _load_document(source)
-    try:
-        return automaton_from_json(doc, prune=prune)
-    except (AutomatonError, InvalidDistribution, ValueError) as exc:
-        raise _io_error(f"{source}: {exc}") from None
+def _required(value, flag: str):
+    if value is None:
+        raise _config_error(f"{flag} is required")
+    return value
 
 
 def _resolve_model(args) -> tuple[LanguageModel, Pdfa | None]:
     """Model source -> (language model, backing PDFA when there is one)."""
-    source = args.model
-    if source is None:
-        raise _config_error("--model is required")
+    source = _required(args.model, "--model")
     if source.startswith("builtin:"):
         try:
             return synthetic_model(source.split(":", 1)[1]), None
         except ValueError as exc:
             raise _config_error(str(exc)) from None
     if source.startswith(("http://", "https://")):
-        if not args.alphabet:
+        symbols = tuple(s for s in (args.alphabet or "").split(",") if s)
+        if not symbols:
             raise _config_error("remote models need --alphabet sym1,sym2,...")
         try:
             model = RemoteModel(
                 source,
-                Alphabet(tuple(s for s in args.alphabet.split(",") if s)),
+                Alphabet(symbols),
                 timeout=args.timeout,
                 renormalize=args.renormalize,
                 max_query_length=args.max_query_length,
@@ -203,7 +201,7 @@ def _resolve_model(args) -> tuple[LanguageModel, Pdfa | None]:
         except ValueError as exc:
             raise _config_error(str(exc)) from None
         return model, None
-    pdfa = _load_pdfa(source, prune=args.prune)
+    pdfa = _load(source, args.prune, pdfa_from_json)
     return PdfaLanguageModel(pdfa), pdfa
 
 
@@ -242,20 +240,9 @@ def _resolve_oracle(args, model: CachedModel, target: Pdfa | None, equiv) -> EqO
         raise _config_error(f"--eq {spec}: {exc}") from None
 
 
-def _parse_equiv(text: str | None):
-    if text is None:
-        raise _config_error("--equiv is required")
+def _parse_spec(parse, text: str | None, flag: str):
     try:
-        return parse_equivalence(text)
-    except ValueError as exc:
-        raise _config_error(str(exc)) from None
-
-
-def _parse_sim(text: str | None):
-    if text is None:
-        raise _config_error("--sim is required")
-    try:
-        return parse_similarity(text)
+        return parse(_required(text, flag))
     except ValueError as exc:
         raise _config_error(str(exc)) from None
 
@@ -273,20 +260,16 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-    except OSError as exc:
-        raise _io_error(f"cannot write {path}: {exc}") from None
-    log.info("wrote %s", path)
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, "utf-8")
     except OSError as exc:
         raise _io_error(f"cannot write {path}: {exc}") from None
     log.info("wrote %s", path)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +280,7 @@ def cmd_learn(args) -> int:
     for flag, value in (("--max-rounds", args.max_rounds), ("--max-cells", args.max_cells)):
         if value < 1:
             raise _config_error(f"{flag} must be >= 1, got {value}")
-    equiv = _parse_equiv(args.equiv)
+    equiv = _parse_spec(parse_equivalence, args.equiv, "--equiv")
     model, target = _resolve_model(args)
     mq = cached(model)
     oracle = _resolve_oracle(args, mq, target, equiv)
@@ -338,8 +321,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    equiv = _parse_equiv(args.equiv)
-    pdfa = _load_pdfa(args.model, prune=args.prune)
+    equiv = _parse_spec(parse_equivalence, args.equiv, "--equiv")
+    pdfa = _load(_required(args.model, "--model"), args.prune, pdfa_from_json)
     h = quotient(pdfa, equiv)
     out = _out_dir(args)
     _write_json(out / f"{args.prefix}quotient.json", quotient_to_json(h))
@@ -349,9 +332,9 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    equiv = _parse_equiv(args.equiv)
-    left = _load_pdfa(args.left, prune=args.prune)
-    right = _load_pdfa(args.right, prune=args.prune)
+    equiv = _parse_spec(parse_equivalence, args.equiv, "--equiv")
+    left = _load(args.left, args.prune, pdfa_from_json)
+    right = _load(args.right, args.prune, pdfa_from_json)
     try:
         witness = lm_equivalent(left, right, equiv)
     except ValueError as exc:
@@ -364,7 +347,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cliques(args) -> int:
-    sim = _parse_sim(args.sim)
+    sim = _parse_spec(parse_similarity, args.sim, "--sim")
     doc = _load_document(args.distributions)
     try:
         if isinstance(doc, list):
@@ -408,7 +391,7 @@ def cmd_cliques(args) -> int:
 
 
 def cmd_export(args) -> int:
-    automaton = _load_automaton(args.model, prune=args.prune)
+    automaton = _load(_required(args.model, "--model"), args.prune, automaton_from_json)
     dot = to_dot(automaton)
     if args.out:
         _write_text(Path(args.out), dot)
@@ -444,22 +427,35 @@ def cmd_demo_prop17(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common_model_options(sub) -> None:
-    sub.add_argument("--model", help="PDFA JSON file, fixture:<name>, builtin:<name>, or URL")
-    sub.add_argument("--alphabet", help="comma-separated symbols (remote models only)")
-    sub.add_argument("--timeout", type=float, default=10.0, help="remote request timeout (s)")
-    sub.add_argument("--renormalize", action="store_true", default=False,
-                     help="accept remote distributions with off-by-noise sums")
-    sub.add_argument("--max-query-length", type=int, default=None,
-                     help="reject queries longer than this (remote models)")
-    sub.add_argument("--prune", action="store_true", default=False,
-                     help="drop unreachable states when loading automata")
-    sub.add_argument("--prefix", default="", help="output file name prefix")
+_PDFA_SOURCE = "PDFA JSON file or fixture:<name>"
+
+#: Subcommand -> (handler, help, positionals as (name, help), flags it reads).
+_COMMANDS = {
+    "learn": (cmd_learn, "run the active learner", (), (
+        "model", "alphabet", "timeout", "renormalize", "max_query_length", "prune",
+        "prefix", "equiv", "eq", "max_rounds", "max_cells",
+    )),
+    "quotient": (cmd_quotient, "quotient a PDFA file", (),
+                 ("model", "prune", "prefix", "equiv")),
+    "compare": (cmd_compare, "classwise-compare two PDFA files",
+                (("left", _PDFA_SOURCE), ("right", _PDFA_SOURCE)), ("equiv", "prune")),
+    "cliques": (cmd_cliques, "enumerate clique partitions",
+                (("distributions", "JSON distribution list or fixture:fig3-dists"),),
+                ("sim", "prefix")),
+    "export": (cmd_export, "write Graphviz DOT for an automaton", (),
+               ("model", "prune", "out")),
+    "demo-prop17": (cmd_demo_prop17, "recognizable-but-not-clique-regular demonstration",
+                    (), ("bound", "prefix")),
+}
 
 
-#: Options parsed by the top-level parser; config values for these must not
-#: leak into subparser defaults (subparsers overwrite the shared namespace).
-_GLOBAL_KEYS = {"seed", "log", "out_dir"}
+def _add_flags(parser: argparse.ArgumentParser, dests, config: dict) -> None:
+    """Add each flag; a config value replaces its default on this parser only."""
+    for dest in dests:
+        kwargs = dict(_FLAGS[dest])
+        if dest in config:
+            kwargs["default"] = config[dest]
+        parser.add_argument("--" + dest.replace("_", "-"), **kwargs)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -469,59 +465,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         description="Learn, quotient, and compare PDFAs modulo distribution equivalences.",
     )
     parser.add_argument("--config", help="key = value file mirroring flags; flags win")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling oracles")
-    parser.add_argument("--log", default="warning",
-                        choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--out-dir", default=".", help="directory for emitted files")
-    parser.set_defaults(**{k: v for k, v in config.items() if k in _GLOBAL_KEYS})
-    sub_config = {k: v for k, v in config.items() if k not in _GLOBAL_KEYS}
+    _add_flags(parser, ("seed", "log", "out_dir"), config)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    learn_p = commands.add_parser("learn", help="run the active learner")
-    _add_common_model_options(learn_p)
-    learn_p.add_argument("--equiv", help="equivalence spec, e.g. quant:7")
-    learn_p.add_argument("--eq", default="exact",
-                         help="exact | sample:<n>:<maxlen>[:<seed>] | exhaustive:<maxlen>")
-    learn_p.add_argument("--max-rounds", type=int, default=64)
-    learn_p.add_argument("--max-cells", type=int, default=100_000)
-    learn_p.set_defaults(**sub_config)
-    learn_p.set_defaults(func=cmd_learn)
-
-    quot_p = commands.add_parser("quotient", help="quotient a PDFA file")
-    _add_common_model_options(quot_p)
-    quot_p.add_argument("--equiv", help="equivalence spec, e.g. quant:3")
-    quot_p.set_defaults(**sub_config)
-    quot_p.set_defaults(func=cmd_quotient)
-
-    cmp_p = commands.add_parser("compare", help="classwise-compare two PDFA files")
-    cmp_p.add_argument("left", help="PDFA JSON file or fixture:<name>")
-    cmp_p.add_argument("right", help="PDFA JSON file or fixture:<name>")
-    cmp_p.add_argument("--equiv", help="equivalence spec")
-    cmp_p.add_argument("--prune", action="store_true", default=False)
-    cmp_p.set_defaults(**sub_config)
-    cmp_p.set_defaults(func=cmd_compare)
-
-    cliq_p = commands.add_parser("cliques", help="enumerate clique partitions")
-    cliq_p.add_argument("distributions", help="JSON distribution list or fixture:fig3-dists")
-    cliq_p.add_argument("--sim", help="similarity spec, e.g. vd:0.15")
-    cliq_p.add_argument("--prefix", default="")
-    cliq_p.set_defaults(**sub_config)
-    cliq_p.set_defaults(func=cmd_cliques)
-
-    exp_p = commands.add_parser("export", help="write Graphviz DOT for an automaton")
-    exp_p.add_argument("--model", help="PDFA or quotient JSON file, or fixture:<name>")
-    exp_p.add_argument("--prune", action="store_true", default=False)
-    exp_p.add_argument("--out", help="output path (stdout when omitted)")
-    exp_p.set_defaults(**sub_config)
-    exp_p.set_defaults(func=cmd_export)
-
-    demo_p = commands.add_parser(
-        "demo-prop17", help="recognizable-but-not-clique-regular demonstration"
-    )
-    demo_p.add_argument("--bound", type=int, default=21)
-    demo_p.add_argument("--prefix", default="")
-    demo_p.set_defaults(**sub_config)
-    demo_p.set_defaults(func=cmd_demo_prop17)
+    for name, (func, help_text, positionals, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for dest, text in positionals:
+            sub.add_argument(dest, help=text)
+        _add_flags(sub, flags, config)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -148,7 +148,7 @@ class SimilaritySpec:
                 raise ValueError(f"{self.kind} needs a positive r, got {self.r}")
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no r parameter")
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # NaN fails every comparison
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.kind != "vd" and self.threshold > 1:
             raise ValueError(f"{self.kind} threshold must lie in [0,1], got {self.threshold}")

@@ -677,6 +677,14 @@ class TestSerialization:
         with pytest.raises(AutomatonError, match="signature"):
             quotient_from_json(doc)
 
+    @pytest.mark.parametrize("doc", [3, None, "has an equivalence"])
+    @pytest.mark.parametrize("decode", [pdfa_from_json, quotient_from_json, automaton_from_json])
+    def test_document_that_is_not_an_object_is_rejected(self, decode, doc):
+        # A non-object must not reach ``"equivalence" in doc``: 3 and None
+        # raise TypeError there, and a string matches by substring.
+        with pytest.raises(AutomatonError, match="automaton document must be a JSON object"):
+            decode(doc)
+
     def test_dispatch_on_document_flavor(self, fig3a):
         assert isinstance(automaton_from_json(pdfa_to_json(fig3a)), Pdfa)
         h = automaton_from_json(quotient_to_json(quotient(fig3a, QUANT7)))

@@ -349,6 +349,72 @@ class TestConfigAndErrors:
         assert code == 2
 
 
+class TestOptionTable:
+    """Config keys are exactly the flag names; each parser reads only its own."""
+
+    def write_config(self, tmp_path, text):
+        config = tmp_path / "run.conf"
+        config.write_text(text)
+        return str(config)
+
+    @pytest.mark.parametrize("flags", [
+        ("--timeout", "3"),
+        ("--alphabet", "a"),
+        ("--renormalize",),
+        ("--max-query-length", "3"),
+    ])
+    def test_quotient_takes_no_remote_model_flags(self, tmp_path, capsys, flags):
+        # quotient reads a file or fixture, so a remote-model flag could have no effect.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("quotient", "--model", "fixture:fig3a", "--equiv", "quant:7", *flags,
+                    out_dir=tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_key_without_a_flag_is_unknown(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "max_len = 3\n")
+        code = run_cli("--config", config, "compare", "fixture:fig2a", "fixture:fig2b")
+        assert code == 1
+        assert "unknown config key 'max_len'" in capsys.readouterr().err
+
+    def test_out_key_sets_the_export_target(self, tmp_path):
+        target = tmp_path / "f.dot"
+        config = self.write_config(tmp_path, f"out = {target}\n")
+        assert run_cli("--config", config, "export", "--model", "fixture:fig2b") == 0
+        assert target.read_text().startswith("digraph")
+
+    def test_keys_for_other_subcommands_are_ignored(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "sim = vd:0.1\nequiv = quant:3\nout = x.dot\n")
+        code = run_cli("--config", config, "compare", "fixture:fig2a", "fixture:fig2b")
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "equivalent"
+
+    def test_global_keys_reach_the_subcommand(self, tmp_path):
+        config = self.write_config(tmp_path, f"seed = 9\nout-dir = {tmp_path / 'out'}\n")
+        code = run_cli("--config", config, "learn", "--model", "fixture:fig2b",
+                       "--equiv", "quant:3", "--eq", "sample:50:10")
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "seed=9" in report["oracle"]
+
+    @pytest.mark.parametrize("argv", [("quotient", "--equiv", "quant:3"), ("export",)])
+    def test_missing_model_is_a_configuration_error(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, out_dir=tmp_path) == 1
+        assert capsys.readouterr().err == "error: --model is required\n"
+
+    def test_nan_similarity_threshold_is_a_configuration_error(self, tmp_path, capsys):
+        code = run_cli("cliques", "fixture:fig3-dists", "--sim", "vd:nan", out_dir=tmp_path)
+        assert code == 1
+        assert "threshold must be >= 0, got nan" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_document_that_is_not_an_object_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text("3")
+        assert run_cli("export", "--model", str(path)) == 2
+        assert "automaton document must be a JSON object, got int" in capsys.readouterr().err
+
+
 class TestRemoteModelSource:
     def test_learn_from_http_endpoint(self, tmp_path, lm_server, fig3a, capsys):
         lm_server.serve_pdfa(fig3a)
@@ -376,7 +442,7 @@ class TestRemoteModelSource:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("symbols", ["a,a", "a,$"])
+    @pytest.mark.parametrize("symbols", ["a,a", "a,$", ",", ",,"])
     def test_invalid_alphabet_is_a_configuration_error(self, tmp_path, capsys, symbols):
         code = run_cli(
             "learn", "--model", "http://127.0.0.1:9", "--alphabet", symbols,

@@ -202,6 +202,14 @@ class TestSimilar:
             SimilaritySpec("wer", threshold=0.5)  # missing r
         SimilaritySpec("vd", threshold=2.0)  # vd only needs t >= 0
 
+    @pytest.mark.parametrize("kind, r", [("vd", None), ("sdr", None), ("wer", 2), ("ndcg", 2)])
+    def test_nan_threshold_is_rejected(self, kind, r):
+        # NaN compares false with everything, so "< 0" and "> 1" both miss it.
+        with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+            SimilaritySpec(kind, threshold=math.nan, r=r)
+        with pytest.raises(ValueError):
+            parse_similarity(f"{kind}:{r}:nan" if r else f"{kind}:nan")
+
 
 class TestSpecGrammar:
     @pytest.mark.parametrize(
