@@ -86,8 +86,8 @@ _FLAGS = {
     "model": dict(help="PDFA JSON file or fixture:<name>; export also reads quotient "
                        "files, learn builtin:<name> and URLs"),
     "alphabet": dict(help="comma-separated symbols (remote models only)"),
-    "timeout": dict(type=float, default=10.0, help="remote request timeout (s)"),
-    "renormalize": dict(action="store_true",
+    "timeout": dict(type=float, help="remote request timeout (s, default 10)"),
+    "renormalize": dict(action="store_true", default=None,
                         help="accept remote distributions with off-by-noise sums"),
     "max_query_length": dict(type=int, help="reject queries longer than this (remote models)"),
     "prune": dict(action="store_true", help="drop unreachable states when loading automata"),
@@ -101,6 +101,9 @@ _FLAGS = {
     "out": dict(help="output path (stdout when omitted)"),
     "bound": dict(type=int, default=21),
 }
+
+#: Flags only a remote model reads; none has a default, so a value is one given.
+_REMOTE_FLAGS = ("alphabet", "timeout", "renormalize", "max_query_length")
 
 _BOOLEAN_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -181,26 +184,23 @@ def _required(value, flag: str):
 def _resolve_model(args) -> tuple[LanguageModel, Pdfa | None]:
     """Model source -> (language model, backing PDFA when there is one)."""
     source = _required(args.model, "--model")
+    remote = {dest: value for dest in _REMOTE_FLAGS if (value := getattr(args, dest)) is not None}
+    if source.startswith(("http://", "https://")):
+        symbols = tuple(s for s in remote.pop("alphabet", "").split(",") if s)
+        if not symbols:
+            raise _config_error("remote models need --alphabet sym1,sym2,...")
+        try:
+            return RemoteModel(source, Alphabet(symbols), **remote), None
+        except ValueError as exc:
+            raise _config_error(str(exc)) from None
+    if remote:
+        names = ", ".join("--" + dest.replace("_", "-") for dest in remote)
+        raise _config_error(f"{source!r} is no remote (http/https) model; drop {names}")
     if source.startswith("builtin:"):
         try:
             return synthetic_model(source.split(":", 1)[1]), None
         except ValueError as exc:
             raise _config_error(str(exc)) from None
-    if source.startswith(("http://", "https://")):
-        symbols = tuple(s for s in (args.alphabet or "").split(",") if s)
-        if not symbols:
-            raise _config_error("remote models need --alphabet sym1,sym2,...")
-        try:
-            model = RemoteModel(
-                source,
-                Alphabet(symbols),
-                timeout=args.timeout,
-                renormalize=args.renormalize,
-                max_query_length=args.max_query_length,
-            )
-        except ValueError as exc:
-            raise _config_error(str(exc)) from None
-        return model, None
     pdfa = _load(source, args.prune, pdfa_from_json)
     return PdfaLanguageModel(pdfa), pdfa
 

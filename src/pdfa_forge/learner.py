@@ -26,7 +26,7 @@ from .automata import QuotientPdfa
 from .distributions import Distribution
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, signature
-from .words import EMPTY, Word, word_key
+from .words import EMPTY, Word, shortlex_rank, word_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .teacher import EqOracle
@@ -60,9 +60,12 @@ class ObservationTable:
     The table maintains its structure instead of recomputing it, so its
     bookkeeping grows linearly with the cells:
 
-    - RED and BLUE are kept in length-lexicographic order by binary insertion;
-      BLUE is also kept as a set. Each word's length-lex key is stored when it
-      enters the table: a BLUE word's key is derived from its parent's, so
+    - RED and BLUE are kept in length-lexicographic order, each beside the
+      sorted list of its words' shortlex ranks (``words.shortlex_rank``), so
+      binary search compares ints; BLUE is also kept as a set. Each word's
+      rank is stored when it enters the table. The continuations of a word
+      of rank ``r`` over ``k`` symbols have the consecutive ranks
+      ``k·r + 1 … k·r + k``, so they enter BLUE as one block, and
       ``word_key`` runs only for the empty word.
     - There is one cell store: the table's ``CachedModel``. A cell's
       distribution is the cached answer to its word, read with ``peek``
@@ -74,8 +77,10 @@ class ObservationTable:
       ``bytes`` object.
     - The class index maps each row signature to its RED rows in
       length-lexicographic order. ``red_class_count`` is a lookup in it, and
-      ``consistent`` visits only classes of two or more rows.
-    - The unmatched index is a length-lexicographic heap of BLUE rows that
+      ``consistent`` returns at once when every class has one row (as RED
+      only grows by closing), and otherwise visits only classes of two or
+      more rows.
+    - The unmatched index is a heap of ``(rank, word)`` pairs of BLUE rows that
       matched no RED row when they were filed: a new BLUE row when its RED
       parent is indexed, every unmatched BLUE row when new columns rebuild
       it. A row promoted or matched since is dropped when it reaches the
@@ -109,14 +114,18 @@ class ObservationTable:
         self.suffixes: list[Word] = [EMPTY]
         self._blue: list[Word] = []
         self._blue_set: set[Word] = set()
-        # Length-lex key of every RED and BLUE word. Bisecting through the
-        # dict's own method keeps the table free of reference cycles.
-        self._keys: dict[Word, tuple[int, tuple[int, ...]]] = {}
+        self._k = len(self._alphabet.symbols)
+        # Shortlex rank of every RED and BLUE word, and the ranks of RED and
+        # BLUE in order. Sorting through the dict's own method keeps the
+        # table free of reference cycles.
+        self._keys: dict[Word, int] = {}
         self._key = self._keys.__getitem__
+        self._red_ranks: list[int] = []
+        self._blue_ranks: list[int] = []
         self._n_cells = 0
         self._rows: dict[Word, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[Word]] = {}
-        self._unmatched: list[tuple[tuple[int, tuple[int, ...]], Word]] = []
+        self._unmatched: list[tuple[int, Word]] = []
         self._pool: dict[bytes, bytes] = {}
         # Pooled signature per distinct queried distribution.
         self._sigs: dict[Distribution, bytes] = {}
@@ -162,7 +171,9 @@ class ObservationTable:
         model has answered, and the cell counter counts them. The row cache
         and the class index must equal their recomputation from the cells,
         and the unmatched index must be a heap whose live rows are exactly
-        the unmatched BLUE rows.
+        the unmatched BLUE rows. Every cached rank must equal the rank of
+        the word's ``word_key``, and the RED and BLUE rank lists must be
+        the words' ranks, strictly increasing.
         """
         red = set(self.red)
         if EMPTY not in red:
@@ -181,6 +192,9 @@ class ObservationTable:
         if self._blue_set != expected_blue:
             raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
         length_lex = lambda w: word_key(alphabet, w)  # noqa: E731
+        keys = self._keys
+        if keys.keys() != red | expected_blue:
+            raise LearnerInvariantError("the ranked words are not RED and BLUE")
         if self.red != sorted(red, key=length_lex):
             raise LearnerInvariantError("RED is not a length-lex ordered set")
         if self._blue != sorted(expected_blue, key=length_lex):
@@ -196,8 +210,12 @@ class ObservationTable:
             row = tuple(signature(dist, self.equivalence) for dist in cells)
             if self._rows.get(p) != row:
                 raise LearnerInvariantError(f"cached row of {p!r} is stale")
-            if self._keys.get(p) != length_lex(p):
-                raise LearnerInvariantError(f"cached key of {p!r} is stale")
+            if keys[p] != shortlex_rank(self._k, length_lex(p)):
+                raise LearnerInvariantError(f"cached rank of {p!r} is stale")
+        for name, words, ranks in (("RED", self.red, self._red_ranks),
+                                   ("BLUE", self._blue, self._blue_ranks)):
+            if ranks != [keys[p] for p in words] or any(map(int.__ge__, ranks, ranks[1:])):
+                raise LearnerInvariantError(f"the {name} rank list is stale")
         if self._n_cells != (len(self.red) + len(self._blue)) * len(self.suffixes):
             raise LearnerInvariantError("the cell count is stale")
         classes: dict[tuple[bytes, ...], list[Word]] = {}
@@ -208,7 +226,7 @@ class ObservationTable:
         heap = self._unmatched
         live = [
             p for key, p in sorted(heap)
-            if p in self._blue_set and self._rows[p] not in classes and key == self._keys[p]
+            if p in self._blue_set and self._rows[p] not in classes and key == keys[p]
         ]
         if live != [p for p in self._blue if self._rows[p] not in classes] or any(
             heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))
@@ -218,48 +236,56 @@ class ObservationTable:
     # -- maintenance -------------------------------------------------------
 
     def _promote(self, prefix: Word) -> list[Word]:
-        """Move ``prefix`` to RED and its new continuations to BLUE.
+        """Move ``prefix`` to RED and its continuations to BLUE.
 
         Returns the words that entered the table and still need a row.
+        ``prefix`` was not RED, so none of its continuations is RED or BLUE.
         """
-        keys = self._keys
-        new: list[Word] = []
-        if prefix in self._blue_set:
-            self._blue_set.remove(prefix)
-            del self._blue[bisect_left(self._blue, keys[prefix], key=self._key)]
+        keys, k = self._keys, self._k
+        rank = keys.get(prefix)
+        if rank is None:
+            rank = keys[prefix] = shortlex_rank(k, word_key(self._alphabet, prefix))
+            new = [prefix]
         else:
-            keys[prefix] = word_key(self._alphabet, prefix)
-            new.append(prefix)
-        insort(self.red, prefix, key=self._key)
-        length, indices = keys[prefix]
-        for i, symbol in enumerate(self._alphabet.symbols):
-            word = prefix + (symbol,)
-            if word not in keys:
-                keys[word] = (length + 1, indices + (i,))
-                self._blue_set.add(word)
-                insort(self._blue, word, key=self._key)
-                new.append(word)
-        return new
+            self._blue_set.remove(prefix)
+            i = bisect_left(self._blue_ranks, rank)
+            del self._blue[i], self._blue_ranks[i]
+            new = []
+        i = bisect_left(self._red_ranks, rank)
+        self.red.insert(i, prefix)
+        self._red_ranks.insert(i, rank)
+        children = [prefix + (symbol,) for symbol in self._alphabet.symbols]
+        first = k * rank + 1
+        ranks = range(first, first + k)
+        keys.update(zip(children, ranks))
+        self._blue_set.update(children)
+        i = bisect_left(self._blue_ranks, first)
+        self._blue[i:i] = children
+        self._blue_ranks[i:i] = ranks
+        return new + children
 
     def _index(self, prefix: Word) -> None:
         """Add a filled RED row to the class index, and file its
         continuations that match no RED row in the unmatched index (they
         are new, so BLUE)."""
-        rows, classes, keys = self._rows, self._classes, self._keys
+        rows, classes = self._rows, self._classes
         insort(classes.setdefault(rows[prefix], []), prefix, key=self._key)
-        for symbol in self._alphabet.symbols:
+        first = self._k * self._keys[prefix] + 1
+        for rank, symbol in enumerate(self._alphabet.symbols, first):
             word = prefix + (symbol,)
             if rows[word] not in classes:
-                heappush(self._unmatched, (keys[word], word))
+                heappush(self._unmatched, (rank, word))
 
     def _reindex(self) -> None:
         """Rebuild the class and unmatched indexes after new columns."""
-        rows, keys = self._rows, self._keys
+        rows = self._rows
         self._classes = classes = {}
         for p in self.red:
             classes.setdefault(rows[p], []).append(p)
-        # BLUE is in length-lex order, so the list is sorted: a heap.
-        self._unmatched = [(keys[p], p) for p in self._blue if rows[p] not in classes]
+        # BLUE is in rank order, so the list is sorted: a heap.
+        self._unmatched = [
+            (rank, p) for rank, p in zip(self._blue_ranks, self._blue) if rows[p] not in classes
+        ]
 
     # -- filling -----------------------------------------------------------
 
@@ -330,10 +356,10 @@ class ObservationTable:
         """Promote an unmatched BLUE row to RED and query its continuations."""
         if offender not in self._blue_set:
             raise ValueError(f"offender {offender!r} is not a BLUE row")
-        before = self.red_class_count()
+        before = len(self._classes)
         self._fill_rows(self._promote(offender))
         self._index(offender)
-        if self.red_class_count() <= before:
+        if len(self._classes) <= before:
             raise LearnerInvariantError("closing must add a new RED row class")
 
     def consistent(self) -> tuple[bool, ConsistencyDefect | None]:
@@ -346,6 +372,8 @@ class ObservationTable:
         first, no two rows differ, so the first defect pairs the first row
         with a later one, as a scan of all pairs would find.
         """
+        if len(self._classes) == len(self.red):
+            return True, None  # every class has one row
         symbols = self._alphabet.symbols
         rows = self._rows
         shared = [members for members in self._classes.values() if len(members) > 1]
@@ -420,15 +448,11 @@ class ObservationTable:
         if not ok:
             raise ValueError(f"table is not consistent ({defect!r})")
 
-        # RED is in length-lex order, so classes are numbered by their first
-        # row in that order, as ``red_classes`` orders them.
+        # Classes are numbered by their first row in length-lex order, as
+        # ``red_classes`` orders them.
         rows = self._rows
-        class_id: dict[tuple[bytes, ...], int] = {}
-        representatives: list[Word] = []
-        for p in self.red:
-            if rows[p] not in class_id:
-                class_id[rows[p]] = len(class_id)
-                representatives.append(p)
+        representatives = sorted([members[0] for members in self._classes.values()], key=self._key)
+        class_id = {rows[p]: i for i, p in enumerate(representatives)}
 
         # Each class's transitions come from its first row; the other rows
         # of a class, if any, must agree with them.
@@ -464,8 +488,9 @@ class ObservationTable:
 
         Every RED prefix must run to its own row class, and running any
         prefix+suffix must land in the class of the queried distribution.
-        RED is prefix-closed and in length-lex order, so each prefix's state
-        is one step from its parent's. The suffixes are checked column-wise:
+        RED is prefix-closed and in rank order, so each prefix's state is one
+        step from its parent's, which has rank ``(rank - 1) // k`` and is left
+        by symbol ``(rank - 1) % k``. The suffixes are checked column-wise:
         ``after[s][q]``, the class signature reached by reading ``s`` from
         state ``q``, is ``after[s[1:]][δ(q, s[0])]`` for all states in one
         pass (a tail that is not a column is computed on demand), and each
@@ -488,15 +513,20 @@ class ObservationTable:
 
         # expected[q]: the row a RED prefix reaching state q must have.
         expected = list(zip(*map(signatures_after, self.suffixes)))
-        columns = self._alphabet.columns
-        state_of: dict[Word, int] = {}
-        for p in self.red:
-            state = transitions[state_of[p[:-1]]][columns[p[-1]]] if p else hypothesis.initial
-            state_of[p] = state
-            if state != class_id[rows[p]]:
+        k = self._k
+        state_of: dict[int, int] = {}  # by rank
+        for p, rank in zip(self.red, self._red_ranks):
+            if rank:
+                parent, column = divmod(rank - 1, k)
+                state = transitions[state_of[parent]][column]
+            else:
+                state = hypothesis.initial
+            state_of[rank] = state
+            row = rows[p]
+            if state != class_id[row]:
                 raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
-            if expected[state] != rows[p]:
-                s = next(s for s, a, b in zip(self.suffixes, expected[state], rows[p]) if a != b)
+            if expected[state] != row:
+                s = next(s for s, a, b in zip(self.suffixes, expected[state], row) if a != b)
                 raise LearnerInvariantError(
                     f"hypothesis class after {p + s!r} disagrees with the table"
                 )

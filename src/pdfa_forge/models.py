@@ -323,7 +323,10 @@ class RemoteModel(LanguageModel):
         self.endpoint = endpoint.rstrip("/")
         self._alphabet = alphabet
         env_ms = os.environ.get(TIMEOUT_ENV_VAR)
-        self.timeout = float(env_ms) / 1000.0 if env_ms else timeout
+        try:
+            self.timeout = float(env_ms) / 1000.0 if env_ms else timeout
+        except ValueError:
+            raise ValueError(f"{TIMEOUT_ENV_VAR}={env_ms} is not a number of milliseconds") from None
         if not 0 < self.timeout < math.inf:
             source = f"{TIMEOUT_ENV_VAR}={env_ms}" if env_ms else f"timeout={timeout!r}"
             raise ValueError(f"the request timeout must be positive and finite, got {source}")

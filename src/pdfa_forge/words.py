@@ -25,6 +25,19 @@ def word_key(alphabet: Alphabet, word: Word) -> tuple[int, tuple[int, ...]]:
         raise alphabet._mismatch(missing.args[0]) from None
 
 
+def shortlex_rank(n_symbols: int, key: tuple[int, tuple[int, ...]]) -> int:
+    """A word's position in length-lexicographic order, from its ``word_key``.
+
+    ``rank(ε) = 0`` and ``rank(w·aᵢ) = k·rank(w) + i + 1`` over ``k``
+    symbols (bijective base-``k`` numeration), so ranks order words exactly
+    as their keys do; Python ints never overflow.
+    """
+    rank = 0
+    for i in key[1]:
+        rank = n_symbols * rank + i + 1
+    return rank
+
+
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All words of length <= max_len in length-lexicographic order."""
     for length in range(max_len + 1):

@@ -371,6 +371,42 @@ class TestOptionTable:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["fixture:fig3a", "builtin:m1", "file"])
+    @pytest.mark.parametrize("flags, named", [
+        (("--alphabet", "zz", "--timeout", "-5", "--max-query-length", "0"),
+         "--alphabet, --timeout, --max-query-length"),
+        (("--renormalize",), "--renormalize"),
+        (("--timeout", "10"), "--timeout"),
+    ])
+    def test_learn_rejects_remote_model_flags_for_other_models(
+        self, tmp_path, capsys, model, flags, named
+    ):
+        # The run would ignore them, even values a remote model rejects.
+        if model == "file":
+            model = str(tmp_path / "fig3a.json")
+            (tmp_path / "fig3a.json").write_text(json.dumps(fixture_json("fig3a")))
+        out = tmp_path / "out"
+        code = run_cli("learn", "--model", model, "--equiv", "quant:7", "--eq", "exhaustive:3",
+                       *flags, out_dir=out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model!r} is no remote (http/https) model; drop {named}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "alphabet = a", "timeout = 3", "renormalize = no", "max_query_length = 5",
+    ])
+    def test_learn_rejects_remote_model_config_keys_for_other_models(
+        self, tmp_path, capsys, line
+    ):
+        config = self.write_config(tmp_path, line + "\n")
+        code = run_cli("--config", config, "learn", "--model", "fixture:fig3a",
+                       "--equiv", "quant:7", out_dir=tmp_path / "out")
+        assert code == 1
+        flag = "--" + line.split(" =")[0].replace("_", "-")
+        assert capsys.readouterr().err.endswith(f"drop {flag}\n")
+
     def test_key_without_a_flag_is_unknown(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "max_len = 3\n")
         code = run_cli("--config", config, "compare", "fixture:fig2a", "fixture:fig2b")

@@ -184,6 +184,30 @@ class TestOneCellStore:
         with pytest.raises(LearnerInvariantError, match="cell count"):
             table.validate()
 
+    @staticmethod
+    def learned_table():
+        target = random_pdfa(random.Random(99), max_states=30, min_states=10, min_symbols=3)
+        table = ObservationTable(PdfaLanguageModel(target), EXACT)
+        for _ in hypotheses(table, ExactOracle(target, EXACT)):
+            pass
+        return table
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda t: t._red_ranks.__setitem__(slice(1, 3), t._red_ranks[2:0:-1]), "RED rank list"),
+        (lambda t: t._red_ranks.__setitem__(-1, t._red_ranks[-1] + 1), "RED rank list"),
+        (lambda t: t._blue_ranks.__setitem__(slice(0, 2), t._blue_ranks[1::-1]), "BLUE rank list"),
+        (lambda t: t._blue_ranks.pop(), "BLUE rank list"),
+        (lambda t: t._keys.__setitem__(t.blue[0], t._keys[t.blue[0]] + 1), "cached rank"),
+        (lambda t: t._keys.__setitem__(t.red[-1], t._keys[t.blue[-1]]), "cached rank"),
+        (lambda t: t._keys.__setitem__(("z", "z"), 0), "ranked words"),
+    ])
+    def test_validate_detects_a_stale_rank(self, corrupt, message):
+        table = self.learned_table()
+        table.validate()
+        corrupt(table)
+        with pytest.raises(LearnerInvariantError, match=message):
+            table.validate()
+
     def test_only_the_empty_word_needs_word_key(self, monkeypatch):
         # Every other word's key is derived from its parent's; ``validate``
         # recomputes them all, so it runs with the original.

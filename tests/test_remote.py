@@ -173,16 +173,13 @@ class TestClientConfiguration:
         with pytest.raises(ValueError):
             RemoteModel(**{"endpoint": "http://127.0.0.1:9", "alphabet": AB, **option})
 
-    def test_non_positive_timeout_from_the_environment_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "0")
-        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
-            RemoteModel("http://127.0.0.1:9", AB)
-
-    def test_infinite_timeout_from_the_environment_is_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["0", "inf", "nan", "abc"])
+    def test_bad_timeout_from_the_environment_is_rejected(self, monkeypatch, value):
         # An infinite socket timeout would only fail at the first query, with
-        # an OverflowError rather than a RemoteModelError.
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "inf")
-        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
+        # an OverflowError rather than a RemoteModelError. Each message names
+        # the variable, a non-number's too (not a bare float() error).
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, value)
+        with pytest.raises(ValueError, match=f"{TIMEOUT_ENV_VAR}={value}"):
             RemoteModel("http://127.0.0.1:9", AB)
 
     def test_smallest_valid_limits_are_accepted(self, lm_server):

@@ -1,7 +1,16 @@
 """Word enumeration, ordering, and rendering helpers."""
 
 from pdfa_forge import Alphabet
-from pdfa_forge.words import count_words, format_word, iter_words, prefixes, word_key
+import random
+
+from pdfa_forge.words import (
+    count_words,
+    format_word,
+    iter_words,
+    prefixes,
+    shortlex_rank,
+    word_key,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -18,6 +27,40 @@ def test_word_key_orders_by_length_then_alphabet():
     words = [("b",), (), ("a", "a"), ("a",)]
     ordered = sorted(words, key=lambda w: word_key(AB, w))
     assert ordered == [(), ("a",), ("b",), ("a", "a")]
+
+
+def check_ranks(alphabet, words):
+    """Ranks sort ``words`` as ``word_key`` does, and each continuation of a
+    word of rank ``r`` by the ``i``-th symbol has rank ``k·r + i + 1``."""
+    k = len(alphabet.symbols)
+    rank = {w: shortlex_rank(k, word_key(alphabet, w)) for w in words}
+    assert sorted(words, key=rank.__getitem__) == sorted(words, key=lambda w: word_key(alphabet, w))
+    assert len(set(rank.values())) == len(words)
+    for w in words:
+        for i, symbol in enumerate(alphabet.symbols):
+            assert shortlex_rank(k, word_key(alphabet, w + (symbol,))) == k * rank[w] + i + 1
+    return rank
+
+
+def test_shortlex_rank_is_the_position_in_length_lexicographic_order():
+    for k in (1, 2, 3):
+        alphabet = Alphabet(("a", "b", "c")[:k])
+        words = list(iter_words(alphabet, 6))
+        random.Random(k).shuffle(words)
+        rank = check_ranks(alphabet, words)
+        assert sorted(rank.values()) == list(range(len(words)))
+        assert rank[()] == 0
+
+
+def test_shortlex_rank_is_exact_far_beyond_64_bits():
+    alphabet = Alphabet([f"s{i}" for i in range(1000)])
+    rng = random.Random(5)
+    words = [tuple(rng.choice(alphabet.symbols) for _ in range(50)) for _ in range(200)]
+    # Shared prefixes, words one symbol shorter, and neighbours in the last symbol.
+    words += [w[:49] for w in words[:50]] + [w[:49] + (alphabet.symbols[0],) for w in words[:50]]
+    words = list(dict.fromkeys(words))
+    rank = check_ranks(alphabet, words)
+    assert min(rank.values()) > 2**64 * 1000**40
 
 
 def test_count_words_matches_enumeration():
