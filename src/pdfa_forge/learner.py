@@ -5,9 +5,10 @@ are candidate states, BLUE rows their one-symbol continuations, columns a
 suffix-closed set of distinguishing suffixes. Rows are compared through
 their *row signatures* (tuple of class signatures, one per suffix), never
 through pairwise predicates, so row equality is transitive by construction.
-Once the table is closed and consistent it folds into a hypothesis quotient
-PDFA which an equivalence oracle either accepts or refutes with a
-counterexample word.
+Rows and every index of the table are keyed by the words' integer shortlex
+ranks, and one dict maps each rank to its word. Once the table is closed
+and consistent it folds into a hypothesis quotient PDFA which an
+equivalence oracle either accepts or refutes with a counterexample word.
 
 Counterexamples are processed as by Rivest & Schapire (1993): a binary
 search over the word finds one distinguishing suffix, which becomes a new
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .automata import QuotientPdfa
 from .distributions import Distribution
-from .models import CachedModel, LanguageModel, cached
+from .models import CachedModel, LanguageModel, cached, require_limit
 from .relations import EquivalenceSpec, signature
 from .words import EMPTY, Word, shortlex_rank, word_key
 
@@ -57,34 +58,33 @@ class ConsistencyDefect:
 class ObservationTable:
     """RED/BLUE prefix rows times suffix columns of queried distributions.
 
-    The table maintains its structure instead of recomputing it, so its
-    bookkeeping grows linearly with the cells:
+    Every index of the table is keyed by shortlex rank
+    (``words.shortlex_rank``: ``rank(ε) = 0`` and
+    ``rank(w·aᵢ) = k·rank(w) + i + 1`` over ``k`` symbols), so no lookup
+    hashes a word. The children of rank ``r`` are ``k·r + 1 … k·r + k`` in
+    symbol order, and its parent is ``(r - 1) // k``. The table maintains
+    its structure instead of recomputing it, so its bookkeeping grows
+    linearly with the cells:
 
-    - RED and BLUE are kept in length-lexicographic order, each beside the
-      sorted list of its words' shortlex ranks (``words.shortlex_rank``), so
-      binary search compares ints; BLUE is also kept as a set. Each word's
-      rank is stored when it enters the table. The continuations of a word
-      of rank ``r`` over ``k`` symbols have the consecutive ranks
-      ``k·r + 1 … k·r + k``, so they enter BLUE as one block, and
+    - ``_word`` (rank → word) is the only store of words; ``red`` and
+      ``blue`` read it. RED and BLUE are sorted rank lists, BLUE also a
+      set. A promoted word's continuations enter BLUE as one block, and
       ``word_key`` runs only for the empty word.
     - There is one cell store: the table's ``CachedModel``. A cell's
       distribution is the cached answer to its word, read with ``peek``
       (no hit is counted), and a cell counter enforces ``max_cells``.
-    - The row cache holds one tuple of cell class signatures per RED or BLUE
-      prefix. Adding a column extends every tuple by one entry. A signature
-      is computed once per distinct distribution the model returns,
-      and identical signatures are pooled, so equal cells share one
-      ``bytes`` object.
-    - The class index maps each row signature to its RED rows in
-      length-lexicographic order. ``red_class_count`` is a lookup in it, and
-      ``consistent`` returns at once when every class has one row (as RED
-      only grows by closing), and otherwise visits only classes of two or
-      more rows.
-    - The unmatched index is a heap of ``(rank, word)`` pairs of BLUE rows that
-      matched no RED row when they were filed: a new BLUE row when its RED
-      parent is indexed, every unmatched BLUE row when new columns rebuild
-      it. A row promoted or matched since is dropped when it reaches the
-      top, so ``closed`` reads the heap's top instead of scanning BLUE.
+    - The row cache maps each rank to its tuple of cell class signatures,
+      which a new column extends by one entry. A signature is computed once
+      per distinct distribution the model returns and pooled, so equal
+      cells share one ``bytes`` object.
+    - The class index maps each row signature to its RED ranks in order.
+      ``red_class_count`` is a lookup in it, and ``consistent`` returns at
+      once when every class has one row (as RED only grows by closing).
+    - The unmatched index is a heap of the ranks of BLUE rows that matched
+      no RED row when they were filed: a new BLUE row when its RED parent
+      is indexed, every unmatched BLUE row when new columns rebuild it. A
+      row promoted or matched since is dropped when it reaches the top, so
+      ``closed`` reads the heap's top instead of scanning BLUE.
 
     Only new rows and new columns are filled, so each (prefix, suffix) cell
     is queried exactly once; each batch of new cells is filled in one loop,
@@ -92,9 +92,10 @@ class ObservationTable:
     ``TableLimitExceeded`` the table is left partly filled and must not be
     used further.
 
-    ``build_hypothesis`` takes each state's transitions from its class's
-    first RED row, compares the other rows of a class only when it has
-    some, and checks the hypothesis against the table column by column.
+    ``build_hypothesis`` numbers the classes by their first RED rows in rank
+    order, reads the transitions from those rows' children by rank, compares
+    the other rows of a class only when it has some, and checks the
+    hypothesis against the table column by column.
     """
 
     def __init__(
@@ -104,59 +105,71 @@ class ObservationTable:
         *,
         max_cells: int = 100_000,
     ):
-        if max_cells < 1:
-            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+        require_limit("max_cells", max_cells, 1)
         self.model: CachedModel = cached(model)
         self._alphabet = self.model.alphabet
         self.equivalence = equivalence
         self.max_cells = max_cells
-        self.red: list[Word] = []
         self.suffixes: list[Word] = [EMPTY]
-        self._blue: list[Word] = []
-        self._blue_set: set[Word] = set()
         self._k = len(self._alphabet.symbols)
-        # Shortlex rank of every RED and BLUE word, and the ranks of RED and
-        # BLUE in order. Sorting through the dict's own method keeps the
-        # table free of reference cycles.
-        self._keys: dict[Word, int] = {}
-        self._key = self._keys.__getitem__
-        self._red_ranks: list[int] = []
-        self._blue_ranks: list[int] = []
+        root = shortlex_rank(self._k, word_key(self._alphabet, EMPTY))
+        self._word: dict[int, Word] = {root: EMPTY}
+        self._red: list[int] = []
+        self._blue: list[int] = [root]  # until it is promoted, below
+        self._blue_set: set[int] = {root}
         self._n_cells = 0
-        self._rows: dict[Word, tuple[bytes, ...]] = {}
-        self._classes: dict[tuple[bytes, ...], list[Word]] = {}
-        self._unmatched: list[tuple[int, Word]] = []
+        self._rows: dict[int, tuple[bytes, ...]] = {}
+        self._classes: dict[tuple[bytes, ...], list[int]] = {}
+        self._unmatched: list[int] = []
         self._pool: dict[bytes, bytes] = {}
         # Pooled signature per distinct queried distribution.
         self._sigs: dict[Distribution, bytes] = {}
-        self._fill_rows(self._promote(EMPTY))
-        self._index(EMPTY)
+        self._fill_rows([root, *self._promote(root)])
+        self._index(root)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def red(self) -> list[Word]:
+        """The RED words in length-lexicographic order."""
+        return list(map(self._word.__getitem__, self._red))
+
+    @property
     def blue(self) -> list[Word]:
         """RED's one-symbol continuations that are not RED themselves."""
-        return list(self._blue)
+        return list(map(self._word.__getitem__, self._blue))
 
     def dimensions(self) -> tuple[int, int, int]:
-        return len(self.red), len(self._blue), len(self.suffixes)
+        return len(self._red), len(self._blue), len(self.suffixes)
+
+    def _rank(self, word: Word) -> int | None:
+        """The rank of ``word`` when it is a RED or BLUE word, else None."""
+        try:
+            columns = tuple(map(self._alphabet.columns.__getitem__, word))
+        except KeyError:
+            return None
+        rank = shortlex_rank(self._k, (len(word), columns))
+        return rank if rank in self._word else None
 
     def cell(self, prefix: Word, suffix: Word) -> Distribution:
         """The queried distribution of a cell; ``KeyError`` when
         ``(prefix, suffix)`` is no cell of the table, even if the model has
         answered ``prefix + suffix`` for someone else."""
-        if prefix not in self._rows or suffix not in self.suffixes:
+        if self._rank(prefix) is None or suffix not in self.suffixes:
             raise KeyError((prefix, suffix))
         return self.model.peek(prefix + suffix)
 
     def row_signature(self, prefix: Word) -> tuple[bytes, ...]:
-        return self._rows[prefix]
+        rank = self._rank(prefix)
+        if rank is None:
+            raise KeyError(prefix)
+        return self._rows[rank]
 
     def red_classes(self) -> dict[tuple[bytes, ...], list[Word]]:
         """RED rows grouped by row signature, in length-lex discovery order."""
-        ordered = sorted(self._classes.items(), key=lambda item: self._key(item[1][0]))
-        return {sig: list(rows) for sig, rows in ordered}
+        word_of = self._word.__getitem__
+        ordered = sorted(self._classes.items(), key=lambda item: item[1])
+        return {sig: list(map(word_of, ranks)) for sig, ranks in ordered}
 
     def red_class_count(self) -> int:
         return len(self._classes)
@@ -164,17 +177,26 @@ class ObservationTable:
     def validate(self) -> None:
         """Check the structural invariants; raises on violation.
 
-        RED is prefix-closed and contains the empty word, the suffix set is
-        suffix-closed and contains the empty word, BLUE is exactly RED's
-        uncovered one-symbol continuations, RED and BLUE are in
-        length-lexicographic order, every row has a cell per suffix that the
-        model has answered, and the cell counter counts them. The row cache
-        and the class index must equal their recomputation from the cells,
-        and the unmatched index must be a heap whose live rows are exactly
-        the unmatched BLUE rows. Every cached rank must equal the rank of
-        the word's ``word_key``, and the RED and BLUE rank lists must be
-        the words' ranks, strictly increasing.
+        The RED and BLUE rank lists increase strictly, the BLUE set is the
+        BLUE list, the stored words are exactly RED and BLUE, and each is
+        stored under the rank of its ``word_key``, so RED and BLUE are in
+        length-lex order. RED is prefix-closed, the suffixes suffix-closed,
+        both hold the empty word, BLUE is RED's uncovered continuations,
+        every row has a cell per suffix that the model has answered, and the
+        cell counter counts them. The row cache, the class index and the
+        unmatched heap's live ranks must equal their recomputation.
         """
+        alphabet, word_of, k = self._alphabet, self._word, self._k
+        for name, ranks in (("RED", self._red), ("BLUE", self._blue)):
+            if any(map(int.__ge__, ranks, ranks[1:])):
+                raise LearnerInvariantError(f"the {name} rank list is not strictly increasing")
+        if self._blue_set != set(self._blue):
+            raise LearnerInvariantError("the BLUE rank set is stale")
+        if word_of.keys() != {*self._red, *self._blue}:
+            raise LearnerInvariantError("the stored words are not RED and BLUE")
+        for rank, word in word_of.items():
+            if not alphabet.spells(word) or shortlex_rank(k, word_key(alphabet, word)) != rank:
+                raise LearnerInvariantError(f"the stored word of rank {rank} is stale")
         red = set(self.red)
         if EMPTY not in red:
             raise LearnerInvariantError("the empty word must be RED")
@@ -187,105 +209,73 @@ class ObservationTable:
         for s in suffixes:
             if s and s[1:] not in suffixes:
                 raise LearnerInvariantError(f"suffixes are not suffix-closed at {s!r}")
-        alphabet = self.model.alphabet
         expected_blue = {p + (symbol,) for p in red for symbol in alphabet.symbols} - red
-        if self._blue_set != expected_blue:
+        if set(self.blue) != expected_blue:
             raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
-        length_lex = lambda w: word_key(alphabet, w)  # noqa: E731
-        keys = self._keys
-        if keys.keys() != red | expected_blue:
-            raise LearnerInvariantError("the ranked words are not RED and BLUE")
-        if self.red != sorted(red, key=length_lex):
-            raise LearnerInvariantError("RED is not a length-lex ordered set")
-        if self._blue != sorted(expected_blue, key=length_lex):
-            raise LearnerInvariantError("BLUE is not in length-lex order")
-        peek = self.model.peek
-        for p in self.red + self._blue:
-            cells = []
+        peek, rows = self.model.peek, self._rows
+        for rank in self._red + self._blue:
+            p, cells = word_of[rank], []
             for s in self.suffixes:
                 try:
                     cells.append(peek(p + s))
                 except KeyError:
                     raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is missing") from None
-            row = tuple(signature(dist, self.equivalence) for dist in cells)
-            if self._rows.get(p) != row:
+            if rows.get(rank) != tuple(signature(dist, self.equivalence) for dist in cells):
                 raise LearnerInvariantError(f"cached row of {p!r} is stale")
-            if keys[p] != shortlex_rank(self._k, length_lex(p)):
-                raise LearnerInvariantError(f"cached rank of {p!r} is stale")
-        for name, words, ranks in (("RED", self.red, self._red_ranks),
-                                   ("BLUE", self._blue, self._blue_ranks)):
-            if ranks != [keys[p] for p in words] or any(map(int.__ge__, ranks, ranks[1:])):
-                raise LearnerInvariantError(f"the {name} rank list is stale")
-        if self._n_cells != (len(self.red) + len(self._blue)) * len(self.suffixes):
+        if len(rows) != len(word_of):
+            raise LearnerInvariantError("the row cache holds a row of no RED or BLUE word")
+        if self._n_cells != len(word_of) * len(self.suffixes):
             raise LearnerInvariantError("the cell count is stale")
-        classes: dict[tuple[bytes, ...], list[Word]] = {}
-        for p in self.red:
-            classes.setdefault(self._rows[p], []).append(p)
+        classes: dict[tuple[bytes, ...], list[int]] = {}
+        for rank in self._red:
+            classes.setdefault(rows[rank], []).append(rank)
         if self._classes != classes:
             raise LearnerInvariantError("the RED class index is stale")
         heap = self._unmatched
-        live = [
-            p for key, p in sorted(heap)
-            if p in self._blue_set and self._rows[p] not in classes and key == keys[p]
-        ]
-        if live != [p for p in self._blue if self._rows[p] not in classes] or any(
+        live = [r for r in sorted(heap) if r in self._blue_set and rows[r] not in classes]
+        if live != [r for r in self._blue if rows[r] not in classes] or any(
             heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))
         ):
             raise LearnerInvariantError("the unmatched BLUE index is stale")
 
     # -- maintenance -------------------------------------------------------
 
-    def _promote(self, prefix: Word) -> list[Word]:
-        """Move ``prefix`` to RED and its continuations to BLUE.
+    def _promote(self, rank: int) -> range:
+        """Move a BLUE rank to RED and its continuations to BLUE.
 
-        Returns the words that entered the table and still need a row.
-        ``prefix`` was not RED, so none of its continuations is RED or BLUE.
+        Returns the continuations' ranks, which still need rows. The word
+        was not RED, so none of its continuations is RED or BLUE.
         """
-        keys, k = self._keys, self._k
-        rank = keys.get(prefix)
-        if rank is None:
-            rank = keys[prefix] = shortlex_rank(k, word_key(self._alphabet, prefix))
-            new = [prefix]
-        else:
-            self._blue_set.remove(prefix)
-            i = bisect_left(self._blue_ranks, rank)
-            del self._blue[i], self._blue_ranks[i]
-            new = []
-        i = bisect_left(self._red_ranks, rank)
-        self.red.insert(i, prefix)
-        self._red_ranks.insert(i, rank)
-        children = [prefix + (symbol,) for symbol in self._alphabet.symbols]
-        first = k * rank + 1
-        ranks = range(first, first + k)
-        keys.update(zip(children, ranks))
+        self._blue_set.remove(rank)
+        del self._blue[bisect_left(self._blue, rank)]
+        insort(self._red, rank)
+        word, first = self._word[rank], self._k * rank + 1
+        children = range(first, first + self._k)
+        self._word.update(zip(children, [word + (symbol,) for symbol in self._alphabet.symbols]))
         self._blue_set.update(children)
-        i = bisect_left(self._blue_ranks, first)
+        i = bisect_left(self._blue, first)
         self._blue[i:i] = children
-        self._blue_ranks[i:i] = ranks
-        return new + children
+        return children
 
-    def _index(self, prefix: Word) -> None:
+    def _index(self, rank: int) -> None:
         """Add a filled RED row to the class index, and file its
         continuations that match no RED row in the unmatched index (they
         are new, so BLUE)."""
         rows, classes = self._rows, self._classes
-        insort(classes.setdefault(rows[prefix], []), prefix, key=self._key)
-        first = self._k * self._keys[prefix] + 1
-        for rank, symbol in enumerate(self._alphabet.symbols, first):
-            word = prefix + (symbol,)
-            if rows[word] not in classes:
-                heappush(self._unmatched, (rank, word))
+        insort(classes.setdefault(rows[rank], []), rank)
+        first = self._k * rank + 1
+        for child in range(first, first + self._k):
+            if rows[child] not in classes:
+                heappush(self._unmatched, child)
 
     def _reindex(self) -> None:
         """Rebuild the class and unmatched indexes after new columns."""
         rows = self._rows
         self._classes = classes = {}
-        for p in self.red:
-            classes.setdefault(rows[p], []).append(p)
+        for rank in self._red:
+            classes.setdefault(rows[rank], []).append(rank)
         # BLUE is in rank order, so the list is sorted: a heap.
-        self._unmatched = [
-            (rank, p) for rank, p in zip(self._blue_ranks, self._blue) if rows[p] not in classes
-        ]
+        self._unmatched = [rank for rank in self._blue if rows[rank] not in classes]
 
     # -- filling -----------------------------------------------------------
 
@@ -301,14 +291,14 @@ class ObservationTable:
         """Query ``word`` outside the table and return its class signature."""
         return self._signature(self.model.query(word))
 
-    def _query_cells(self, prefixes: list[Word], suffixes: list[Word]) -> list[tuple[bytes, ...]]:
-        """Query the new cells ``prefixes × suffixes`` row by row, in one loop.
+    def _query_cells(self, ranks: list[int], suffixes: list[Word]) -> list[tuple[bytes, ...]]:
+        """Query the new cells ``ranks × suffixes`` row by row, in one loop.
 
-        Returns each prefix's pooled class signatures, one per suffix. When
+        Returns each row's pooled class signatures, one per suffix. When
         the cells do not fit the cell budget, the ones that fit are queried,
         in the same order, before ``TableLimitExceeded`` is raised.
         """
-        words = [p + s for p in prefixes for s in suffixes]
+        words = [p + s for p in map(self._word.__getitem__, ranks) for s in suffixes]
         room = self.max_cells - self._n_cells
         over = len(words) > room
         if over:
@@ -327,17 +317,17 @@ class ObservationTable:
             )
         return list(zip(*[iter(out)] * len(suffixes)))
 
-    def _fill_rows(self, prefixes: list[Word]) -> None:
+    def _fill_rows(self, ranks: list[int]) -> None:
         """Query every column of new rows, row by row in the given order."""
-        self._rows.update(zip(prefixes, self._query_cells(prefixes, self.suffixes)))
+        self._rows.update(zip(ranks, self._query_cells(ranks, self.suffixes)))
 
     def _add_columns(self, suffixes: list[Word]) -> None:
         """Append new columns and fill them row by row; ``_reindex`` follows."""
         self.suffixes += suffixes
-        prefixes = self.red + self._blue
+        ranks = self._red + self._blue
         rows = self._rows
-        for p, cells in zip(prefixes, self._query_cells(prefixes, suffixes)):
-            rows[p] += cells
+        for rank, cells in zip(ranks, self._query_cells(ranks, suffixes)):
+            rows[rank] += cells
 
     # -- closedness and consistency ----------------------------------------
 
@@ -346,19 +336,20 @@ class ObservationTable:
         length-lex first offender."""
         heap, blue, rows, classes = self._unmatched, self._blue_set, self._rows, self._classes
         while heap:
-            word = heap[0][1]
-            if word in blue and rows[word] not in classes:
-                return False, word
+            rank = heap[0]
+            if rank in blue and rows[rank] not in classes:
+                return False, self._word[rank]
             heappop(heap)  # promoted or matched since it was filed
         return True, None
 
     def close_step(self, offender: Word) -> None:
         """Promote an unmatched BLUE row to RED and query its continuations."""
-        if offender not in self._blue_set:
+        rank = self._rank(offender)
+        if rank not in self._blue_set:
             raise ValueError(f"offender {offender!r} is not a BLUE row")
         before = len(self._classes)
-        self._fill_rows(self._promote(offender))
-        self._index(offender)
+        self._fill_rows(self._promote(rank))
+        self._index(rank)
         if len(self._classes) <= before:
             raise LearnerInvariantError("closing must add a new RED row class")
 
@@ -372,21 +363,17 @@ class ObservationTable:
         first, no two rows differ, so the first defect pairs the first row
         with a later one, as a scan of all pairs would find.
         """
-        if len(self._classes) == len(self.red):
+        if len(self._classes) == len(self._red):
             return True, None  # every class has one row
-        symbols = self._alphabet.symbols
-        rows = self._rows
-        shared = [members for members in self._classes.values() if len(members) > 1]
-        shared.sort(key=lambda members: self._key(members[0]))
-        for first, *others in shared:
+        rows, k, word_of = self._rows, self._k, self._word
+        # Lists of distinct ranks sort by their first ranks.
+        for first, *others in sorted(m for m in self._classes.values() if len(m) > 1):
             for other in others:
-                for symbol in symbols:
-                    sig1 = rows[first + (symbol,)]
-                    sig2 = rows[other + (symbol,)]
+                for i, symbol in enumerate(self._alphabet.symbols, 1):
+                    sig1, sig2 = rows[k * first + i], rows[k * other + i]
                     if sig1 != sig2:
-                        for s, a, b in zip(self.suffixes, sig1, sig2):
-                            if a != b:
-                                return False, ConsistencyDefect(first, other, symbol, s)
+                        s = next(s for s, a, b in zip(self.suffixes, sig1, sig2) if a != b)
+                        return False, ConsistencyDefect(word_of[first], word_of[other], symbol, s)
         return True, None
 
     def consistent_step(self, defect: ConsistencyDefect) -> None:
@@ -411,30 +398,36 @@ class ObservationTable:
         ``word[i+1:]`` then separates the row ``u_i + word[i]`` from
         ``u_{i+1}``, so it becomes a column, with whichever of its tails are
         missing (shortest first). RED is unchanged, and the separated row
-        matches no RED row, so the next closing step adds a class.
+        matches no RED row, so the next closing step adds a class. A symbol
+        outside the alphabet raises ``AlphabetMismatch`` before any query.
         """
         ok, offender = self.closed()
         if not ok:
             raise ValueError(f"table is not closed (offending row {offender!r})")
-        access = [EMPTY]
-        for symbol in word:
-            access.append(self._classes[self._rows[access[-1] + (symbol,)]][0])
-        h = self._rows[access[-1]][0]
+        try:
+            columns = list(map(self._alphabet.columns.__getitem__, word))
+        except KeyError as missing:
+            raise self._alphabet._mismatch(missing.args[0]) from None
+        rows, classes, k = self._rows, self._classes, self._k
+        access = [0]  # the ranks of u_0 … u_n
+        for column in columns:
+            access.append(classes[rows[k * access[-1] + column + 1]][0])
+        h = rows[access[-1]][0]
         if self._class_of(word) == h:
             raise ValueError(f"the table already classifies {word!r} correctly")
         lo, hi = 0, len(word)  # α(lo) ≠ h = α(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._class_of(access[mid] + word[mid:]) == h:
+            if self._class_of(self._word[access[mid]] + word[mid:]) == h:
                 hi = mid
             else:
                 lo = mid
         suffix = word[hi:]
         self._add_columns(
-            [suffix[k:] for k in reversed(range(len(suffix))) if suffix[k:] not in self.suffixes]
+            [suffix[i:] for i in reversed(range(len(suffix))) if suffix[i:] not in self.suffixes]
         )
         self._reindex()
-        if self._rows[access[lo] + (word[lo],)] in self._classes:
+        if rows[k * access[lo] + columns[lo] + 1] in self._classes:
             raise LearnerInvariantError("the counterexample must leave a row unmatched")
 
     # -- hypothesis construction ---------------------------------------------
@@ -448,33 +441,37 @@ class ObservationTable:
         if not ok:
             raise ValueError(f"table is not consistent ({defect!r})")
 
-        # Classes are numbered by their first row in length-lex order, as
+        # Classes are numbered by their first row in rank order, as
         # ``red_classes`` orders them.
-        rows = self._rows
-        representatives = sorted([members[0] for members in self._classes.values()], key=self._key)
-        class_id = {rows[p]: i for i, p in enumerate(representatives)}
+        rows, classes, k = self._rows, self._classes, self._k
+        representatives = sorted([members[0] for members in classes.values()])
+        rep_rows = list(map(rows.__getitem__, representatives))
+        class_id = dict(zip(rep_rows, range(len(rep_rows))))
 
-        # Each class's transitions come from its first row; the other rows
-        # of a class, if any, must agree with them.
-        symbols = self._alphabet.symbols
-
-        def successor_classes(p: Word) -> tuple[int, ...]:
+        def successor_classes(ranks) -> tuple[int, ...]:
             try:
-                return tuple([class_id[rows[p + (symbol,)]] for symbol in symbols])
+                return tuple(map(class_id.__getitem__, map(rows.__getitem__, ranks)))
             except KeyError:
                 raise LearnerInvariantError("closedness violated during build") from None
 
-        transitions = list(map(successor_classes, representatives))
-        for sig, members in self._classes.items():
-            for p in members[1:]:
-                if successor_classes(p) != transitions[class_id[sig]]:
+        # Symbol i leads from rank r to rank k·r + i + 1: one column per
+        # symbol, read in C. With no symbols, every state has an empty row.
+        starts = [k * r + 1 for r in representatives]
+        columns = [successor_classes(map(i.__add__, starts)) for i in range(k)]
+        transitions = list(zip(*columns)) or [()] * len(starts)
+        # The other rows of a class, if any, must agree with its first.
+        for members in classes.values():
+            for r in members[1:]:
+                seen = successor_classes(range(k * r + 1, k * r + k + 1))
+                if seen != transitions[class_id[rows[r]]]:
                     raise LearnerInvariantError("consistency violated during build")
 
+        word_of = self._word.__getitem__
         hypothesis = QuotientPdfa(
             alphabet=self._alphabet,
-            initial=class_id[rows[EMPTY]],
-            class_signatures=tuple(rows[rep][0] for rep in representatives),
-            representatives=tuple(map(self.model.peek, representatives)),
+            initial=class_id[rows[0]],
+            class_signatures=tuple(row[0] for row in rep_rows),
+            representatives=tuple(map(self.model.peek, map(word_of, representatives))),
             transitions=tuple(transitions),
             equivalence=self.equivalence.spec_string(),
         )
@@ -497,7 +494,7 @@ class ObservationTable:
         RED row is compared with ``after[·][q]`` of its state as one tuple.
         The first disagreeing cell, in RED then column order, is reported.
         """
-        transitions, rows = hypothesis.transitions, self._rows
+        transitions, rows, word = hypothesis.transitions, self._rows, self._word
         successors = dict(zip(self._alphabet.symbols, zip(*transitions)))
         after: dict[Word, tuple[bytes, ...]] = {EMPTY: hypothesis.class_signatures}
 
@@ -515,20 +512,20 @@ class ObservationTable:
         expected = list(zip(*map(signatures_after, self.suffixes)))
         k = self._k
         state_of: dict[int, int] = {}  # by rank
-        for p, rank in zip(self.red, self._red_ranks):
+        for rank in self._red:
             if rank:
                 parent, column = divmod(rank - 1, k)
                 state = transitions[state_of[parent]][column]
             else:
                 state = hypothesis.initial
             state_of[rank] = state
-            row = rows[p]
+            row = rows[rank]
             if state != class_id[row]:
-                raise LearnerInvariantError(f"red prefix {p!r} runs to a foreign class")
+                raise LearnerInvariantError(f"red prefix {word[rank]!r} runs to a foreign class")
             if expected[state] != row:
                 s = next(s for s, a, b in zip(self.suffixes, expected[state], row) if a != b)
                 raise LearnerInvariantError(
-                    f"hypothesis class after {p + s!r} disagrees with the table"
+                    f"hypothesis class after {word[rank] + s!r} disagrees with the table"
                 )
 
 
@@ -580,11 +577,10 @@ def learn(
     hypothesis always passes and no ``consistent`` event is recorded.
     Guaranteed to terminate when the target is regular under the
     equivalence and the oracle exact; otherwise the round and cell limits
-    stop the run and the report is flagged as non-converged. Limits below
-    1 raise ``ValueError`` before any query.
+    stop the run and the report is flagged as non-converged. Limits that are
+    no ``int`` or below 1 raise ``ValueError`` before any query.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    require_limit("max_rounds", max_rounds, 1)
     mq = cached(model)
     oracle_name = getattr(teacher, "description", teacher.__class__.__name__)
     try:

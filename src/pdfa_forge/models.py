@@ -38,6 +38,15 @@ DISTRIBUTION_ENDPOINT = "/next_token_distribution"
 REMOTE_SUM_TOLERANCE = 1e-6
 
 
+def require_limit(name: str, value, minimum: int) -> None:
+    """Reject a count limit that is no ``int`` (a ``bool`` included) or is
+    below ``minimum``, naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 class LanguageModel(abc.ABC):
     """Total, deterministic word -> distribution oracle."""
 
@@ -303,9 +312,10 @@ class RemoteModel(LanguageModel):
     ``max_attempts`` times. Responses are validated, not repaired: a
     probability sum off by more than 1e-6 is an error unless
     ``renormalize`` is set. Limits are validated at construction:
-    ``max_in_flight`` and ``max_attempts`` must be at least 1, the timeout
-    positive and finite, and the retry backoff and ``max_query_length``
-    non-negative. A malformed endpoint raises ``ValueError``.
+    ``max_in_flight`` and ``max_attempts`` must be ``int``s of at least 1,
+    ``max_query_length`` ``None`` or a non-negative ``int``, the timeout
+    positive and finite, and the retry backoff non-negative. A malformed
+    endpoint raises ``ValueError``.
     """
 
     def __init__(
@@ -330,14 +340,12 @@ class RemoteModel(LanguageModel):
         if not 0 < self.timeout < math.inf:
             source = f"{TIMEOUT_ENV_VAR}={env_ms}" if env_ms else f"timeout={timeout!r}"
             raise ValueError(f"the request timeout must be positive and finite, got {source}")
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight!r}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1, got {max_attempts!r}")
+        require_limit("max_in_flight", max_in_flight, 1)
+        require_limit("max_attempts", max_attempts, 1)
         if not retry_backoff >= 0:
             raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff!r}")
-        if max_query_length is not None and max_query_length < 0:
-            raise ValueError(f"max_query_length must be non-negative, got {max_query_length!r}")
+        if max_query_length is not None:
+            require_limit("max_query_length", max_query_length, 0)
         self.renormalize = renormalize
         self.max_attempts = max_attempts
         self.max_query_length = max_query_length

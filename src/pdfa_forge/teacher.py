@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .automata import Pdfa, QuotientPdfa, _first_mismatch, emission_signatures
 from .distributions import AlphabetMismatch, Distribution
-from .models import CachedModel, LanguageModel, PdfaLanguageModel
+from .models import CachedModel, LanguageModel, PdfaLanguageModel, require_limit
 from .relations import EquivalenceSpec, signature
 from .words import Word, count_words, iter_words, prefixes, word_key
 
@@ -98,10 +98,8 @@ class SamplingConfig:
     geometric_p: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.max_length < 0:
-            raise ValueError("max_length must be >= 0")
+        require_limit("samples", self.samples, 1)
+        require_limit("max_length", self.max_length, 0)
         if not 0 < self.geometric_p < 1:
             raise ValueError("geometric_p must lie strictly between 0 and 1")
 
@@ -193,8 +191,8 @@ class BoundedExhaustiveOracle(EqOracle):
         *,
         max_words: int = 200_000,
     ):
-        if max_length < 0:
-            raise ValueError("max_length must be >= 0")
+        require_limit("max_length", max_length, 0)
+        require_limit("max_words", max_words, 0)
         total = count_words(len(model.alphabet), max_length)
         if total > max_words:
             raise OracleBudgetExceeded(

@@ -3,12 +3,14 @@
 import copy
 import gc
 import random
+import re
 import weakref
 
 import pytest
 
 from pdfa_forge import (
     Alphabet,
+    AlphabetMismatch,
     BoundedExhaustiveOracle,
     CachedModel,
     ConsistencyDefect,
@@ -85,10 +87,11 @@ def promote(table: ObservationTable, word) -> None:
 
     No public step does this: closing promotes only unmatched rows and
     counterexamples add columns. Tests of consistency repair need equal RED
-    rows, so they build them through the table's private path.
+    rows, so they build them through the table's private path, by rank.
     """
-    table._fill_rows(table._promote(word))
-    table._index(word)
+    rank = table._rank(word)
+    table._fill_rows(table._promote(rank))
+    table._index(rank)
 
 
 def close(table: ObservationTable) -> None:
@@ -129,7 +132,7 @@ class TestInit:
     def test_validate_detects_a_stale_row_cache(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
         table.close_step(("a",))
-        table._rows[("a",)] = table._rows[()]
+        table._rows[1] = table._rows[0]  # the rows of ("a",) and ()
         with pytest.raises(LearnerInvariantError, match="cached row"):
             table.validate()
 
@@ -193,13 +196,19 @@ class TestOneCellStore:
         return table
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda t: t._red_ranks.__setitem__(slice(1, 3), t._red_ranks[2:0:-1]), "RED rank list"),
-        (lambda t: t._red_ranks.__setitem__(-1, t._red_ranks[-1] + 1), "RED rank list"),
-        (lambda t: t._blue_ranks.__setitem__(slice(0, 2), t._blue_ranks[1::-1]), "BLUE rank list"),
-        (lambda t: t._blue_ranks.pop(), "BLUE rank list"),
-        (lambda t: t._keys.__setitem__(t.blue[0], t._keys[t.blue[0]] + 1), "cached rank"),
-        (lambda t: t._keys.__setitem__(t.red[-1], t._keys[t.blue[-1]]), "cached rank"),
-        (lambda t: t._keys.__setitem__(("z", "z"), 0), "ranked words"),
+        (lambda t: t._red.__setitem__(slice(1, 3), t._red[2:0:-1]), "RED rank list"),
+        (lambda t: t._red.__setitem__(-1, t._red[-1] + 1), "stored words"),
+        (lambda t: t._blue.__setitem__(slice(0, 2), t._blue[1::-1]), "BLUE rank list"),
+        (lambda t: t._blue.pop(), "BLUE rank set"),
+        (lambda t: t._blue_set.discard(t._blue[0]), "BLUE rank set"),
+        (lambda t: t._blue_set.add(t._red[-1]), "BLUE rank set"),
+        (lambda t: t._word.__setitem__(t._blue[0], t._word[t._blue[1]]), "stored word of rank"),
+        (lambda t: t._word.__setitem__(t._red[-1], ("z", "z")), "stored word of rank"),
+        (lambda t: t._word.__setitem__(t._red[-1], t._word[t._red[-1]] + ("$",)),
+         "stored word of rank"),
+        (lambda t: t._word.__setitem__(t._blue[-1] + 1, ("z", "z")), "stored words"),
+        (lambda t: t._word.pop(t._blue[-1]), "stored words"),
+        (lambda t: t._rows.__setitem__(-1, t._rows[0]), "row cache"),
     ])
     def test_validate_detects_a_stale_rank(self, corrupt, message):
         table = self.learned_table()
@@ -427,6 +436,18 @@ class TestUpdate:
                 table.update_with_counterexample(word)
         assert table.suffixes == [()]
 
+    @pytest.mark.parametrize("word", [("z",), ("$",), ("a", "a", "z"), ("a", "$", "a")])
+    def test_a_foreign_symbol_is_an_alphabet_mismatch_before_any_query(self, fig2a, word):
+        table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
+        table.close_step(("a",))
+        counts = table.model.hits, table.model.misses
+        symbol = next(s for s in word if s != "a")
+        with pytest.raises(AlphabetMismatch, match=re.escape(repr(symbol))):
+            table.update_with_counterexample(word)
+        assert (table.model.hits, table.model.misses) == counts
+        assert table.suffixes == [()]
+        table.validate()
+
     def test_invariant_fires_when_the_row_stays_matched(self, fig2a, monkeypatch):
         table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
         table.close_step(("a",))
@@ -592,6 +613,12 @@ class TestLearn:
     def test_three_state_result(self, fig3a):
         report = learn(PdfaLanguageModel(fig3a), QUANT7, ExactOracle(fig3a, QUANT7))
         assert report.converged and report.hypothesis.n_states == 3
+
+    def test_an_empty_alphabet_gives_one_state_with_an_empty_row(self):
+        alphabet = Alphabet(())
+        target = Pdfa(alphabet, 0, (Distribution(alphabet, (1.0,)),), ((),))
+        report = learn(PdfaLanguageModel(target), EXACT, ExactOracle(target, EXACT))
+        assert report.converged and report.hypothesis.transitions == ((),)
 
     def test_counterexample_round_is_exercised(self, fig2a):
         report = learn(PdfaLanguageModel(fig2a), QUANT10, ExactOracle(fig2a, QUANT10))
@@ -819,8 +846,11 @@ class TestNonRegularTargets:
 
     @pytest.mark.parametrize("limits", [
         {"max_rounds": 0}, {"max_rounds": -2}, {"max_cells": 0}, {"max_cells": -5},
+        {"max_rounds": 2.5}, {"max_rounds": True}, {"max_rounds": "3"},
+        {"max_cells": 2.5}, {"max_cells": True}, {"max_cells": 1e5}, {"max_cells": None},
     ])
     def test_limits_below_one_are_rejected_before_any_query(self, limits):
+        # Limits that are no int (a bool included) are rejected the same way.
         model = cached(UniformUnaryModel())
         oracle = SamplingOracle(model, EXACT, SamplingConfig(samples=10, seed=7))
         with pytest.raises(ValueError, match=next(iter(limits))):
@@ -1115,17 +1145,17 @@ class PerCellTable(ObservationTable):
         self._n_cells += 1
         return self._signature(self.model.query(prefix + suffix))
 
-    def _fill_rows(self, prefixes):
-        for p in prefixes:
-            self._rows[p] = tuple(self._query_class(p, s) for s in self.suffixes)
+    def _fill_rows(self, ranks):
+        for r in ranks:
+            self._rows[r] = tuple(self._query_class(self._word[r], s) for s in self.suffixes)
 
     def _add_columns(self, suffixes):
         self.suffixes += suffixes
-        for p in self.red + self._blue:
-            self._rows[p] += tuple(self._query_class(p, s) for s in suffixes)
+        for r in self._red + self._blue:
+            self._rows[r] += tuple(self._query_class(self._word[r], s) for s in suffixes)
         self._classes = {}
-        for p in self.red:
-            self._classes.setdefault(self._rows[p], []).append(p)
+        for r in self._red:
+            self._classes.setdefault(self._rows[r], []).append(r)
 
 
 class RecordingCache(CachedModel):

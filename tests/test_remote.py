@@ -145,7 +145,14 @@ class TestClientConfiguration:
         [
             {"max_in_flight": 0},
             {"max_in_flight": -1},
+            {"max_in_flight": 2.5},
+            {"max_in_flight": True},
             {"max_attempts": 0},
+            {"max_attempts": 1.5},
+            {"max_attempts": True},
+            {"max_query_length": 2.5},
+            {"max_query_length": False},
+            {"max_query_length": "8"},
             {"timeout": 0.0},
             {"timeout": -1.0},
             {"timeout": float("nan")},
@@ -169,8 +176,11 @@ class TestClientConfiguration:
         # Rejected at construction: a zero-slot semaphore would make every
         # query block forever, zero attempts would never send a request, a
         # negative length limit would refuse every word, and a malformed
-        # endpoint or an infinite timeout would only fail at the first query.
-        with pytest.raises(ValueError):
+        # endpoint, an infinite timeout or a limit that is no int would only
+        # fail at the first query. Every message but the endpoint's names
+        # the parameter.
+        name = next(iter(option))
+        with pytest.raises(ValueError, match=None if name == "endpoint" else name):
             RemoteModel(**{"endpoint": "http://127.0.0.1:9", "alphabet": AB, **option})
 
     @pytest.mark.parametrize("value", ["0", "inf", "nan", "abc"])

@@ -273,11 +273,14 @@ class TestSamplingOracle:
         # before the samples are reached.
         assert prefetched == [expected] * 3 and all(p is prefetched[0] for p in prefetched)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplingConfig(samples=0)
-        with pytest.raises(ValueError):
-            SamplingConfig(geometric_p=1.0)
+    @pytest.mark.parametrize("field", [
+        {"samples": 0}, {"samples": 2.5}, {"samples": True}, {"samples": "10"},
+        {"max_length": -1}, {"max_length": 2.5}, {"max_length": False}, {"max_length": None},
+        {"geometric_p": 1.0},
+    ])
+    def test_config_validation(self, field):
+        with pytest.raises(ValueError, match=next(iter(field))):
+            SamplingConfig(**field)
 
 
 class TestBoundedExhaustiveOracle:
@@ -302,6 +305,15 @@ class TestBoundedExhaustiveOracle:
         # A bound of -1 would sweep no word and accept any hypothesis.
         with pytest.raises(ValueError, match="max_length"):
             BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, -1)
+
+    @pytest.mark.parametrize("max_length, max_words, name", [
+        (2.5, 200_000, "max_length"), (True, 200_000, "max_length"), ("3", 200_000, "max_length"),
+        (3, 1e6, "max_words"), (3, True, "max_words"), (3, -1, "max_words"),
+    ])
+    def test_bounds_that_are_no_int_or_negative_are_rejected(self, max_length, max_words, name):
+        # 2.5 used to be accepted and fail at the first check.
+        with pytest.raises(ValueError, match=name):
+            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, max_length, max_words=max_words)
 
     def test_budget_guard(self):
         model = PdfaLanguageModel(random_pdfa(random.Random(1), max_states=3, max_symbols=3))
