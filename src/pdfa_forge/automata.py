@@ -340,7 +340,11 @@ def canonical_form(h: QuotientPdfa) -> tuple[tuple[tuple[int, ...], ...], tuple[
     Deterministic PDFAs with a single initial state admit a unique BFS
     numbering, so equality of canonical forms decides isomorphism.
     """
-    order = _bfs_order(h.initial, h.transitions)
+    return _renumbered(h, _bfs_order(h.initial, h.transitions))
+
+
+def _renumbered(h: QuotientPdfa, order: list[int]):
+    """``h``'s transition table and class signatures with states renumbered by ``order``."""
     position = {q: i for i, q in enumerate(order)}
     table = tuple(
         tuple(position[t] for t in h.transitions[q]) for q in order
@@ -359,11 +363,11 @@ def isomorphism(h1: QuotientPdfa, h2: QuotientPdfa) -> dict[int, int] | None:
         )
     if h1.n_states != h2.n_states:
         return None
-    if canonical_form(h1) != canonical_form(h2):
-        return None
     order1 = _bfs_order(h1.initial, h1.transitions)
     order2 = _bfs_order(h2.initial, h2.transitions)
-    return {q1: q2 for q1, q2 in zip(order1, order2)}
+    if _renumbered(h1, order1) != _renumbered(h2, order2):
+        return None
+    return dict(zip(order1, order2))
 
 
 def isomorphic(h1: QuotientPdfa, h2: QuotientPdfa) -> bool:
@@ -528,23 +532,28 @@ def _state_ref(value, name: str) -> int:
     return value
 
 
-def _load_distributions(alphabet: Alphabet, raw_maps: list) -> list[Distribution]:
+def _load_distributions(alphabet: Alphabet, states: list) -> tuple[Distribution, ...]:
     """One Distribution per distinct ``"dist"`` map, shared by its states.
 
     A map without a key is loaded on its own, so it fails as it always did.
+    A missing or non-mapping ``"dist"`` raises ``AutomatonError``.
     """
     memo: dict[tuple, Distribution] = {}
     dists = []
-    for raw in raw_maps:
-        key = _dist_key(raw)
-        if key is None:
-            dists.append(Distribution.from_map(alphabet, raw))
-            continue
-        dist = memo.get(key)
-        if dist is None:
-            dist = memo[key] = Distribution.from_map(alphabet, raw)
-        dists.append(dist)
-    return dists
+    try:
+        for entry in states:
+            raw = entry["dist"]
+            key = _dist_key(raw)
+            if key is None:
+                dists.append(Distribution.from_map(alphabet, raw))
+                continue
+            dist = memo.get(key)
+            if dist is None:
+                dist = memo[key] = Distribution.from_map(alphabet, raw)
+            dists.append(dist)
+    except (KeyError, TypeError) as exc:
+        raise AutomatonError(f"malformed state distribution: {exc!r}") from None
+    return tuple(dists)
 
 
 def _dist_key(raw) -> tuple | None:
@@ -569,11 +578,7 @@ def _dist_key(raw) -> tuple | None:
 def pdfa_from_json(doc: dict, prune: bool = False) -> Pdfa:
     """Load a PDFA; unreachable states are an error unless ``prune`` is set."""
     alphabet, initial, states, table = _parse_common(doc, prune)
-    try:
-        emissions = _load_distributions(alphabet, [entry["dist"] for entry in states])
-    except (KeyError, TypeError) as exc:
-        raise AutomatonError(f"malformed state distribution: {exc!r}") from None
-    return Pdfa(alphabet, initial, tuple(emissions), tuple(table))
+    return Pdfa(alphabet, initial, _load_distributions(alphabet, states), tuple(table))
 
 
 def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
@@ -584,14 +589,10 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
     label = doc["equivalence"]
     if not isinstance(label, str):
         raise AutomatonError(f"'equivalence' must be a string, got {label!r}")
+    representatives = _load_distributions(alphabet, states)
     try:
-        representatives = _load_distributions(alphabet, [entry["dist"] for entry in states])
-        raw_signatures = [entry["signature"] for entry in states]
-    except (KeyError, TypeError) as exc:
-        raise AutomatonError(f"malformed state entry: {exc!r}") from None
-    try:
-        signatures = [bytes.fromhex(raw) for raw in raw_signatures]
-    except (TypeError, ValueError) as exc:
+        signatures = [bytes.fromhex(entry["signature"]) for entry in states]
+    except (KeyError, TypeError, ValueError) as exc:
         raise AutomatonError(f"malformed class signature: {exc}") from None
     try:
         spec = parse_equivalence(label)
@@ -604,7 +605,7 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
                 raise AutomatonError(
                     f"state {q}: stored signature does not match its representative"
                 )
-    return QuotientPdfa(alphabet, initial, tuple(signatures), tuple(representatives),
+    return QuotientPdfa(alphabet, initial, tuple(signatures), representatives,
                         tuple(table), label)
 
 

@@ -16,9 +16,6 @@ TERMINAL = "$"
 #: |sum(probs) - 1| must stay below this for a vector to count as a distribution.
 SUM_TOLERANCE = 1e-9
 
-#: Probabilities above this count as support membership (LM outputs carry float noise).
-SUPPORT_EPS = 1e-9
-
 
 class AlphabetMismatch(ValueError):
     """Operands disagree on their alphabet."""
@@ -145,10 +142,6 @@ class Distribution:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.alphabet.extended, self.probs))
-
-    def support(self, eps: float = SUPPORT_EPS) -> frozenset[str]:
-        """Symbols with probability above ``eps``."""
-        return frozenset(s for s, p in zip(self.alphabet.extended, self.probs) if p > eps)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}:{p:g}" for s, p in zip(self.alphabet.extended, self.probs))

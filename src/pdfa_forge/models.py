@@ -66,8 +66,7 @@ class LanguageModel(abc.ABC):
     def _check_word(self, word: Word) -> None:
         alphabet = self.alphabet
         if not alphabet.spells(word):
-            symbol = next(s for s in word if s not in alphabet)
-            raise AlphabetMismatch(f"symbol {symbol!r} not in model alphabet")
+            raise alphabet._mismatch(next(s for s in word if s not in alphabet))
 
 
 class PdfaLanguageModel(LanguageModel):

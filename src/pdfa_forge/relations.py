@@ -24,20 +24,23 @@ EQUIVALENCE_KINDS = ("quant", "rank", "top", "supp", "exact", "combo")
 #: `exact` equivalence keys on probabilities rounded to this many decimals.
 EXACT_DECIMALS = 9
 
-#: Quantization reads probabilities rounded to this many decimals.
+#: Every class decision reads probabilities rounded to this many decimals.
 QUANT_DECIMALS = 12
 
 _QUANT_SCALE = 10 ** QUANT_DECIMALS
 
 
-def _canonical(p: float) -> float:
-    """``p`` with a tolerated negative clamped to 0 and ``-0.0`` folded into 0.0."""
-    return max(p, 0.0) + 0.0
-
-
 def _on_grid(p: float) -> int:
-    """The canonical ``p`` rounded to a whole number of 1e-12 steps."""
-    return round(_canonical(p) * _QUANT_SCALE)
+    """``p`` as a whole number of 1e-12 steps; a tolerated negative reads as 0.
+
+    The one place a probability is read for a class, a ranking or a support.
+    """
+    return max(round(p * _QUANT_SCALE), 0)
+
+
+def _support(d: Distribution) -> frozenset[int]:
+    """Extended-alphabet indices of the symbols above 1e-9 (1000 grid steps)."""
+    return frozenset(i for i, p in enumerate(d.probs) if _on_grid(p) > 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,7 @@ def variation_distance(d1: Distribution, d2: Distribution) -> float:
 def support_difference_rate(d1: Distribution, d2: Distribution) -> float:
     """Fraction of symbols in exactly one of the two supports."""
     require_same_alphabet(d1, d2)
-    diff = d1.support() ^ d2.support()
-    return len(diff) / len(d1.alphabet.extended)
+    return len(_support(d1) ^ _support(d2)) / len(d1.alphabet.extended)
 
 
 def word_error_rate(d1: Distribution, d2: Distribution, r: int) -> float:
@@ -238,9 +240,11 @@ def _signature_payload(d: Distribution, spec: EquivalenceSpec) -> list:
         top = top_ranked(d, spec.param)
         return ["top", spec.param, sorted(d.alphabet.index(s) for s in top)]
     if spec.kind == "supp":
-        return ["supp", sorted(d.alphabet.index(s) for s in d.support())]
+        return ["supp", sorted(_support(d))]
     if spec.kind == "exact":
-        return ["exact", [round(_canonical(p), EXACT_DECIMALS) for p in d.probs]]
+        # round() of an int to negative digits is exact and half-even.
+        digits = EXACT_DECIMALS - QUANT_DECIMALS
+        return ["exact", [round(_on_grid(p), digits) / _QUANT_SCALE for p in d.probs]]
     return ["combo", [_signature_payload(d, m) for m in spec.members]]
 
 

@@ -52,6 +52,15 @@ class EqOracle(abc.ABC):
             sig = self._sigs[dist] = signature(dist, self.spec)
         return sig != hypothesis.class_after(word)
 
+    def _sweep(self, hypothesis: QuotientPdfa, max_length: int) -> Word | None:
+        """The first failing word up to ``max_length``, in length-lex order."""
+        if hypothesis.alphabet != self.model.alphabet:
+            raise AlphabetMismatch("hypothesis alphabet differs from the model's")
+        for word in iter_words(self.model.alphabet, max_length):
+            if self._fails(word, hypothesis):
+                return self._verify(word, hypothesis)
+        return None
+
     def _verify(self, word: Word, hypothesis: QuotientPdfa) -> Word:
         """Re-check the counterexample with a fresh membership query."""
         if not self._fails(word, hypothesis):
@@ -138,16 +147,12 @@ class SamplingOracle(EqOracle):
         return self._samples
 
     def check(self, hypothesis: QuotientPdfa) -> Word | None:
-        if hypothesis.alphabet != self.model.alphabet:
-            raise AlphabetMismatch("hypothesis alphabet differs from the model's")
-        alphabet = self.model.alphabet
         # The sweep runs in length-lex order, so its first failure is already
         # its own shortest failing prefix.
-        for word in iter_words(alphabet, min(self.SWEEP_LENGTH, self.config.max_length)):
-            if self._fails(word, hypothesis):
-                return self._verify(word, hypothesis)
-        if not alphabet.symbols:
-            return None
+        word = self._sweep(hypothesis, min(self.SWEEP_LENGTH, self.config.max_length))
+        alphabet = self.model.alphabet
+        if word is not None or not alphabet.symbols:
+            return word
         samples = self._draw()
         if isinstance(self.model, CachedModel):
             self.model.prefetch(samples)
@@ -203,9 +208,4 @@ class BoundedExhaustiveOracle(EqOracle):
         self.description = f"exhaustive[{spec.spec_string()},maxlen={max_length}]"
 
     def check(self, hypothesis: QuotientPdfa) -> Word | None:
-        if hypothesis.alphabet != self.model.alphabet:
-            raise AlphabetMismatch("hypothesis alphabet differs from the model's")
-        for word in iter_words(self.model.alphabet, self.max_length):
-            if self._fails(word, hypothesis):
-                return self._verify(word, hypothesis)
-        return None
+        return self._sweep(hypothesis, self.max_length)

@@ -561,6 +561,24 @@ class TestSerialization:
         with pytest.raises(AutomatonError, match="malformed class signature"):
             quotient_from_json(doc)
 
+    def test_missing_signature_is_rejected(self, fig3a):
+        doc = quotient_to_json(quotient(fig3a, QUANT7))
+        del doc["states"][1]["signature"]
+        with pytest.raises(AutomatonError, match="malformed class signature"):
+            quotient_from_json(doc)
+
+    @pytest.mark.parametrize("decode, to_json, equiv", [
+        (pdfa_from_json, pdfa_to_json, None),
+        (quotient_from_json, quotient_to_json, QUANT7),
+    ])
+    def test_both_decoders_report_a_malformed_distribution_alike(
+        self, fig3a, decode, to_json, equiv
+    ):
+        doc = to_json(fig3a if equiv is None else quotient(fig3a, equiv))
+        doc["states"][1]["dist"] = ["a", "$"]
+        with pytest.raises(AutomatonError, match="malformed state distribution: TypeError"):
+            decode(doc)
+
     def test_missing_transition_is_reported(self):
         doc = {
             "alphabet": ["a", "b"],

@@ -79,10 +79,6 @@ class TestDistribution:
         with pytest.raises(InvalidDistribution):
             Distribution(AB, (1.2, -0.2, 0.0))
 
-    def test_support_uses_noise_floor(self):
-        d = Distribution(AB, (1.0 - 5e-10, 5e-10, 0.0))
-        assert d.support() == {"a"}
-
     def test_hash_is_the_hash_of_the_probabilities(self):
         d = Distribution.from_map(AB, {"a": 0.2, "b": 0.3, "$": 0.5})
         assert hash(d) == hash(copy_of(d)) == hash(d.probs)

@@ -64,11 +64,18 @@ class TestPdfaModel:
         with pytest.raises(AlphabetMismatch):
             PdfaLanguageModel(fig2a).query(("z",))
 
-    @pytest.mark.parametrize("word, offender", [(("$",), "$"), (("a", "$"), "$"), (("z",), "z")])
-    def test_terminal_and_foreign_symbols_are_alphabet_mismatches(self, fig2a, word, offender):
+    @pytest.mark.parametrize("make, word, offender", [
+        (PdfaLanguageModel, ("$",), "$"),
+        (PdfaLanguageModel, ("a", "$"), "$"),
+        (PdfaLanguageModel, ("z",), "z"),
+        pytest.param(lambda _: AlternatingUnaryModel(), ("z",), "z", id="alternating-z"),
+    ])
+    def test_terminal_and_foreign_symbols_are_alphabet_mismatches(
+        self, fig2a, make, word, offender
+    ):
         # ``$`` has a probability in every answer but no transition column.
         with pytest.raises(AlphabetMismatch) as caught:
-            PdfaLanguageModel(fig2a).query(word)
+            make(fig2a).query(word)
         assert str(caught.value) == f"symbol {offender!r} not in alphabet ('a',)"
 
 

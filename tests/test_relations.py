@@ -121,6 +121,12 @@ class TestSupportDifferenceRate:
     def test_disjoint_supports(self):
         assert support_difference_rate(unary_dist(1.0), unary_dist(0.0)) == pytest.approx(1.0)
 
+    def test_support_uses_noise_floor(self):
+        d = Distribution(AB, (1.0 - 5e-10, 5e-10, 0.0))
+        point = Distribution(AB, (1.0, 0.0, 0.0))
+        assert support_difference_rate(d, point) == 0.0
+        assert signature(d, parse_equivalence("supp")) == b'["supp",[0]]'
+
 
 class TestWordErrorRate:
     def test_flipped_top1(self):
@@ -405,6 +411,45 @@ def grid_distribution_and_noise(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid_distribution_and_noise())
 def test_signatures_ignore_noise_below_the_grid(pair):
+    clean, noisy = pair
+    for spec in NOISE_SPECS:
+        assert signature(noisy, spec) == signature(clean, spec), spec.spec_string()
+
+
+@st.composite
+def twelve_decimal_distribution_and_ulp_noise(draw):
+    """A distribution with at most 12 decimals and a copy moved by 1 ulp per entry.
+
+    Entries are drawn in 1e-12 steps and lean toward multiples of 500 steps:
+    the half borders of exact's 9 decimals and, at 1000 steps, the support
+    threshold. Each entry moves up or down by one ulp or stays; a zero may
+    turn into -0.0 instead.
+    """
+    remaining, steps = 10**12, []
+    for _ in range(len(ABC.extended) - 1):
+        step = draw(st.one_of(
+            st.integers(0, 8).map(lambda k: 500 * k),
+            st.integers(0, remaining // 500).map(lambda k: 500 * k),
+            st.integers(0, remaining),
+        ))
+        steps.append(min(step, remaining))
+        remaining -= steps[-1]
+    clean = [step / 10**12 for step in draw(st.permutations(steps + [remaining]))]
+    moves = draw(st.lists(st.sampled_from(["up", "down", "stay", "sign"]),
+                          min_size=len(clean), max_size=len(clean)))
+    noisy = [
+        -0.0 if p == 0 and move == "sign"
+        else math.nextafter(p, 2.0) if move == "up"
+        else math.nextafter(p, -1.0) if move == "down"
+        else p
+        for p, move in zip(clean, moves)
+    ]
+    return Distribution(ABC, tuple(clean)), Distribution(ABC, tuple(noisy))
+
+
+@settings(max_examples=500, deadline=None)
+@given(twelve_decimal_distribution_and_ulp_noise())
+def test_signatures_ignore_one_ulp_on_twelve_decimals(pair):
     clean, noisy = pair
     for spec in NOISE_SPECS:
         assert signature(noisy, spec) == signature(clean, spec), spec.spec_string()
