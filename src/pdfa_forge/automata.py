@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Generic, Iterable, Sequence, TypeVar
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
 from .relations import EquivalenceSpec, parse_equivalence, signature
@@ -275,23 +275,10 @@ def state_congruence(a: Pdfa, spec: EquivalenceSpec) -> StatePartition:
     return refine_partition(a, emission_signatures(a.emissions, spec))
 
 
-RepresentativePicker = Callable[[tuple[int, ...], Pdfa], int]
-
-
-def lowest_index_representative(block_states: tuple[int, ...], a: Pdfa) -> int:
-    return min(block_states)
-
-
-def quotient(
-    a: Pdfa,
-    spec: EquivalenceSpec,
-    pick_representative: RepresentativePicker = lowest_index_representative,
-) -> QuotientPdfa:
+def quotient(a: Pdfa, spec: EquivalenceSpec) -> QuotientPdfa:
     """Quotient PDFA of ``a`` under the congruence induced by ``spec``."""
     keys = emission_signatures(a.emissions, spec)
-    return quotient_from_partition(
-        a, refine_partition(a, keys), keys, spec.spec_string(), pick_representative
-    )
+    return quotient_from_partition(a, refine_partition(a, keys), keys, spec.spec_string())
 
 
 def quotient_from_partition(
@@ -299,13 +286,15 @@ def quotient_from_partition(
     partition: StatePartition,
     state_keys: Sequence[bytes],
     equivalence_label: str,
-    pick_representative: RepresentativePicker = lowest_index_representative,
 ) -> QuotientPdfa:
-    """Assemble a quotient PDFA from a transition-stable state partition."""
-    members: dict[int, list[int]] = {}
+    """Assemble a quotient PDFA from a transition-stable state partition.
+
+    Each block is represented by its lowest-index state; any member gives
+    the same transitions and class, as the partition is a congruence.
+    """
+    reps: dict[int, int] = {}
     for q, b in enumerate(partition.blocks):
-        members.setdefault(b, []).append(q)
-    reps = {b: pick_representative(tuple(qs), a) for b, qs in members.items()}
+        reps.setdefault(b, q)
     transitions = tuple(
         tuple(partition.blocks[a.transitions[reps[b]][i]] for i in range(len(a.alphabet)))
         for b in range(partition.count)
@@ -434,7 +423,7 @@ def _to_json(a: _Automaton, head: dict, signatures: Sequence[bytes] = ()) -> dic
     """The document of either flavour: ``head`` holds the fields between
     ``"alphabet"`` and ``"initial"``, and the i-th state entry ends with
     ``signatures[i]`` in hex when there is one."""
-    states = [{"id": q, "dist": _dist_to_json(d)} for q, d in enumerate(a._dists)]
+    states = [{"id": q, "dist": d.as_dict()} for q, d in enumerate(a._dists)]
     for entry, sig in zip(states, signatures):
         entry["signature"] = sig.hex()
     symbols = a.alphabet.symbols
@@ -449,10 +438,6 @@ def _to_json(a: _Automaton, head: dict, signatures: Sequence[bytes] = ()) -> dic
             for symbol, t in zip(symbols, row)
         ],
     }
-
-
-def _dist_to_json(d: Distribution) -> dict[str, float]:
-    return {sym: p for sym, p in zip(d.alphabet.extended, d.probs)}
 
 
 def _parse_common(doc: dict, prune: bool):

@@ -148,6 +148,15 @@ class Distribution:
         return f"Distribution({{{inner}}})"
 
 
+def require_limit(name: str, value, minimum: int) -> None:
+    """Reject a count limit that is no ``int`` (a ``bool`` included) or is
+    below ``minimum``, naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def require_same_alphabet(d1: Distribution, d2: Distribution) -> None:
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatch(

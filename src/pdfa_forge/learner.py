@@ -24,8 +24,8 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .automata import QuotientPdfa
-from .distributions import Distribution
-from .models import CachedModel, LanguageModel, cached, require_limit
+from .distributions import Distribution, require_limit
+from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, signature
 from .words import EMPTY, Word, shortlex_rank, word_key
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import abc
 import json
 import math
-import os
 import select
 import socket
 import ssl
@@ -28,23 +27,14 @@ from .distributions import (
     AlphabetMismatch,
     Distribution,
     InvalidDistribution,
+    require_limit,
 )
 from .words import Word
 
-TIMEOUT_ENV_VAR = "PDFA_FORGE_LM_TIMEOUT_MS"
 DISTRIBUTION_ENDPOINT = "/next_token_distribution"
 
 #: Remote responses may deviate from sum 1 by at most this before rejection.
 REMOTE_SUM_TOLERANCE = 1e-6
-
-
-def require_limit(name: str, value, minimum: int) -> None:
-    """Reject a count limit that is no ``int`` (a ``bool`` included) or is
-    below ``minimum``, naming the parameter."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 class LanguageModel(abc.ABC):
@@ -102,18 +92,16 @@ _UNARY_ALPHABET = Alphabet(("a",))
 class AlternatingUnaryModel(LanguageModel):
     """Unary model flipping between two distributions on a sparse length set.
 
-    Lengths satisfying the predicate map to {a:0.4, $:0.6}, all others to
-    {a:0.6, $:0.4}. With the default triangular-number predicate the marked
-    lengths have strictly growing gaps, which makes this the canonical model
-    that is tolerance-close to a one-state PDFA yet admits no finite clique
-    congruence.
+    Triangular lengths (``marked_length``) map to {a:0.4, $:0.6}, all others
+    to {a:0.6, $:0.4}. The marked lengths have strictly growing gaps, which
+    makes this the canonical model that is tolerance-close to a one-state
+    PDFA yet admits no finite clique congruence.
     """
 
     LOW = Distribution(_UNARY_ALPHABET, (0.4, 0.6))
     HIGH = Distribution(_UNARY_ALPHABET, (0.6, 0.4))
 
-    def __init__(self, marked_length: Callable[[int], bool] = is_triangular):
-        self.marked_length = marked_length
+    marked_length = staticmethod(is_triangular)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -140,11 +128,7 @@ class UniformUnaryModel(LanguageModel):
 
 _BUILTIN_FACTORIES: dict[str, Callable[[], LanguageModel]] = {
     "m1": AlternatingUnaryModel,
-    "m1_alternating": AlternatingUnaryModel,
-    "alternating-unary": AlternatingUnaryModel,
     "m2": UniformUnaryModel,
-    "m2_uniform": UniformUnaryModel,
-    "uniform-unary": UniformUnaryModel,
 }
 
 
@@ -331,14 +315,11 @@ class RemoteModel(LanguageModel):
     ):
         self.endpoint = endpoint.rstrip("/")
         self._alphabet = alphabet
-        env_ms = os.environ.get(TIMEOUT_ENV_VAR)
-        try:
-            self.timeout = float(env_ms) / 1000.0 if env_ms else timeout
-        except ValueError:
-            raise ValueError(f"{TIMEOUT_ENV_VAR}={env_ms} is not a number of milliseconds") from None
-        if not 0 < self.timeout < math.inf:
-            source = f"{TIMEOUT_ENV_VAR}={env_ms}" if env_ms else f"timeout={timeout!r}"
-            raise ValueError(f"the request timeout must be positive and finite, got {source}")
+        if not 0 < timeout < math.inf:
+            raise ValueError(
+                f"the request timeout must be positive and finite, got timeout={timeout!r}"
+            )
+        self.timeout = timeout
         require_limit("max_in_flight", max_in_flight, 1)
         require_limit("max_attempts", max_attempts, 1)
         if not retry_backoff >= 0:

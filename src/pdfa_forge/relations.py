@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution, require_same_alphabet
+from .distributions import Distribution, require_limit, require_same_alphabet
 
 SIMILARITY_KINDS = ("vd", "sdr", "wer", "ndcg")
 EQUIVALENCE_KINDS = ("quant", "rank", "top", "supp", "exact", "combo")
@@ -146,8 +146,7 @@ class SimilaritySpec:
         if self.kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         if self.kind in ("wer", "ndcg"):
-            if self.r is None or self.r < 1:
-                raise ValueError(f"{self.kind} needs a positive r, got {self.r}")
+            require_limit(f"{self.kind} r", self.r, 1)
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no r parameter")
         if not self.threshold >= 0:  # NaN fails every comparison
@@ -199,8 +198,7 @@ class EquivalenceSpec:
         if self.kind not in EQUIVALENCE_KINDS:
             raise ValueError(f"unknown equivalence kind {self.kind!r}")
         if self.kind in ("quant", "rank", "top"):
-            if self.param is None or self.param < 1:
-                raise ValueError(f"{self.kind} needs a positive integer parameter, got {self.param}")
+            require_limit(f"{self.kind} parameter", self.param, 1)
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
         if self.kind == "combo":

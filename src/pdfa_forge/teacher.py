@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .automata import Pdfa, QuotientPdfa, _first_mismatch, emission_signatures
-from .distributions import AlphabetMismatch, Distribution
-from .models import CachedModel, LanguageModel, PdfaLanguageModel, require_limit
+from .distributions import AlphabetMismatch, Distribution, require_limit
+from .models import CachedModel, LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, signature
 from .words import Word, count_words, iter_words, prefixes, word_key
 
@@ -93,24 +93,25 @@ class ExactOracle(EqOracle):
         return None if word is None else self._verify(word, hypothesis)
 
 
+#: Success probability of the geometric law that sampled word lengths follow.
+GEOMETRIC_P = 0.2
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Random word generator settings for the sampling oracle.
 
-    Word lengths follow a geometric distribution truncated at ``max_length``;
-    symbols are drawn uniformly.
+    Word lengths follow a geometric distribution (``GEOMETRIC_P``) truncated
+    at ``max_length``; symbols are drawn uniformly.
     """
 
     samples: int = 1000
     max_length: int = 40
     seed: int = 0
-    geometric_p: float = 0.2
 
     def __post_init__(self) -> None:
         require_limit("samples", self.samples, 1)
         require_limit("max_length", self.max_length, 0)
-        if not 0 < self.geometric_p < 1:
-            raise ValueError("geometric_p must lie strictly between 0 and 1")
 
 
 class SamplingOracle(EqOracle):
@@ -142,7 +143,7 @@ class SamplingOracle(EqOracle):
             rng = random.Random(config.seed)
             self._samples = []
             for _ in range(config.samples):
-                length = min(_geometric(rng, config.geometric_p), config.max_length)
+                length = min(_geometric(rng), config.max_length)
                 self._samples.append(tuple(rng.choice(symbols) for _ in range(length)))
         return self._samples
 
@@ -173,10 +174,10 @@ class SamplingOracle(EqOracle):
         return None if best is None else self._verify(best, hypothesis)
 
 
-def _geometric(rng: random.Random, p: float) -> int:
+def _geometric(rng: random.Random) -> int:
     """Number of failures before the first success (support {0,1,2,...})."""
     length = 0
-    while rng.random() >= p:
+    while rng.random() >= GEOMETRIC_P:
         length += 1
     return length
 

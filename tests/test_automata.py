@@ -1,6 +1,7 @@
 """PDFA structures: evaluation, congruence, quotients, realization,
 isomorphism, equivalence search, serialization, DOT export."""
 
+import dataclasses
 import json
 import math
 import random
@@ -41,7 +42,6 @@ from pdfa_forge.automata import (
     _check_transitions,
     _walk,
     emission_signatures,
-    lowest_index_representative,
     quotient_from_partition,
     refine_partition,
 )
@@ -346,15 +346,12 @@ class TestQuotient:
     def test_fine_buckets_preserve_three_states(self, fig3a):
         assert quotient(fig3a, QUANT7).n_states == 3
 
-    def test_representative_policy_is_pluggable(self, fig2a):
+    def test_each_class_is_represented_by_its_lowest_index_state(self, fig2a):
         low = quotient(fig2a, QUANT3)
-        high = quotient(fig2a, QUANT3, pick_representative=lambda states, a: max(states))
+        high = highest_member_quotient(fig2a, QUANT3)
         assert low.representatives[0] == fig2a.emissions[0]
         assert high.representatives[0] == fig2a.emissions[2]
         assert low.class_signatures == high.class_signatures
-
-    def test_default_picker_is_lowest_index(self, fig3a):
-        assert lowest_index_representative((2, 0, 1), fig3a) == 0
 
 
 class TestRealize:
@@ -825,9 +822,19 @@ def test_equivalent_automata_have_isomorphic_quotients():
     for _ in range(30):
         a = random_pdfa(rng, max_states=7, max_symbols=3)
         spec = rng.choice(SPECS)
-        b = realize(quotient(a, spec, pick_representative=lambda qs, _: max(qs)))
+        b = realize(highest_member_quotient(a, spec))
         assert lm_equivalent(a, b, spec) is None
         assert isomorphism(quotient(a, spec), quotient(b, spec)) is not None
+
+
+def highest_member_quotient(a: Pdfa, spec) -> QuotientPdfa:
+    """``quotient(a, spec)`` with each class represented by the emission of
+    its highest-index member state instead of its lowest."""
+    h = quotient(a, spec)
+    highest = {b: q for q, b in enumerate(state_congruence(a, spec).blocks)}
+    return dataclasses.replace(
+        h, representatives=tuple(a.emissions[highest[b]] for b in range(h.n_states))
+    )
 
 
 def split_state(rng: random.Random, a: Pdfa) -> Pdfa:

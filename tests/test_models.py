@@ -110,9 +110,9 @@ class TestSyntheticModels:
     def test_builtin_names(self):
         assert isinstance(synthetic_model("m1"), AlternatingUnaryModel)
         assert isinstance(synthetic_model("m2"), UniformUnaryModel)
-        assert isinstance(synthetic_model("alternating-unary"), AlternatingUnaryModel)
-        with pytest.raises(ValueError):
-            synthetic_model("m3")
+        for name in ("m3", "m1_alternating", "alternating-unary", "m2_uniform", "uniform-unary"):
+            with pytest.raises(ValueError):
+                synthetic_model(name)
 
     def test_models_never_exactly_equivalent_but_tolerant(self):
         m1, m2 = AlternatingUnaryModel(), UniformUnaryModel()

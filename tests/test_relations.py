@@ -331,6 +331,18 @@ class TestSignatures:
         with pytest.raises(ValueError):
             EquivalenceSpec("supp", param=3)
 
+    @pytest.mark.parametrize("kind, value", [
+        ("quant", 2.5), ("quant", True), ("rank", 1.5), ("top", 2.0), ("wer", 1.5), ("ndcg", True),
+    ])
+    def test_parameters_that_are_not_ints_are_rejected(self, kind, value):
+        # Their spec strings (quant:2.5, ...) would not parse back, so a
+        # quotient document labelled with one would skip its signature check.
+        with pytest.raises(ValueError, match="must be an int"):
+            if kind in ("wer", "ndcg"):
+                SimilaritySpec(kind, 0.5, r=value)
+            else:
+                EquivalenceSpec(kind, value)
+
 
 # ---------------------------------------------------------------------------
 # Relation-level properties

