@@ -14,7 +14,6 @@ from .automata import (
     QuotientPdfa,
     StatePartition,
     automaton_from_json,
-    canonical_form,
     isomorphic,
     isomorphism,
     lm_equivalent,

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Generic, Iterable, Sequence, TypeVar
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
-from .relations import EquivalenceSpec, parse_equivalence, signature
+from .relations import EquivalenceSpec, SignatureMemo, parse_equivalence, signature
 from .words import EMPTY, Word
 
 
@@ -250,19 +250,8 @@ def _normalize_ids(keys: Iterable) -> tuple[list[int], int]:
 def emission_signatures(
     emissions: Sequence[Distribution], spec: EquivalenceSpec
 ) -> list[bytes]:
-    """Class signature of each emission, computed once per distinct value.
-
-    Equal distributions have equal signatures (probabilities are canonical
-    before a signature reads them), so the memo is keyed by the distribution.
-    """
-    memo: dict[Distribution, bytes] = {}
-    sigs = []
-    for d in emissions:
-        sig = memo.get(d)
-        if sig is None:
-            sig = memo[d] = signature(d, spec)
-        sigs.append(sig)
-    return sigs
+    """Class signature of each emission, signed once per distinct value."""
+    return list(map(SignatureMemo(spec, signature).__getitem__, emissions))
 
 
 def state_congruence(a: Pdfa, spec: EquivalenceSpec) -> StatePartition:
@@ -323,15 +312,6 @@ def realize(h: QuotientPdfa) -> Pdfa:
 # Isomorphism and language-model equivalence
 # ---------------------------------------------------------------------------
 
-def canonical_form(h: QuotientPdfa) -> tuple[tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
-    """Canonically renumbered transition table and class signatures.
-
-    Deterministic PDFAs with a single initial state admit a unique BFS
-    numbering, so equality of canonical forms decides isomorphism.
-    """
-    return _renumbered(h, _bfs_order(h.initial, h.transitions))
-
-
 def _renumbered(h: QuotientPdfa, order: list[int]):
     """``h``'s transition table and class signatures with states renumbered by ``order``."""
     position = {q: i for i, q in enumerate(order)}
@@ -342,7 +322,12 @@ def _renumbered(h: QuotientPdfa, order: list[int]):
 
 
 def isomorphism(h1: QuotientPdfa, h2: QuotientPdfa) -> dict[int, int] | None:
-    """State bijection from h1 to h2 when they are isomorphic, else None."""
+    """State bijection from h1 to h2 when they are isomorphic, else None.
+
+    A deterministic automaton with one initial state has a unique BFS
+    numbering, so the two are isomorphic exactly when their renumberings
+    are equal.
+    """
     if h1.alphabet != h2.alphabet:
         raise AlphabetMismatch("cannot compare quotients over different alphabets")
     if h1.equivalence != h2.equivalence:

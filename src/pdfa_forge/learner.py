@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from .automata import QuotientPdfa
 from .distributions import Distribution, require_limit
 from .models import CachedModel, LanguageModel, cached
-from .relations import EquivalenceSpec, signature
+from .relations import EquivalenceSpec, SignatureMemo, signature
 from .words import EMPTY, Word, shortlex_rank, word_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,9 +74,9 @@ class ObservationTable:
       distribution is the cached answer to its word, read with ``peek``
       (no hit is counted), and a cell counter enforces ``max_cells``.
     - The row cache maps each rank to its tuple of cell class signatures,
-      which a new column extends by one entry. A signature is computed once
-      per distinct distribution the model returns and pooled, so equal
-      cells share one ``bytes`` object.
+      which a new column extends by one entry. Signatures are read through
+      one ``SignatureMemo``, so each distinct distribution the model
+      returns is signed once.
     - The class index maps each row signature to its RED ranks in order.
       ``red_class_count`` is a lookup in it, and ``consistent`` returns at
       once when every class has one row (as RED only grows by closing).
@@ -121,9 +121,7 @@ class ObservationTable:
         self._rows: dict[int, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[int]] = {}
         self._unmatched: list[int] = []
-        self._pool: dict[bytes, bytes] = {}
-        # Pooled signature per distinct queried distribution.
-        self._sigs: dict[Distribution, bytes] = {}
+        self._sigs = SignatureMemo(equivalence, signature)
         self._fill_rows([root, *self._promote(root)])
         self._index(root)
 
@@ -279,22 +277,14 @@ class ObservationTable:
 
     # -- filling -----------------------------------------------------------
 
-    def _signature(self, dist: Distribution) -> bytes:
-        """The pooled class signature of a queried distribution."""
-        sig = self._sigs.get(dist)
-        if sig is None:
-            sig = signature(dist, self.equivalence)
-            sig = self._sigs[dist] = self._pool.setdefault(sig, sig)
-        return sig
-
     def _class_of(self, word: Word) -> bytes:
         """Query ``word`` outside the table and return its class signature."""
-        return self._signature(self.model.query(word))
+        return self._sigs[self.model.query(word)]
 
     def _query_cells(self, ranks: list[int], suffixes: list[Word]) -> list[tuple[bytes, ...]]:
         """Query the new cells ``ranks × suffixes`` row by row, in one loop.
 
-        Returns each row's pooled class signatures, one per suffix. When
+        Returns each row's class signatures, one per suffix. When
         the cells do not fit the cell budget, the ones that fit are queried,
         in the same order, before ``TableLimitExceeded`` is raised.
         """
@@ -306,10 +296,7 @@ class ObservationTable:
         self._n_cells += len(words)
         if self.model.batches:
             self.model.prefetch(words)
-        # Signatures are non-empty byte strings, so a memo miss is the only
-        # falsy ``get``.
-        get, signature_of = self._sigs.get, self._signature
-        out = [get(d) or signature_of(d) for d in map(self.model.query, words)]
+        out = list(map(self._sigs.__getitem__, map(self.model.query, words)))
         if over:
             raise TableLimitExceeded(
                 f"table would exceed {self.max_cells} cells; "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .distributions import Distribution, require_limit, require_same_alphabet
 
@@ -62,19 +63,14 @@ def ranking(d: Distribution) -> dict[str, int]:
 
 def top_ranked(d: Distribution, r: int) -> frozenset[str]:
     """The set of symbols ranked in the first ``r`` positions."""
-    _require_positive(r)
+    require_limit("r", r, 1)
     return frozenset(sym for sym, k in ranking(d).items() if k <= r)
 
 
 def clipped_ranking(d: Distribution, r: int) -> dict[str, int]:
     """Ranking with every position beyond ``r`` collapsed to ``r+1``."""
-    _require_positive(r)
+    require_limit("r", r, 1)
     return {sym: (k if k <= r else r + 1) for sym, k in ranking(d).items()}
-
-
-def _require_positive(r: int) -> None:
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ def ndcg_distance(d1: Distribution, d2: Distribution, r: int) -> float:
     rankings coincide.
     """
     require_same_alphabet(d1, d2)
-    _require_positive(r)
+    require_limit("r", r, 1)
     depth = min(r, len(d1.alphabet.extended))
     denom = sum((r - k + 1) / math.log2(k + 1) for k in range(1, depth + 1))
     forward = _discounted_gain(d1, d2, r, depth) / denom
@@ -249,6 +245,25 @@ def _signature_payload(d: Distribution, spec: EquivalenceSpec) -> list:
 def signature(d: Distribution, spec: EquivalenceSpec) -> bytes:
     """Canonical class key: equal exactly for equivalent distributions."""
     return json.dumps(_signature_payload(d, spec), separators=(",", ":")).encode("ascii")
+
+
+class SignatureMemo(dict):
+    """Class signatures keyed by distribution, each signed on first lookup.
+
+    Signatures are canonical, so one entry serves every distribution equal
+    to its key, shared object or not. ``sign`` signs a miss: each module
+    passes the ``signature`` it imports, so a replacement of that module
+    attribute made before the memo is built sees every miss.
+    """
+
+    def __init__(self, spec: EquivalenceSpec, sign: Callable[..., bytes]):
+        super().__init__()
+        self._spec = spec
+        self._sign = sign
+
+    def __missing__(self, d: Distribution) -> bytes:
+        sig = self[d] = self._sign(d, self._spec)
+        return sig
 
 
 def equivalent(d1: Distribution, d2: Distribution, spec: EquivalenceSpec) -> bool:

@@ -15,10 +15,10 @@ import abc
 import random
 from dataclasses import dataclass
 
-from .automata import Pdfa, QuotientPdfa, _first_mismatch, emission_signatures
-from .distributions import AlphabetMismatch, Distribution, require_limit
+from .automata import Pdfa, QuotientPdfa, _first_mismatch
+from .distributions import AlphabetMismatch, require_limit
 from .models import CachedModel, LanguageModel, PdfaLanguageModel
-from .relations import EquivalenceSpec, signature
+from .relations import EquivalenceSpec, SignatureMemo, signature
 from .words import Word, count_words, iter_words, prefixes, word_key
 
 
@@ -30,8 +30,8 @@ class EqOracle(abc.ABC):
     """Equivalence-query interface: None means no counterexample found.
 
     The target's class after a word is the signature of ``model``'s answer,
-    computed once per distinct answer: signatures are canonical, so the memo
-    is keyed by the distribution.
+    read through one ``SignatureMemo``, so each distinct answer is signed
+    once.
     """
 
     description: str = "oracle"
@@ -39,18 +39,14 @@ class EqOracle(abc.ABC):
     def __init__(self, model: LanguageModel, spec: EquivalenceSpec):
         self.model = model
         self.spec = spec
-        self._sigs: dict[Distribution, bytes] = {}
+        self._sigs = SignatureMemo(spec, signature)
 
     @abc.abstractmethod
     def check(self, hypothesis: QuotientPdfa) -> Word | None: ...
 
     def _fails(self, word: Word, hypothesis: QuotientPdfa) -> bool:
         """Whether the target's class after ``word`` differs from the hypothesis's."""
-        dist = self.model.query(word)
-        sig = self._sigs.get(dist)
-        if sig is None:
-            sig = self._sigs[dist] = signature(dist, self.spec)
-        return sig != hypothesis.class_after(word)
+        return self._sigs[self.model.query(word)] != hypothesis.class_after(word)
 
     def _sweep(self, hypothesis: QuotientPdfa, max_length: int) -> Word | None:
         """The first failing word up to ``max_length``, in length-lex order."""
@@ -75,13 +71,15 @@ class ExactOracle(EqOracle):
 
     Walks the synchronized product of target and hypothesis breadth-first
     and reports the shortest access word of the first class mismatch
-    (alphabet-order tie-break).
+    (alphabet-order tie-break). The target's state keys and the
+    counterexample's re-check read one memo, so each emission is signed
+    once.
     """
 
     def __init__(self, target: Pdfa, spec: EquivalenceSpec):
         super().__init__(PdfaLanguageModel(target), spec)
         self.target = target
-        self._target_sigs = emission_signatures(target.emissions, spec)
+        self._target_sigs = list(map(self._sigs.__getitem__, target.emissions))
         self.description = f"exact[{spec.spec_string()}]"
 
     def check(self, hypothesis: QuotientPdfa) -> Word | None:

@@ -24,7 +24,7 @@ from .automata import (
     quotient_from_partition,
     refine_partition,
 )
-from .distributions import AlphabetMismatch, Distribution
+from .distributions import AlphabetMismatch, Distribution, require_limit
 from .models import (
     AlternatingUnaryModel,
     LanguageModel,
@@ -66,6 +66,7 @@ def string_tolerant(
     A None verdict is bounded: it certifies similarity on words up to
     ``max_len`` only.
     """
+    require_limit("max_len", max_len, 0)
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatch("models over different alphabets")
     for word in iter_words(m1.alphabet, max_len):
@@ -82,6 +83,7 @@ def string_pair_tolerant(
     Returns the shortest w with M(u+w) not similar to M(u2+w); None certifies
     tolerance for continuations up to ``max_cont`` only.
     """
+    require_limit("max_cont", max_cont, 0)
     for w in iter_words(m.alphabet, max_cont):
         if not similar(m.query(u + w), m.query(u2 + w), spec):
             return w
@@ -315,8 +317,7 @@ def demo_recognizable_not_regular(bound: int) -> SeparationReport:
     by explicit continuations, so any clique congruence needs at least one
     clique per marked word.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    require_limit("bound", bound, 1)
     spec = SimilaritySpec("vd", threshold=0.15)
     model = AlternatingUnaryModel()
     constant = PdfaLanguageModel(_one_state_half_pdfa())

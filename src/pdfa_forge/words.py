@@ -18,9 +18,13 @@ EMPTY: Word = ()
 
 
 def word_key(alphabet: Alphabet, word: Word) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing length-lexicographic order."""
+    """Sort key realizing length-lexicographic order.
+
+    A symbol outside the alphabet, the terminal ``$`` included, raises
+    ``AlphabetMismatch``.
+    """
     try:
-        return (len(word), tuple(map(alphabet._index.__getitem__, word)))
+        return (len(word), tuple(map(alphabet.columns.__getitem__, word)))
     except KeyError as missing:
         raise alphabet._mismatch(missing.args[0]) from None
 

@@ -1103,6 +1103,26 @@ class TestIncrementalTableAgainstNaiveReference:
                 # signature per distinct value, however many cells hold it.
                 assert len(computed) == len(set(computed)) == len(set(cells)) < len(cells)
 
+    def test_one_signature_per_distinct_distribution_over_a_run(self, monkeypatch):
+        # Counterexample processing classifies words outside the table
+        # through the same memo as the cells.
+        computed = []
+
+        def counting_signature(d, spec):
+            computed.append(d)
+            return signature(d, spec)
+
+        monkeypatch.setattr(learner_module, "signature", counting_signature)
+        updates = 0
+        for target, spec in list(self.targets())[:6]:
+            computed.clear()
+            report = learn(FreshCopyModel(PdfaLanguageModel(target)), spec,
+                           ExactOracle(target, spec))
+            assert report.converged
+            assert len(computed) == len(set(computed)) <= len(set(target.emissions))
+            updates += report.rounds - 1
+        assert updates >= 6
+
     def test_cell_limit_fires_at_the_same_query(self):
         # Limits halfway into each counterexample update, where the order in
         # which new rows are filled decides which words get queried, and
@@ -1143,7 +1163,7 @@ class PerCellTable(ObservationTable):
                 "the target may not be regular under this equivalence"
             )
         self._n_cells += 1
-        return self._signature(self.model.query(prefix + suffix))
+        return self._sigs[self.model.query(prefix + suffix)]
 
     def _fill_rows(self, ranks):
         for r in ranks:

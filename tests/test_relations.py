@@ -344,6 +344,22 @@ class TestSignatures:
                 EquivalenceSpec(kind, value)
 
 
+RANK_DEPTH_FUNCTIONS = {
+    "top_ranked": top_ranked,
+    "clipped_ranking": clipped_ranking,
+    "word_error_rate": lambda d, r: word_error_rate(d, d, r),
+    "ndcg_distance": lambda d, r: ndcg_distance(d, d, r),
+}
+
+
+@pytest.mark.parametrize("r", [0, 1.5, True, None])
+@pytest.mark.parametrize("name", RANK_DEPTH_FUNCTIONS)
+def test_rank_depth_must_be_a_positive_int(name, r):
+    d = Distribution.from_map(AB, {"a": 0.5, "b": 0.3, "$": 0.2})
+    with pytest.raises(ValueError, match=r"^r must be"):
+        RANK_DEPTH_FUNCTIONS[name](d, r)
+
+
 # ---------------------------------------------------------------------------
 # Relation-level properties
 # ---------------------------------------------------------------------------

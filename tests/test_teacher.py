@@ -10,6 +10,7 @@ from pdfa_forge import (
     BoundedExhaustiveOracle,
     ExactOracle,
     OracleBudgetExceeded,
+    Pdfa,
     PdfaLanguageModel,
     QuotientPdfa,
     SamplingConfig,
@@ -24,7 +25,7 @@ from pdfa_forge import (
 from pdfa_forge import teacher as teacher_module
 from pdfa_forge.words import iter_words, prefixes, word_key
 
-from helpers import UNARY, FreshCopyModel, random_pdfa, unary_dist
+from helpers import UNARY, FreshCopyModel, copy_of, random_pdfa, unary_dist
 
 QUANT3 = parse_equivalence("quant:3")
 QUANT7 = parse_equivalence("quant:7")
@@ -214,11 +215,29 @@ class TestSignatureMemo:
                 computed.clear()
 
     def test_exact_oracle_verifies_through_the_memo(self, computed, fig3a):
+        # The product search's keys and the counterexample's re-check read
+        # one memo: the target's emissions are signed once, when it is built.
         oracle = ExactOracle(fig3a, QUANT7)
+        assert computed == list(dict.fromkeys(fig3a.emissions))
         hypothesis = one_state_hypothesis(unary_dist(0.5), QUANT7)
         for _ in range(3):
             assert oracle.check(hypothesis) == ()
-        assert computed == [fig3a.distribution_after(())]
+        assert computed == list(dict.fromkeys(fig3a.emissions))
+
+    def test_exact_oracle_signs_each_target_emission_once_per_run(self, computed):
+        rng = random.Random(17)
+        counterexamples = 0
+        for _ in range(6):
+            target = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2,
+                                 max_symbols=2, palette_size=3)
+            copied = Pdfa(target.alphabet, target.initial,
+                          tuple(map(copy_of, target.emissions)), target.transitions)
+            computed.clear()
+            report = learn(PdfaLanguageModel(target), EXACT, ExactOracle(copied, EXACT))
+            assert report.converged
+            assert computed == list(dict.fromkeys(copied.emissions))
+            counterexamples += report.rounds - 1
+        assert counterexamples >= 6  # each one re-checked through the memo
 
 
 class TestSamplingOracle:

@@ -50,6 +50,16 @@ class TestStringTolerant:
         assert string_tolerant(model, model, VD15, 10) is None
 
 
+@pytest.mark.parametrize("limit", [-1, 1.5, True, None])
+def test_length_limits_must_be_ints_of_at_least_zero(limit):
+    # A negative limit would certify tolerance over no words at all.
+    model = AlternatingUnaryModel()
+    with pytest.raises(ValueError, match="^max_len must be"):
+        string_tolerant(model, UniformUnaryModel(), VD15, limit)
+    with pytest.raises(ValueError, match="^max_cont must be"):
+        string_pair_tolerant(model, ("a",), ("a", "a", "a"), VD15, limit)
+
+
 class TestStringPairTolerant:
     def test_marked_words_are_separated(self):
         model = AlternatingUnaryModel()
@@ -271,9 +281,11 @@ class TestDemo:
         assert payload["checked"] == "bounded(6)"
         assert {"first", "second", "continuation"} <= set(payload["separations"][0])
 
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            demo_recognizable_not_regular(0)
+    @pytest.mark.parametrize("bound", [0, True, 2.5])
+    def test_bound_validation(self, bound):
+        # True would be reported as the bound; 2.5 failed inside the sweep.
+        with pytest.raises(ValueError, match="^bound must be"):
+            demo_recognizable_not_regular(bound)
 
 
 class TestFinerEquivalenceLearnsTolerantModels:

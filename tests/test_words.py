@@ -1,8 +1,10 @@
 """Word enumeration, ordering, and rendering helpers."""
 
-from pdfa_forge import Alphabet
 import random
 
+import pytest
+
+from pdfa_forge import Alphabet, AlphabetMismatch
 from pdfa_forge.words import (
     count_words,
     format_word,
@@ -27,6 +29,14 @@ def test_word_key_orders_by_length_then_alphabet():
     words = [("b",), (), ("a", "a"), ("a",)]
     ordered = sorted(words, key=lambda w: word_key(AB, w))
     assert ordered == [(), ("a",), ("b",), ("a", "a")]
+
+
+def test_word_key_refuses_the_terminal():
+    # ``$`` has the extended-alphabet index 2 over {a, b}, which would give
+    # ("$",) the rank of ("a", "a").
+    for word in [("$",), ("a", "$")]:
+        with pytest.raises(AlphabetMismatch, match="'\\$' not in alphabet"):
+            word_key(AB, word)
 
 
 def check_ranks(alphabet, words):
