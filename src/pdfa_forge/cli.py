@@ -124,7 +124,7 @@ def _convert(key: str, value: str):
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise _io_error(f"cannot read config file: {exc}") from None
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,7 +154,7 @@ def _read_json(path: str) -> dict:
         return json.loads(Path(path).read_text("utf-8"))
     except OSError as exc:
         raise _io_error(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise _io_error(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -67,12 +67,13 @@ class ObservationTable:
     linearly with the cells:
 
     - ``_word`` (rank → word) is the only store of words; ``red`` and
-      ``blue`` read it. RED and BLUE are sorted rank lists, BLUE also a
-      set. A promoted word's continuations enter BLUE as one block, and
-      ``word_key`` runs only for the empty word.
+      ``blue`` read it. RED and BLUE are sorted rank lists. A promoted
+      word's continuations enter BLUE as one block, and ``word_key`` runs
+      only for the empty word.
     - There is one cell store: the table's ``CachedModel``. A cell's
       distribution is the cached answer to its word, read with ``peek``
-      (no hit is counted), and a cell counter enforces ``max_cells``.
+      (no hit is counted). The filled cells are the rows times the
+      columns, which ``max_cells`` bounds.
     - The row cache maps each rank to its tuple of cell class signatures,
       which a new column extends by one entry. Signatures are read through
       one ``SignatureMemo``, so each distinct distribution the model
@@ -116,8 +117,6 @@ class ObservationTable:
         self._word: dict[int, Word] = {root: EMPTY}
         self._red: list[int] = []
         self._blue: list[int] = [root]  # until it is promoted, below
-        self._blue_set: set[int] = {root}
-        self._n_cells = 0
         self._rows: dict[int, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], list[int]] = {}
         self._unmatched: list[int] = []
@@ -175,21 +174,18 @@ class ObservationTable:
     def validate(self) -> None:
         """Check the structural invariants; raises on violation.
 
-        The RED and BLUE rank lists increase strictly, the BLUE set is the
-        BLUE list, the stored words are exactly RED and BLUE, and each is
-        stored under the rank of its ``word_key``, so RED and BLUE are in
-        length-lex order. RED is prefix-closed, the suffixes suffix-closed,
-        both hold the empty word, BLUE is RED's uncovered continuations,
-        every row has a cell per suffix that the model has answered, and the
-        cell counter counts them. The row cache, the class index and the
-        unmatched heap's live ranks must equal their recomputation.
+        The RED and BLUE rank lists increase strictly, the stored words are
+        exactly RED and BLUE, and each is stored under the rank of its
+        ``word_key``, so RED and BLUE are in length-lex order. RED is
+        prefix-closed, the suffixes suffix-closed, both hold the empty word,
+        BLUE is RED's uncovered continuations, and every row has a cell per
+        suffix that the model has answered. The row cache, the class index
+        and the unmatched heap's live ranks must equal their recomputation.
         """
         alphabet, word_of, k = self._alphabet, self._word, self._k
         for name, ranks in (("RED", self._red), ("BLUE", self._blue)):
             if any(map(int.__ge__, ranks, ranks[1:])):
                 raise LearnerInvariantError(f"the {name} rank list is not strictly increasing")
-        if self._blue_set != set(self._blue):
-            raise LearnerInvariantError("the BLUE rank set is stale")
         if word_of.keys() != {*self._red, *self._blue}:
             raise LearnerInvariantError("the stored words are not RED and BLUE")
         for rank, word in word_of.items():
@@ -222,15 +218,13 @@ class ObservationTable:
                 raise LearnerInvariantError(f"cached row of {p!r} is stale")
         if len(rows) != len(word_of):
             raise LearnerInvariantError("the row cache holds a row of no RED or BLUE word")
-        if self._n_cells != len(word_of) * len(self.suffixes):
-            raise LearnerInvariantError("the cell count is stale")
         classes: dict[tuple[bytes, ...], list[int]] = {}
         for rank in self._red:
             classes.setdefault(rows[rank], []).append(rank)
         if self._classes != classes:
             raise LearnerInvariantError("the RED class index is stale")
         heap = self._unmatched
-        live = [r for r in sorted(heap) if r in self._blue_set and rows[r] not in classes]
+        live = [r for r in sorted(heap) if rows[r] not in classes]
         if live != [r for r in self._blue if rows[r] not in classes] or any(
             heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))
         ):
@@ -244,13 +238,11 @@ class ObservationTable:
         Returns the continuations' ranks, which still need rows. The word
         was not RED, so none of its continuations is RED or BLUE.
         """
-        self._blue_set.remove(rank)
         del self._blue[bisect_left(self._blue, rank)]
         insort(self._red, rank)
         word, first = self._word[rank], self._k * rank + 1
         children = range(first, first + self._k)
         self._word.update(zip(children, [word + (symbol,) for symbol in self._alphabet.symbols]))
-        self._blue_set.update(children)
         i = bisect_left(self._blue, first)
         self._blue[i:i] = children
         return children
@@ -289,13 +281,11 @@ class ObservationTable:
         in the same order, before ``TableLimitExceeded`` is raised.
         """
         words = [p + s for p in map(self._word.__getitem__, ranks) for s in suffixes]
-        room = self.max_cells - self._n_cells
+        room = self.max_cells - len(self._rows) * len(self.suffixes)
         over = len(words) > room
         if over:
             del words[room:]
-        self._n_cells += len(words)
-        if self.model.batches:
-            self.model.prefetch(words)
+        self.model.prefetch(words)
         out = list(map(self._sigs.__getitem__, map(self.model.query, words)))
         if over:
             raise TableLimitExceeded(
@@ -309,36 +299,38 @@ class ObservationTable:
         self._rows.update(zip(ranks, self._query_cells(ranks, self.suffixes)))
 
     def _add_columns(self, suffixes: list[Word]) -> None:
-        """Append new columns and fill them row by row; ``_reindex`` follows."""
-        self.suffixes += suffixes
+        """Fill new columns row by row, then append them; ``_reindex``
+        follows."""
         ranks = self._red + self._blue
         rows = self._rows
         for rank, cells in zip(ranks, self._query_cells(ranks, suffixes)):
             rows[rank] += cells
+        self.suffixes += suffixes
 
     # -- closedness and consistency ----------------------------------------
 
     def closed(self) -> tuple[bool, Word | None]:
         """Whether every BLUE row matches some RED row; else the
         length-lex first offender."""
-        heap, blue, rows, classes = self._unmatched, self._blue_set, self._rows, self._classes
+        heap, rows, classes = self._unmatched, self._rows, self._classes
         while heap:
             rank = heap[0]
-            if rank in blue and rows[rank] not in classes:
+            if rows[rank] not in classes:
                 return False, self._word[rank]
-            heappop(heap)  # promoted or matched since it was filed
+            heappop(heap)  # promoted (so indexed) or matched since it was filed
         return True, None
 
     def close_step(self, offender: Word) -> None:
-        """Promote an unmatched BLUE row to RED and query its continuations."""
+        """Promote an unmatched BLUE row to RED and query its continuations.
+
+        Every RED row is in the class index, so a row of the table that
+        matches no class is an unmatched BLUE row.
+        """
         rank = self._rank(offender)
-        if rank not in self._blue_set:
-            raise ValueError(f"offender {offender!r} is not a BLUE row")
-        before = len(self._classes)
+        if rank is None or self._rows[rank] in self._classes:
+            raise ValueError(f"offender {offender!r} is not an unmatched BLUE row")
         self._fill_rows(self._promote(rank))
         self._index(rank)
-        if len(self._classes) <= before:
-            raise LearnerInvariantError("closing must add a new RED row class")
 
     def consistent(self) -> tuple[bool, ConsistencyDefect | None]:
         """Whether equal RED rows keep equal rows after every symbol.
@@ -569,14 +561,6 @@ def learn(
     """
     require_limit("max_rounds", max_rounds, 1)
     mq = cached(model)
-    oracle_name = getattr(teacher, "description", teacher.__class__.__name__)
-    try:
-        table = ObservationTable(mq, equivalence, max_cells=max_cells)
-    except TableLimitExceeded as exc:
-        return LearnerReport(
-            hypothesis=None, converged=False, rounds=0, mq_count=mq.misses,
-            oracle=oracle_name, stop_reason=str(exc),
-        )
     trace: list[tuple[str, int, int, int, int]] = []
 
     def record(event: str) -> None:
@@ -592,6 +576,7 @@ def learn(
     if borrowed:
         teacher.model = mq
     try:
+        table = ObservationTable(mq, equivalence, max_cells=max_cells)
         while rounds < max_rounds:
             while True:
                 ok, offender = table.closed()
@@ -627,6 +612,6 @@ def learn(
         rounds=rounds,
         mq_count=mq.misses,
         trace=trace,
-        oracle=oracle_name,
+        oracle=getattr(teacher, "description", teacher.__class__.__name__),
         stop_reason=stop_reason,
     )

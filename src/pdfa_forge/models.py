@@ -161,10 +161,10 @@ class CachedModel(LanguageModel):
     model's batch path in one call. ``query`` then answers each of them as
     it would have, counting a miss, so counts and the words the inner model
     sees, in their order, do not depend on prefetching. ``batches`` tells
-    whether the inner model has a batch path of its own, so callers can
-    skip building a batch that ``prefetch`` would ignore. ``peek`` reads a
-    cached answer without counting it, so a caller that keeps the words it
-    queried needs no store of its own.
+    whether the inner model has a batch path of its own; without one,
+    ``prefetch`` does nothing. ``peek`` reads a cached answer without
+    counting it, so a caller that keeps the words it queried needs no store
+    of its own.
     """
 
     def __init__(self, inner: LanguageModel):
@@ -359,30 +359,23 @@ class RemoteModel(LanguageModel):
     def query_many(self, words: Iterable[Word]) -> list[Distribution]:
         """The answers to ``words``, in order, pipelined on one connection.
 
-        Each distinct word is sent once. Raises what ``query`` raises for
-        the first word that fails for good; up to the pipeline depth of
-        words after it may have been sent by then.
+        Each word is sent as given, so a repeated word is sent again;
+        ``CachedModel.prefetch`` passes distinct words. Raises what
+        ``query`` raises for the first word that fails for good; up to the
+        pipeline depth of words after it may have been sent by then.
         """
         requests: list[bytes] = []
-        position: dict[Word, int] = {}
-        order: list[int] = []
         rejected: Exception | None = None
         for word in words:
-            word = tuple(word)
-            i = position.get(word)
-            if i is None:
-                try:
-                    request = self._request(word)
-                except (AlphabetMismatch, RemoteModelError) as exc:
-                    rejected = exc
-                    break
-                i = position[word] = len(requests)
-                requests.append(request)
-            order.append(i)
+            try:
+                requests.append(self._request(tuple(word)))
+            except (AlphabetMismatch, RemoteModelError) as exc:
+                rejected = exc
+                break
         answers = self._exchange(requests)
         if rejected is not None:
             raise rejected
-        return [answers[i] for i in order]
+        return answers
 
     def _request(self, word: Word) -> bytes:
         self._check_word(word)
@@ -536,7 +529,7 @@ class RemoteModel(LanguageModel):
     def _parse(self, body: bytes) -> Distribution:
         try:
             probs = json.loads(body)["probs"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise RemoteModelError(f"malformed response body: {exc}") from None
         if not isinstance(probs, Mapping):
             raise RemoteModelError(f"'probs' must be an object, got {type(probs).__name__}")

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, emitted files, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ from pdfa_forge import (
 )
 from pdfa_forge.bundled import fixture_json
 from pdfa_forge.cli import main
+
+from helpers import content_length_reply
 
 
 def run_cli(*argv, out_dir=None):
@@ -282,6 +285,13 @@ class TestConfigAndErrors:
         code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
         assert code == expected
 
+    def test_config_file_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"equiv = quant:3\n\xff\n")
+        code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+
     def test_bad_equivalence_spec_is_config_error(self, capsys):
         code = run_cli("compare", "fixture:fig2a", "fixture:fig2b", "--equiv", "quant:zero")
         assert code == 1
@@ -450,6 +460,22 @@ class TestOptionTable:
         assert run_cli("export", "--model", str(path)) == 2
         assert "automaton document must be a JSON object, got int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf-8", "nested-too-deeply"])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "DOC", "fixture:fig2a", "--equiv", "quant:3"],
+        ["quotient", "--model", "DOC", "--equiv", "quant:3"],
+        ["export", "--model", "DOC"],
+        ["cliques", "DOC", "--sim", "vd:0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_unreadable_document_is_an_io_error(self, tmp_path, capsys, content, argv):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code = run_cli(*[str(path) if arg == "DOC" else arg for arg in argv], out_dir=tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
 
 class TestRemoteModelSource:
     def test_learn_from_http_endpoint(self, tmp_path, lm_server, fig3a, capsys):
@@ -461,6 +487,18 @@ class TestRemoteModelSource:
         )
         assert code == 0
         assert "learned 3 states" in capsys.readouterr().out
+
+    def test_deeply_nested_reply_is_a_network_error(self, tmp_path, lm_server, capsys):
+        lm_server.set_behavior(lambda path, body: (200, {}))
+        deep = b'{"probs":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        lm_server.reply = lambda status, data: content_length_reply(status, deep)
+        code = run_cli(
+            "learn", "--model", lm_server.endpoint, "--alphabet", "a",
+            "--equiv", "quant:3", "--eq", "exhaustive:3",
+            out_dir=tmp_path,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed response body: ")
 
     def test_unreachable_endpoint_is_a_network_error(self, tmp_path):
         code = run_cli(
@@ -568,3 +606,38 @@ def test_outputs_identical_across_processes_and_hash_seeds(tmp_path):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_every_output_is_independent_of_the_hash_seed(tmp_path):
+    # The test above covers one command; here each hash seed runs every
+    # command below in one fresh process.
+    commands = [
+        ["learn", "--model", "fixture:fig3a", "--equiv", "quant:7", "--eq", "sample:300:12"],
+        ["learn", "--model", "fixture:fig2a", "--equiv", "rank:2", "--eq", "exhaustive:6"],
+        ["learn", "--model", "builtin:m1", "--equiv", "exact", "--eq", "sample:200:30",
+         "--max-cells", "400"],
+        ["cliques", "fixture:fig3-dists", "--sim", "vd:0.15"],
+        ["quotient", "--model", "fixture:fig2b", "--equiv", "combo:quant:3+top:1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from pdfa_forge.cli import main\n"
+        "out, commands = sys.argv[1], json.loads(sys.argv[2])\n"
+        "for i, argv in enumerate(commands):\n"
+        "    assert main(['--out-dir', f'{out}/{i}', *argv]) == 0, argv\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"seed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(out), json.dumps(commands)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append({
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()
+        })
+    assert len(outputs[0]) == 21
+    assert outputs[0] == outputs[1]
