@@ -34,7 +34,6 @@ from .distributions import (
     TERMINAL,
 )
 from .learner import (
-    ConsistencyDefect,
     LearnerInvariantError,
     LearnerReport,
     ObservationTable,

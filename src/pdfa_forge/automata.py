@@ -10,6 +10,7 @@ state is reachable from the initial state.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -395,6 +396,26 @@ def _first_mismatch(
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
+
+def decode_json(text: str | bytes):
+    """Parse a JSON document strictly: an object that repeats a key, and the
+    constants ``NaN``, ``Infinity`` and ``-Infinity``, raise ``ValueError``
+    instead of loading (the last key winning, or a non-finite float)."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate key {key!r}")
+    return doc
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
 
 def pdfa_to_json(a: Pdfa) -> dict:
     return _to_json(a, {})

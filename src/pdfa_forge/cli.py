@@ -19,6 +19,7 @@ from .automata import (
     Pdfa,
     QuotientPdfa,
     automaton_from_json,
+    decode_json,
     lm_equivalent,
     pdfa_from_json,
     pdfa_to_json,
@@ -151,10 +152,10 @@ def _load_config(path: str) -> dict:
 
 def _read_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        return decode_json(Path(path).read_text("utf-8"))
     except OSError as exc:
         raise _io_error(f"cannot read {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not strict JSON, or too deep
         raise _io_error(f"{path} is not valid JSON: {exc}") from None
 
 

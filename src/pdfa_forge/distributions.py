@@ -8,6 +8,7 @@ safe to share between threads and to use as dictionary keys.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -109,7 +110,13 @@ class Distribution:
         for sym, p in zip(extended, probs):
             if p is None or isinstance(p, (str, bytes, bytearray, bool)):
                 raise InvalidDistribution(f"probability of {sym!r} is not a number: {p!r}")
-        object.__setattr__(self, "probs", tuple(map(float, probs)))
+        try:
+            object.__setattr__(self, "probs", tuple(map(float, probs)))
+        except OverflowError:  # an integer beyond the float range
+            sym = next(sym for sym, p in zip(extended, probs) if abs(p) > sys.float_info.max)
+            raise InvalidDistribution(
+                f"probability of {sym!r} out of [0,1]: too large for a float"
+            ) from None
         for sym, p in zip(extended, self.probs):
             if not -SUM_TOLERANCE <= p <= 1.0 + SUM_TOLERANCE:
                 raise InvalidDistribution(f"probability of {sym!r} out of [0,1]: {p!r}")

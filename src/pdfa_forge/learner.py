@@ -7,13 +7,14 @@ their *row signatures* (tuple of class signatures, one per suffix), never
 through pairwise predicates, so row equality is transitive by construction.
 Rows and every index of the table are keyed by the words' integer shortlex
 ranks, and one dict maps each rank to its word. Once the table is closed
-and consistent it folds into a hypothesis quotient PDFA which an
-equivalence oracle either accepts or refutes with a counterexample word.
+it folds into a hypothesis quotient PDFA which an equivalence oracle either
+accepts or refutes with a counterexample word.
 
 Counterexamples are processed as by Rivest & Schapire (1993): a binary
 search over the word finds one distinguishing suffix, which becomes a new
-column. RED only grows by closing, so RED rows stay pairwise distinct and
-the table is always consistent; ``consistent`` checks that invariant.
+column. RED only grows by closing, so each class of RED rows holds exactly
+one row and the table is consistent by construction: no consistency repair
+exists.
 """
 
 from __future__ import annotations
@@ -41,20 +42,6 @@ class LearnerInvariantError(AssertionError):
     """A structural property of the algorithm failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class ConsistencyDefect:
-    """Two equal RED rows whose continuations disagree on ``symbol + suffix``."""
-
-    first: Word
-    second: Word
-    symbol: str
-    suffix: Word
-
-    @property
-    def new_suffix(self) -> Word:
-        return (self.symbol,) + self.suffix
-
-
 class ObservationTable:
     """RED/BLUE prefix rows times suffix columns of queried distributions.
 
@@ -78,9 +65,9 @@ class ObservationTable:
       which a new column extends by one entry. Signatures are read through
       one ``SignatureMemo``, so each distinct distribution the model
       returns is signed once.
-    - The class index maps each row signature to its RED ranks in order.
-      ``red_class_count`` is a lookup in it, and ``consistent`` returns at
-      once when every class has one row (as RED only grows by closing).
+    - The class index maps each row signature to the rank of its one RED
+      row (RED only grows by closing, so no two RED rows are equal).
+      ``red_class_count`` is its size.
     - The unmatched index is a heap of the ranks of BLUE rows that matched
       no RED row when they were filed: a new BLUE row when its RED parent
       is indexed, every unmatched BLUE row when new columns rebuild it. A
@@ -93,10 +80,9 @@ class ObservationTable:
     ``TableLimitExceeded`` the table is left partly filled and must not be
     used further.
 
-    ``build_hypothesis`` numbers the classes by their first RED rows in rank
-    order, reads the transitions from those rows' children by rank, compares
-    the other rows of a class only when it has some, and checks the
-    hypothesis against the table column by column.
+    ``build_hypothesis`` numbers the classes by their RED rows in rank
+    order, reads the transitions from those rows' children by rank, and
+    checks the hypothesis against the table column by column.
     """
 
     def __init__(
@@ -118,7 +104,7 @@ class ObservationTable:
         self._red: list[int] = []
         self._blue: list[int] = [root]  # until it is promoted, below
         self._rows: dict[int, tuple[bytes, ...]] = {}
-        self._classes: dict[tuple[bytes, ...], list[int]] = {}
+        self._classes: dict[tuple[bytes, ...], int] = {}
         self._unmatched: list[int] = []
         self._sigs = SignatureMemo(equivalence, signature)
         self._fill_rows([root, *self._promote(root)])
@@ -162,11 +148,10 @@ class ObservationTable:
             raise KeyError(prefix)
         return self._rows[rank]
 
-    def red_classes(self) -> dict[tuple[bytes, ...], list[Word]]:
-        """RED rows grouped by row signature, in length-lex discovery order."""
-        word_of = self._word.__getitem__
-        ordered = sorted(self._classes.items(), key=lambda item: item[1])
-        return {sig: list(map(word_of, ranks)) for sig, ranks in ordered}
+    def red_classes(self) -> dict[tuple[bytes, ...], Word]:
+        """Each RED row's signature mapped to its word, in length-lex order."""
+        rows, word_of = self._rows, self._word
+        return {rows[rank]: word_of[rank] for rank in self._red}
 
     def red_class_count(self) -> int:
         return len(self._classes)
@@ -179,8 +164,9 @@ class ObservationTable:
         ``word_key``, so RED and BLUE are in length-lex order. RED is
         prefix-closed, the suffixes suffix-closed, both hold the empty word,
         BLUE is RED's uncovered continuations, and every row has a cell per
-        suffix that the model has answered. The row cache, the class index
-        and the unmatched heap's live ranks must equal their recomputation.
+        suffix that the model has answered. No two RED rows are equal. The
+        row cache, the class index and the unmatched heap's live ranks must
+        equal their recomputation.
         """
         alphabet, word_of, k = self._alphabet, self._word, self._k
         for name, ranks in (("RED", self._red), ("BLUE", self._blue)):
@@ -218,9 +204,9 @@ class ObservationTable:
                 raise LearnerInvariantError(f"cached row of {p!r} is stale")
         if len(rows) != len(word_of):
             raise LearnerInvariantError("the row cache holds a row of no RED or BLUE word")
-        classes: dict[tuple[bytes, ...], list[int]] = {}
-        for rank in self._red:
-            classes.setdefault(rows[rank], []).append(rank)
+        classes = {rows[rank]: rank for rank in self._red}
+        if len(classes) != len(self._red):
+            raise LearnerInvariantError("two RED rows share a class")
         if self._classes != classes:
             raise LearnerInvariantError("the RED class index is stale")
         heap = self._unmatched
@@ -252,7 +238,7 @@ class ObservationTable:
         continuations that match no RED row in the unmatched index (they
         are new, so BLUE)."""
         rows, classes = self._rows, self._classes
-        insort(classes.setdefault(rows[rank], []), rank)
+        classes[rows[rank]] = rank
         first = self._k * rank + 1
         for child in range(first, first + self._k):
             if rows[child] not in classes:
@@ -261,9 +247,7 @@ class ObservationTable:
     def _reindex(self) -> None:
         """Rebuild the class and unmatched indexes after new columns."""
         rows = self._rows
-        self._classes = classes = {}
-        for rank in self._red:
-            classes.setdefault(rows[rank], []).append(rank)
+        self._classes = classes = {rows[rank]: rank for rank in self._red}
         # BLUE is in rank order, so the list is sorted: a heap.
         self._unmatched = [rank for rank in self._blue if rows[rank] not in classes]
 
@@ -307,7 +291,7 @@ class ObservationTable:
             rows[rank] += cells
         self.suffixes += suffixes
 
-    # -- closedness and consistency ----------------------------------------
+    # -- closedness --------------------------------------------------------
 
     def closed(self) -> tuple[bool, Word | None]:
         """Whether every BLUE row matches some RED row; else the
@@ -332,45 +316,20 @@ class ObservationTable:
         self._fill_rows(self._promote(rank))
         self._index(rank)
 
-    def consistent(self) -> tuple[bool, ConsistencyDefect | None]:
-        """Whether equal RED rows keep equal rows after every symbol.
+    def consistent(self) -> tuple[bool, None]:
+        """Always consistent: each class holds one RED row. Nothing in the
+        package calls this; it stays as an entry point for tracing."""
+        return len(self._classes) == len(self._red), None
 
-        Scans classes by their first row and the rows of a class in
-        length-lex order, symbols in alphabet order, and suffixes in column
-        order, so the reported defect is deterministic. Within a class it
-        compares each row with the first only: if no row differs from the
-        first, no two rows differ, so the first defect pairs the first row
-        with a later one, as a scan of all pairs would find.
-        """
-        if len(self._classes) == len(self._red):
-            return True, None  # every class has one row
-        rows, k, word_of = self._rows, self._k, self._word
-        # Lists of distinct ranks sort by their first ranks.
-        for first, *others in sorted(m for m in self._classes.values() if len(m) > 1):
-            for other in others:
-                for i, symbol in enumerate(self._alphabet.symbols, 1):
-                    sig1, sig2 = rows[k * first + i], rows[k * other + i]
-                    if sig1 != sig2:
-                        s = next(s for s, a, b in zip(self.suffixes, sig1, sig2) if a != b)
-                        return False, ConsistencyDefect(word_of[first], word_of[other], symbol, s)
-        return True, None
-
-    def consistent_step(self, defect: ConsistencyDefect) -> None:
-        """Add the separating suffix as a new column and fill it."""
-        new_suffix = defect.new_suffix
-        if new_suffix in self.suffixes:
-            raise ValueError(f"suffix {new_suffix!r} already present")
-        before = self.red_class_count()
-        self._add_columns([new_suffix])
-        self._reindex()
-        if self.red_class_count() <= before:
-            raise LearnerInvariantError("a consistency defect must split a RED class")
+    def consistent_step(self, defect) -> None:
+        """No consistency defect exists to repair; always raises."""
+        raise LearnerInvariantError("a closed-only table has no consistency defect")
 
     def update_with_counterexample(self, word: Word) -> None:
         """Add one distinguishing suffix of the counterexample (Rivest–Schapire).
 
         Walks ``word`` through the closed table: ``u_0`` is the empty word and
-        ``u_{i+1}`` the first RED row of the class of ``u_i + word[i]``. With
+        ``u_{i+1}`` the RED row of the class of ``u_i + word[i]``. With
         ``h`` the class the hypothesis gives ``word`` and ``α(i)`` the
         target's class of ``u_i + word[i:]``, ``α(0) ≠ h = α(n)``; a binary
         search finds ``i`` with ``α(i) ≠ h = α(i+1)``. The suffix
@@ -390,7 +349,7 @@ class ObservationTable:
         rows, classes, k = self._rows, self._classes, self._k
         access = [0]  # the ranks of u_0 … u_n
         for column in columns:
-            access.append(classes[rows[k * access[-1] + column + 1]][0])
+            access.append(classes[rows[k * access[-1] + column + 1]])
         h = rows[access[-1]][0]
         if self._class_of(word) == h:
             raise ValueError(f"the table already classifies {word!r} correctly")
@@ -412,38 +371,28 @@ class ObservationTable:
     # -- hypothesis construction ---------------------------------------------
 
     def build_hypothesis(self) -> QuotientPdfa:
-        """Fold the closed+consistent table into a quotient PDFA."""
+        """Fold the closed table into a quotient PDFA."""
         ok, offender = self.closed()
         if not ok:
             raise ValueError(f"table is not closed (offending row {offender!r})")
-        ok, defect = self.consistent()
-        if not ok:
-            raise ValueError(f"table is not consistent ({defect!r})")
 
-        # Classes are numbered by their first row in rank order, as
+        # Classes are numbered by their RED row in rank order, as
         # ``red_classes`` orders them.
-        rows, classes, k = self._rows, self._classes, self._k
-        representatives = sorted([members[0] for members in classes.values()])
+        rows, k, representatives = self._rows, self._k, self._red
         rep_rows = list(map(rows.__getitem__, representatives))
         class_id = dict(zip(rep_rows, range(len(rep_rows))))
-
-        def successor_classes(ranks) -> tuple[int, ...]:
-            try:
-                return tuple(map(class_id.__getitem__, map(rows.__getitem__, ranks)))
-            except KeyError:
-                raise LearnerInvariantError("closedness violated during build") from None
 
         # Symbol i leads from rank r to rank k·r + i + 1: one column per
         # symbol, read in C. With no symbols, every state has an empty row.
         starts = [k * r + 1 for r in representatives]
-        columns = [successor_classes(map(i.__add__, starts)) for i in range(k)]
+        try:
+            columns = [
+                tuple(map(class_id.__getitem__, map(rows.__getitem__, map(i.__add__, starts))))
+                for i in range(k)
+            ]
+        except KeyError:
+            raise LearnerInvariantError("closedness violated during build") from None
         transitions = list(zip(*columns)) or [()] * len(starts)
-        # The other rows of a class, if any, must agree with its first.
-        for members in classes.values():
-            for r in members[1:]:
-                seen = successor_classes(range(k * r + 1, k * r + k + 1))
-                if seen != transitions[class_id[rows[r]]]:
-                    raise LearnerInvariantError("consistency violated during build")
 
         word_of = self._word.__getitem__
         hypothesis = QuotientPdfa(
@@ -552,8 +501,8 @@ def learn(
     Closes the table, builds a hypothesis, and asks the equivalence oracle;
     each counterexample adds one distinguishing suffix as a column
     (Rivest–Schapire), and the next closing step adds a state. RED rows stay
-    pairwise distinct, so the consistency check that precedes each
-    hypothesis always passes and no ``consistent`` event is recorded.
+    pairwise distinct, so the table needs no consistency repair; the trace
+    records ``close``, ``hypothesis`` and ``counterexample`` events.
     Guaranteed to terminate when the target is regular under the
     equivalence and the oracle exact; otherwise the round and cell limits
     stop the run and the report is flagged as non-converged. Limits that are
@@ -578,18 +527,9 @@ def learn(
     try:
         table = ObservationTable(mq, equivalence, max_cells=max_cells)
         while rounds < max_rounds:
-            while True:
-                ok, offender = table.closed()
-                if not ok:
-                    table.close_step(offender)
-                    record("close")
-                    continue
-                ok, defect = table.consistent()
-                if not ok:
-                    table.consistent_step(defect)
-                    record("consistent")
-                    continue
-                break
+            while not (closed := table.closed())[0]:
+                table.close_step(closed[1])
+                record("close")
             hypothesis = table.build_hypothesis()
             rounds += 1
             record("hypothesis")

@@ -21,7 +21,7 @@ from collections import deque
 from typing import Callable, Iterable, Mapping
 from urllib.parse import urlsplit
 
-from .automata import Pdfa, _walk
+from .automata import Pdfa, _walk, decode_json
 from .distributions import (
     Alphabet,
     AlphabetMismatch,
@@ -528,7 +528,7 @@ class RemoteModel(LanguageModel):
 
     def _parse(self, body: bytes) -> Distribution:
         try:
-            probs = json.loads(body)["probs"]
+            probs = decode_json(body)["probs"]
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise RemoteModelError(f"malformed response body: {exc}") from None
         if not isinstance(probs, Mapping):
@@ -539,6 +539,7 @@ class RemoteModel(LanguageModel):
                 f"response symbols {sorted(probs)} do not match alphabet "
                 f"{sorted(expected)}"
             )
+        values = {}
         for sym, p in probs.items():
             # JSON numbers arrive as int or float; float() would also take
             # strings such as "0.5" and the booleans true and false.
@@ -546,7 +547,10 @@ class RemoteModel(LanguageModel):
                 raise RemoteModelError(
                     f"probability of {sym!r} must be a number, got {type(p).__name__}"
                 )
-        values = {sym: float(p) for sym, p in probs.items()}
+            try:
+                values[sym] = float(p)
+            except OverflowError:  # an integer beyond the float range
+                raise RemoteModelError(f"probability of {sym!r} is too large for a float") from None
         if any(p < 0 for p in values.values()):
             raise RemoteModelError(f"negative probability in response: {values}")
         total = sum(values.values())

@@ -320,7 +320,7 @@ def _events_monotone(events) -> bool:
     for event in events:
         if event["classes"] < classes:
             return False
-        if event["event"] in ("close", "consistent") and event["classes"] <= classes:
+        if event["event"] == "close" and event["classes"] <= classes:
             return False
         if event["event"] == "hypothesis":
             hypothesis_classes.append(event["classes"])
@@ -334,16 +334,8 @@ def _table_laws_hold(model, spec, oracle, max_rounds=24) -> bool:
     the class the hypothesis computes."""
     table = ObservationTable(model, spec)
     for _ in range(max_rounds):
-        while True:
-            closed, offender = table.closed()
-            if not closed:
-                table.close_step(offender)
-                continue
-            consistent, defect = table.consistent()
-            if not consistent:
-                table.consistent_step(defect)
-                continue
-            break
+        while not (closed := table.closed())[0]:
+            table.close_step(closed[1])
         hypothesis = table.build_hypothesis()
         classes = list(table.red_classes())
         for p in table.red:

@@ -476,6 +476,46 @@ class TestOptionTable:
         assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
+    @pytest.mark.parametrize("dist, message", [
+        ('{"a": 1%s, "$": 0}' % ("0" * 400), "probability of 'a' out of [0,1]: too large"),
+        ('{"a": 0.9, "$": 0.5, "a": 0.5}', "is not valid JSON: duplicate key 'a'"),
+        ('{"a": NaN, "$": 0.5}', "is not valid JSON: NaN is not a JSON number"),
+        ('{"a": 0.5, "$": -Infinity}', "is not valid JSON: -Infinity is not a JSON number"),
+    ], ids=["huge-integer", "duplicate-key", "nan", "infinity"])
+    @pytest.mark.parametrize("argv", [
+        ["compare", "DOC", "fixture:fig2a", "--equiv", "quant:3"],
+        ["quotient", "--model", "DOC", "--equiv", "quant:3"],
+        ["export", "--model", "DOC"],
+        ["cliques", "DOC", "--sim", "vd:0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_distribution_json_cannot_hold_is_an_io_error(
+        self, tmp_path, capsys, dist, message, argv
+    ):
+        path = tmp_path / "doc.json"
+        if argv[0] == "cliques":
+            path.write_text(f"[{dist}]")
+        else:
+            path.write_text(
+                '{"alphabet": ["a"], "initial": 0, "states": [{"id": 0, "dist": %s}], '
+                '"transitions": [{"from": 0, "symbol": "a", "to": 0}]}' % dist
+            )
+        code = run_cli(*[str(path) if arg == "DOC" else arg for arg in argv], out_dir=tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_a_repeated_document_key_is_an_io_error(self, tmp_path, capsys):
+        # The last "initial" would name the one state; the first names none.
+        path = tmp_path / "doc.json"
+        path.write_text(
+            '{"alphabet": ["a"], "initial": 5, "initial": 0, '
+            '"states": [{"id": 0, "dist": {"a": 0.5, "$": 0.5}}], '
+            '"transitions": [{"from": 0, "symbol": "a", "to": 0}]}'
+        )
+        assert run_cli("quotient", "--model", str(path), "--equiv", "quant:3", out_dir=tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {path} is not valid JSON: duplicate key 'initial'\n"
+
 
 class TestRemoteModelSource:
     def test_learn_from_http_endpoint(self, tmp_path, lm_server, fig3a, capsys):
@@ -499,6 +539,24 @@ class TestRemoteModelSource:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: malformed response body: ")
+
+    @pytest.mark.parametrize("body, message", [
+        (b'{"probs": {"a": 1%s, "$": 0}}' % (b"0" * 400), "probability of 'a' is too large"),
+        (b'{"probs": {"a": 0.9, "$": 0.5, "a": 0.5}}', "malformed response body: duplicate key"),
+    ], ids=["huge-integer", "duplicate-key"])
+    def test_a_reply_json_cannot_hold_is_a_network_error(
+        self, tmp_path, lm_server, capsys, body, message
+    ):
+        lm_server.set_behavior(lambda path, body: (200, {}))
+        lm_server.reply = lambda status, data: content_length_reply(status, body)
+        code = run_cli(
+            "learn", "--model", lm_server.endpoint, "--alphabet", "a",
+            "--equiv", "quant:3", "--eq", "exhaustive:3",
+            out_dir=tmp_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_unreachable_endpoint_is_a_network_error(self, tmp_path):
         code = run_cli(

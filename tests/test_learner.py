@@ -13,7 +13,6 @@ from pdfa_forge import (
     AlphabetMismatch,
     BoundedExhaustiveOracle,
     CachedModel,
-    ConsistencyDefect,
     Distribution,
     ExactOracle,
     LearnerInvariantError,
@@ -49,9 +48,9 @@ EXACT = parse_equivalence("exact")
 def chain_pdfa() -> Pdfa:
     """Four-state unary chain whose first and third emissions coincide.
 
-    The repeated emission makes the initial single-suffix table group the
-    empty word with the two-symbol word, which a continuation then refutes:
-    the canonical consistency-defect scenario.
+    The repeated emission makes the initial single-suffix table give the
+    empty word and the two-symbol word one row, which a continuation then
+    refutes.
     """
     alphabet = Alphabet(("a",))
     d_half = Distribution(alphabet, (0.5, 0.5))
@@ -80,18 +79,6 @@ def late_change_pdfa() -> Pdfa:
         emissions=(same, same, same, other),
         transitions=((1,), (2,), (3,), (3,)),
     )
-
-
-def promote(table: ObservationTable, word) -> None:
-    """Move a BLUE row to RED even if it matches a RED row.
-
-    No public step does this: closing promotes only unmatched rows and
-    counterexamples add columns. Tests of consistency repair need equal RED
-    rows, so they build them through the table's private path, by rank.
-    """
-    rank = table._rank(word)
-    table._fill_rows(table._promote(rank))
-    table._index(rank)
 
 
 def close(table: ObservationTable) -> None:
@@ -141,6 +128,17 @@ class TestInit:
         table.close_step(("a",))
         table._classes.popitem()
         with pytest.raises(LearnerInvariantError, match="class index"):
+            table.validate()
+
+    def test_validate_rejects_two_red_rows_of_one_class(self):
+        # No public step promotes a matched row; the private path does.
+        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
+        close(table)
+        rank = table._rank(("a", "a"))
+        assert table.row_signature(("a", "a")) == table.row_signature(())
+        table._fill_rows(table._promote(rank))
+        table._index(rank)
+        with pytest.raises(LearnerInvariantError, match="two RED rows share a class"):
             table.validate()
 
     def test_validate_detects_a_stale_unmatched_index(self, fig3a):
@@ -232,7 +230,6 @@ class TestLifetime:
         table = ObservationTable(PdfaLanguageModel(fig2a), QUANT10)
         table.close_step(("a",))
         table.update_with_counterexample(("a", "a", "a"))
-        table.consistent()
         table.red_classes()
         ref = weakref.ref(table)
         enabled = gc.isenabled()
@@ -276,11 +273,10 @@ class TestClosed:
         assert ("a", "a") in table.blue
 
     def test_offender_is_the_first_unmatched_row_of_a_blue_scan(self):
-        # Through closing, counterexample columns and consistency repair
-        # after promoting a matched row, the unmatched index names the row
-        # a length-lex scan of BLUE finds first.
+        # Through closing and counterexample columns, the unmatched index
+        # names the row a length-lex scan of BLUE finds first.
         rng = random.Random(515)
-        repairs = 0
+        updates = 0
         for _ in range(20):
             target = random_pdfa(
                 rng, max_states=25, min_states=5, min_symbols=2, palette_size=rng.randint(2, 4)
@@ -288,7 +284,6 @@ class TestClosed:
             spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
             table = ObservationTable(PdfaLanguageModel(target), spec)
             oracle = ExactOracle(target, spec)
-            promoted = False
             while True:
                 classes = table.red_classes()
                 scan = next((p for p in table.blue if table.row_signature(p) not in classes), None)
@@ -297,20 +292,12 @@ class TestClosed:
                 if scan is not None:
                     table.close_step(scan)
                     continue
-                ok, defect = table.consistent()
-                if not ok:
-                    table.consistent_step(defect)
-                    repairs += 1
-                    continue
-                if not promoted and table.blue:
-                    promote(table, table.blue[0])
-                    promoted = True
-                    continue
                 counterexample = oracle.check(table.build_hypothesis())
                 if counterexample is None:
                     break
                 table.update_with_counterexample(counterexample)
-        assert repairs > 0
+                updates += 1
+        assert updates > 0
 
     def test_close_step_rejects_non_blue_rows(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
@@ -336,49 +323,11 @@ class TestConsistent:
         table.close_step(("a",))
         assert table.consistent() == (True, None)
 
-    def test_defect_detected_on_merged_rows(self):
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        while True:
-            ok, offender = table.closed()
-            if ok:
-                break
-            table.close_step(offender)
-        promote(table, ("a", "a"))
-        ok, defect = table.consistent()
-        assert not ok
-        assert (defect.first, defect.second) == ((), ("a", "a"))
-        assert defect.symbol == "a" and defect.suffix == ()
-
-    def test_consistent_step_splits_the_class(self):
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        while not table.closed()[0]:
-            table.close_step(table.closed()[1])
-        promote(table, ("a", "a"))
-        before = table.red_class_count()
-        columns_before = len(table.suffixes)
-        _, defect = table.consistent()
-        table.consistent_step(defect)
-        assert len(table.suffixes) == columns_before + 1
-        assert ("a",) in table.suffixes
-        assert table.red_class_count() > before
-        table.validate()
-
-    def test_rechecking_after_repair_terminates(self):
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        while not table.closed()[0]:
-            table.close_step(table.closed()[1])
-        promote(table, ("a", "a"))
-        for _ in range(10):
-            ok, offender = table.closed()
-            if not ok:
-                table.close_step(offender)
-                continue
-            ok, defect = table.consistent()
-            if not ok:
-                table.consistent_step(defect)
-                continue
-            break
-        assert table.closed()[0] and table.consistent()[0]
+    def test_consistent_step_raises(self, fig3a):
+        table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
+        close(table)
+        with pytest.raises(LearnerInvariantError, match="no consistency defect"):
+            table.consistent_step(None)
 
 
 class TestUpdate:
@@ -484,28 +433,6 @@ class TestBuildHypothesis:
         with pytest.raises(ValueError, match="not closed"):
             table.build_hypothesis()
 
-    def test_requires_consistency(self):
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        while not table.closed()[0]:
-            table.close_step(table.closed()[1])
-        promote(table, ("a", "a"))
-        while not table.closed()[0]:
-            table.close_step(table.closed()[1])
-        assert not table.consistent()[0]
-        with pytest.raises(ValueError, match="not consistent"):
-            table.build_hypothesis()
-
-    def test_other_rows_of_a_class_must_agree_with_its_first(self, monkeypatch):
-        # Only ``consistent`` keeps such rows from reaching the build.
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        close(table)
-        promote(table, ("a", "a"))
-        close(table)
-        assert [len(rows) for rows in table.red_classes().values()] == [2, 1, 1]
-        monkeypatch.setattr(table, "consistent", lambda: (True, None))
-        with pytest.raises(LearnerInvariantError, match="consistency violated during build"):
-            table.build_hypothesis()
-
 
 def per_cell_check(table, hypothesis, class_id):
     """The self-check as it was, cell by cell: each RED prefix walked from the
@@ -578,18 +505,6 @@ class TestColumnWiseSelfCheck:
                 built += 1
         assert built > 50 and len(refuted) > 3 * built
         assert {message.split()[0] for message in refuted} == {"red", "hypothesis"}
-
-    def test_after_a_consistency_repair(self):
-        # ``consistent_step`` adds ``symbol + suffix`` alone, with no tails
-        # added by counterexample processing.
-        table = ObservationTable(PdfaLanguageModel(chain_pdfa()), EXACT)
-        close(table)
-        promote(table, ("a", "a"))
-        _, defect = table.consistent()
-        table.consistent_step(defect)
-        close(table)
-        assert table.suffixes == [(), ("a",)] and table.consistent()[0]
-        assert self.compare(table, table.build_hypothesis(), random.Random(1))
 
     def test_a_column_whose_tails_are_no_columns(self):
         # Tails missing from the columns are computed on demand. The final
@@ -690,7 +605,7 @@ class TestLearn:
         report = learn(PdfaLanguageModel(fig3a), QUANT7, ExactOracle(fig3a, QUANT7))
         for event in report.events:
             assert set(event) == {"event", "red", "blue", "suffixes", "classes"}
-            assert event["event"] in {"close", "consistent", "hypothesis", "counterexample"}
+            assert event["event"] in {"close", "hypothesis", "counterexample"}
 
 
 class TestMonotonicity:
@@ -699,7 +614,7 @@ class TestMonotonicity:
         hypothesis_classes = []
         for event in events:
             assert event["classes"] >= classes
-            if event["event"] in ("close", "consistent"):
+            if event["event"] == "close":
                 assert event["classes"] > classes
             if event["event"] == "hypothesis":
                 hypothesis_classes.append(event["classes"])
@@ -742,16 +657,7 @@ class TestHypothesisTableLaws:
         oracle = ExactOracle(fig2a, QUANT10)
         table = ObservationTable(model, QUANT10)
         for _ in range(10):
-            while True:
-                ok, offender = table.closed()
-                if not ok:
-                    table.close_step(offender)
-                    continue
-                ok, defect = table.consistent()
-                if not ok:
-                    table.consistent_step(defect)
-                    continue
-                break
+            close(table)
             h = table.build_hypothesis()
             # external re-statement of the internal checks
             classes = list(table.red_classes())
@@ -881,8 +787,7 @@ class NaiveTable:
     The reference the incremental ``ObservationTable`` must match step for
     step: every fill rescans all cells, BLUE is rebuilt and sorted from RED,
     rows are rebuilt from per-cell signatures, RED classes are regrouped from
-    sorted RED, and closedness and consistency are found by full scans over
-    rows and over all pairs of equal rows.
+    sorted RED, and closedness is found by a full scan over rows.
     """
 
     def __init__(self, model, spec, max_cells):
@@ -919,7 +824,7 @@ class NaiveTable:
     def red_classes(self):
         classes = {}
         for p in sorted(self.red, key=self.key):
-            classes.setdefault(self.row(p), []).append(p)
+            classes.setdefault(self.row(p), p)
         return classes
 
     def closed(self):
@@ -929,23 +834,8 @@ class NaiveTable:
                 return False, p
         return True, None
 
-    def consistent(self):
-        for rows in self.red_classes().values():
-            for i, p in enumerate(rows):
-                for p2 in rows[i + 1 :]:
-                    for symbol in self.model.alphabet.symbols:
-                        row1, row2 = self.row(p + (symbol,)), self.row(p2 + (symbol,))
-                        for s, a, b in zip(self.suffixes, row1, row2):
-                            if a != b:
-                                return False, ConsistencyDefect(p, p2, symbol, s)
-        return True, None
-
     def close_step(self, offender):
         self.red = sorted(self.red + [offender], key=self.key)
-        self.fill()
-
-    def consistent_step(self, defect):
-        self.suffixes.append(defect.new_suffix)
         self.fill()
 
     def update_with_counterexample(self, word):
@@ -953,7 +843,7 @@ class NaiveTable:
         if not self.closed()[0]:
             raise ValueError("table is not closed")
         hypothesis = self.build_hypothesis()
-        access = [rows[0] for rows in self.red_classes().values()]
+        access = list(self.red_classes().values())
 
         def alpha(i):
             state, _ = hypothesis.run(word[:i])
@@ -983,10 +873,9 @@ class NaiveTable:
             alphabet=self.model.alphabet,
             initial=class_id[self.row(())],
             class_signatures=tuple(sig[0] for sig in classes),
-            representatives=tuple(self.cells[(rows[0], ())] for rows in classes.values()),
+            representatives=tuple(self.cells[(p, ())] for p in classes.values()),
             transitions=tuple(
-                tuple(class_id[self.row(rows[0] + (s,))] for s in symbols)
-                for rows in classes.values()
+                tuple(class_id[self.row(p + (s,))] for s in symbols) for p in classes.values()
             ),
             equivalence=self.spec.spec_string(),
         )
@@ -1038,15 +927,9 @@ def lockstep_learn(target, spec, max_cells=100_000, wrap=lambda model: model):
             while True:
                 closed = naive.closed()
                 assert table.closed() == closed
-                if not closed[0]:
-                    step("close", "close_step", closed[1])
-                    continue
-                consistent = naive.consistent()
-                assert table.consistent() == consistent
-                if not consistent[0]:
-                    step("consistent", "consistent_step", consistent[1])
-                    continue
-                break
+                if closed[0]:
+                    break
+                step("close", "close_step", closed[1])
             hypothesis = naive.build_hypothesis()
             assert table.build_hypothesis() == hypothesis
             table.validate()
@@ -1181,9 +1064,6 @@ class PerCellTable(ObservationTable):
         self.suffixes += suffixes
         for r in self._red + self._blue:
             self._rows[r] += tuple(self._query_class(self._word[r], s) for s in suffixes)
-        self._classes = {}
-        for r in self._red:
-            self._classes.setdefault(self._rows[r], []).append(r)
 
 
 class RecordingCache(CachedModel):
@@ -1307,7 +1187,6 @@ class TestRivestSchapireUpdates:
             report = learn(PdfaLanguageModel(target), spec, ExactOracle(target, spec))
             assert report.converged
             assert isomorphism(report.hypothesis, quotient(target, spec)) is not None
-            assert "consistent" not in [event for event, *_ in report.trace]
             for word, (red, suffixes, classes), (red_after, suffixes_after, classes_after) in updates:
                 assert red_after == red and classes_after == classes
                 assert suffixes_after[: len(suffixes)] == suffixes

@@ -1,6 +1,7 @@
 """The HTTP next-token-distribution wire protocol, exercised against a live
 in-process server."""
 
+import json
 import random
 import socket
 import sys
@@ -11,12 +12,13 @@ from collections import Counter
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfa_forge import (
     Alphabet,
     AlphabetMismatch,
+    Distribution,
     LanguageModel,
     PdfaLanguageModel,
     RemoteModel,
@@ -687,6 +689,97 @@ class TestRequestFraming:
 
 # ---------------------------------------------------------------------------
 # The strict response reader, over a socket pair
+# ---------------------------------------------------------------------------
+# Response bodies, as JSON text: numbers of any size, the constants JSON has
+# no place for, other scalars, nesting, repeated keys, and probability maps
+# with missing or extra symbols.
+
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.0", "1e400", "1e-400", "NaN", "Infinity", "-Infinity"]),
+    st.integers(-(10**400), 10**400).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+SCALARS = st.one_of(
+    NUMBERS, st.sampled_from(["true", "false", "null"]), st.text(max_size=3).map(json.dumps)
+)
+
+
+def json_object(pairs) -> str:
+    """An object as JSON text, which may repeat a key."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+    st.lists(st.tuples(st.text(min_size=1, max_size=3), inner), max_size=3).map(json_object),
+), max_leaves=6)
+PROBABILITIES = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "0.25", "0.75"]), st.floats(0, 1).map(repr), NUMBERS, VALUES
+)
+
+
+@st.composite
+def bodies(draw) -> str:
+    """Mostly ``{"probs": {...}}`` over the symbols ``a`` and ``$``, with a
+    symbol missing, repeated or foreign, or a key added to the envelope; at
+    times any JSON value."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(VALUES)
+    pairs = [("a", draw(PROBABILITIES)), ("$", draw(PROBABILITIES))]
+    if draw(st.integers(0, 3)) == 3:
+        pairs.append((draw(st.sampled_from(["a", "$", "b"])), draw(PROBABILITIES)))
+    pairs = draw(st.permutations(pairs))[draw(st.integers(0, 1)):]
+    envelope = [("probs", json_object(pairs))]
+    if draw(st.integers(0, 3)) == 3:
+        envelope.append((draw(st.sampled_from(["probs", "x"])), draw(VALUES)))
+    return json_object(draw(st.permutations(envelope)))
+
+
+class _Object(list):
+    """A decoded JSON object's key-value pairs, in order."""
+
+
+def repeats_a_key_or_a_constant(body: str) -> bool:
+    """Whether some object of ``body`` repeats a key, or ``body`` holds
+    ``NaN`` or an infinity: told from ``json``'s own permissive decoding."""
+    constants = []
+    value = json.loads(body, object_pairs_hook=_Object, parse_constant=constants.append)
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, _Object):
+            keys = [key for key, _ in value]
+            if len(set(keys)) != len(keys):
+                return True
+            stack.extend(item for _, item in value)
+        elif isinstance(value, list):
+            stack.extend(value)
+    return bool(constants)
+
+
+class TestResponseBodies:
+    """Every response body is a valid distribution or a ``RemoteModelError``."""
+
+    A = Alphabet(("a",))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bodies(), st.booleans())
+    @example('{"probs": {"a": 1%s, "$": 0}}' % ("0" * 400), False)
+    @example('{"probs": {"a": 0.9, "$": 0.5, "a": 0.5}}', False)
+    @example('{"probs": {"a": 0.9, "$": 0.5, "a": 0.5}}', True)
+    @example('{"probs": {"a": 0.25, "$": 0.75}}', False)
+    def test_a_body_parses_to_a_distribution_or_fails_as_a_remote_error(self, body, renormalize):
+        model = RemoteModel("http://127.0.0.1:9", self.A, renormalize=renormalize)
+        try:
+            dist = model._parse(body.encode())
+        except RemoteModelError:
+            return
+        assert not repeats_a_key_or_a_constant(body)
+        assert isinstance(dist, Distribution) and dist.alphabet == self.A
+        assert all(0.0 <= p <= 1.0 for p in dist.probs)
+        assert abs(sum(dist.probs) - 1.0) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 
 INTERIM_REPLIES = [
