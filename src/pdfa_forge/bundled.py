@@ -6,8 +6,9 @@ the documentation, and the test suite all refer to the same files.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
+
+from .automata import decode_json
 
 FIXTURE_NAMES = ("fig2a", "fig2b", "fig3a", "fig3-dists")
 
@@ -21,4 +22,4 @@ def fixture_text(name: str) -> str:
 
 
 def fixture_json(name: str) -> dict:
-    return json.loads(fixture_text(name))
+    return decode_json(fixture_text(name))

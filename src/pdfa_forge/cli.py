@@ -128,6 +128,7 @@ def _load_config(path: str) -> dict:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise _io_error(f"cannot read config file: {exc}") from None
     values: dict = {}
+    given_on: dict[str, int] = {}  # key -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,6 +140,11 @@ def _load_config(path: str) -> dict:
         value = value.strip()
         if key not in _FLAGS:
             raise _config_error(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in given_on:
+            raise _config_error(
+                f"{path}:{lineno}: config key {key!r} given again (first on line {given_on[key]})"
+            )
+        given_on[key] = lineno
         try:
             values[key] = _convert(key, value)
         except (KeyError, ValueError):
@@ -256,7 +262,7 @@ def _out_dir(args) -> Path:
     path = Path(args.out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _io_error(f"cannot create output directory: {exc}") from None
     return path
 
@@ -264,7 +270,7 @@ def _out_dir(args) -> Path:
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, "utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _io_error(f"cannot write {path}: {exc}") from None
     log.info("wrote %s", path)
 

@@ -248,9 +248,12 @@ def cached(model: LanguageModel) -> CachedModel:
 # Remote HTTP model
 # ---------------------------------------------------------------------------
 
-#: Most requests a batch keeps outstanding on its connection; each takes one
-#: in-flight slot.
-PIPELINE_DEPTH = 16
+#: Most requests a batch keeps outstanding on the connection.
+PIPELINE_DEPTH = 4
+#: Attempts a word's own request gets before its failure is final.
+MAX_ATTEMPTS = 3
+#: Seconds slept before a word's retry, times the attempts it has spent.
+RETRY_BACKOFF_S = 0.2
 #: Longest status, header or chunk-size line (CRLF included) and most header
 #: lines per response, as ``http.client`` enforces them.
 _MAX_LINE = 65536
@@ -274,31 +277,30 @@ class RemoteModel(LanguageModel):
     unexpected status).
 
     ``query_many`` pipelines a batch on one HTTP/1.1 keep-alive connection
-    (RFC 9112 §9.3.2), with at most ``min(max_in_flight, 16)`` requests
-    outstanding; ``query`` is a batch of one. A batch takes one in-flight
-    slot per outstanding request, so in-flight requests across threads
-    never exceed ``max_in_flight``, and each thread holds one connection.
-    Responses are read strictly: at most 100 header lines of at most 64 KiB
-    each, a body framed by ``Content-Length`` or chunked, ``Connection:
-    close`` and HTTP/1.0 honoured, 1xx responses skipped. Idle connections
-    are reused; one the server has closed is replaced without costing an
+    (RFC 9112 §9.3.2), with at most ``PIPELINE_DEPTH`` requests
+    outstanding; ``query`` is a batch of one. The model holds at most one
+    connection: a batch holds the model's lock from its first request to
+    its last answer, so threads are safe and take turns. Responses are read
+    strictly: at most 100 header lines of at most 64 KiB each, a body
+    framed by ``Content-Length`` or chunked, ``Connection: close`` and
+    HTTP/1.0 honoured, 1xx responses skipped. The idle connection is
+    reused; one the server has closed is replaced without costing an
     attempt, and so are requests left unanswered when the server closes a
     connection after answering earlier ones. A server that closes with
     unread requests in its socket may reset the connection, and the reset
     can destroy replies it had already sent; the client cannot tell those
     from unanswered requests and sends them again at no attempt cost, so
-    the server may answer a word twice, even with ``max_attempts=1``.
-    ``close()``, or collecting the model, closes the idle connections.
+    the server may answer a word more often than ``MAX_ATTEMPTS``.
+    ``close()``, or collecting the model, closes the idle connection.
 
     Transient failures of a word's own request (connection errors,
     timeouts, truncated or malformed replies, 5xx) are retried up to
-    ``max_attempts`` times. Responses are validated, not repaired: a
+    ``MAX_ATTEMPTS`` times. Responses are validated, not repaired: a
     probability sum off by more than 1e-6 is an error unless
     ``renormalize`` is set. Limits are validated at construction:
-    ``max_in_flight`` and ``max_attempts`` must be ``int``s of at least 1,
-    ``max_query_length`` ``None`` or a non-negative ``int``, the timeout
-    positive and finite, and the retry backoff non-negative. A malformed
-    endpoint raises ``ValueError``.
+    ``max_query_length`` must be ``None`` or a non-negative ``int`` and the
+    timeout positive and finite. A malformed endpoint raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -308,10 +310,7 @@ class RemoteModel(LanguageModel):
         timeout: float = 10.0,
         *,
         renormalize: bool = False,
-        max_in_flight: int = 4,
-        max_attempts: int = 3,
         max_query_length: int | None = None,
-        retry_backoff: float = 0.2,
     ):
         self.endpoint = endpoint.rstrip("/")
         self._alphabet = alphabet
@@ -320,16 +319,10 @@ class RemoteModel(LanguageModel):
                 f"the request timeout must be positive and finite, got timeout={timeout!r}"
             )
         self.timeout = timeout
-        require_limit("max_in_flight", max_in_flight, 1)
-        require_limit("max_attempts", max_attempts, 1)
-        if not retry_backoff >= 0:
-            raise ValueError(f"retry_backoff must be non-negative, got {retry_backoff!r}")
         if max_query_length is not None:
             require_limit("max_query_length", max_query_length, 0)
         self.renormalize = renormalize
-        self.max_attempts = max_attempts
         self.max_query_length = max_query_length
-        self.retry_backoff = retry_backoff
         self._url = self.endpoint + DISTRIBUTION_ENDPOINT
         self._tls, self._host, self._port, path, host_header = _split_endpoint(self.endpoint)
         self._head = (
@@ -338,15 +331,10 @@ class RemoteModel(LanguageModel):
             "Content-Length: "
         ).encode("ascii")
         self._ssl_context: ssl.SSLContext | None = None
-        self._depth = min(max_in_flight, PIPELINE_DEPTH)
-        self._slots = threading.BoundedSemaphore(max_in_flight)
-        # A batch takes its slots under this lock, so two batches never wait
-        # for each other's half-taken slots.
-        self._slots_lock = threading.Lock()
-        # Idle keep-alive connections, closed with the model rather than
-        # left to the garbage collector.
+        self._lock = threading.Lock()
+        # The idle keep-alive connection, if any, closed with the model
+        # rather than left to the garbage collector.
         self._idle: list[_Connection] = []
-        self._idle_lock = threading.Lock()
         weakref.finalize(self, _close_all, self._idle)
 
     @property
@@ -372,7 +360,8 @@ class RemoteModel(LanguageModel):
             except (AlphabetMismatch, RemoteModelError) as exc:
                 rejected = exc
                 break
-        answers = self._exchange(requests)
+        with self._lock:
+            answers = self._pipeline(requests)
         if rejected is not None:
             raise rejected
         return answers
@@ -387,22 +376,9 @@ class RemoteModel(LanguageModel):
         body = json.dumps({"tokens": list(word)}).encode()
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def _exchange(self, requests: list[bytes]) -> list[Distribution]:
-        """Send ``requests`` pipelined on one connection; answers in order."""
-        if not requests:
-            return []
-        depth = min(self._depth, len(requests))
-        with self._slots_lock:
-            for _ in range(depth):
-                self._slots.acquire()
-        try:
-            return self._pipeline(requests, depth)
-        finally:
-            for _ in range(depth):
-                self._slots.release()
-
-    def _pipeline(self, requests: list[bytes], depth: int) -> list[Distribution]:
-        """Keep ``depth`` requests outstanding until every one is answered.
+    def _pipeline(self, requests: list[bytes]) -> list[Distribution]:
+        """Keep ``PIPELINE_DEPTH`` requests outstanding until every one is
+        answered; the caller holds the model's lock.
 
         Responses come back in request order. A failure is charged to the
         request whose response was being read; the requests written after it
@@ -427,11 +403,11 @@ class RemoteModel(LanguageModel):
 
         def charge(i: int, cause: object) -> None:
             attempts[i] += 1
-            if attempts[i] < self.max_attempts:
+            if attempts[i] < MAX_ATTEMPTS:
                 todo.appendleft(i)
             else:
                 give_up(i, RemoteModelError(
-                    f"request to {self._url} failed after {self.max_attempts} attempts: {cause}"
+                    f"request to {self._url} failed after {MAX_ATTEMPTS} attempts: {cause}"
                 ))
 
         def resend_unanswered() -> None:
@@ -449,10 +425,10 @@ class RemoteModel(LanguageModel):
                         continue
                     answered = 0
                 batch = []
-                while todo and len(sent) < depth:
+                while todo and len(sent) < PIPELINE_DEPTH:
                     i = todo.popleft()
                     if attempts[i]:
-                        time.sleep(self.retry_backoff * attempts[i])
+                        time.sleep(RETRY_BACKOFF_S * attempts[i])
                     batch.append(requests[i])
                     sent.append(i)
                 try:
@@ -493,16 +469,14 @@ class RemoteModel(LanguageModel):
                 conn.close()
             raise
         if conn is not None:
-            with self._idle_lock:
-                self._idle.append(conn)
+            self._idle.append(conn)
         if failure is not None:
             raise failure
         return answers
 
     def _connection(self) -> _Connection:
-        """An idle connection the server has not closed, or a new one."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
+        """The idle connection if the server has not closed it, or a new one."""
+        conn = self._idle.pop() if self._idle else None
         if conn is not None:
             # An idle socket turns readable when the server closed it (or
             # sent bytes out of turn).
@@ -522,8 +496,8 @@ class RemoteModel(LanguageModel):
             raise
 
     def close(self) -> None:
-        """Close the idle connections; a later query opens new ones."""
-        with self._idle_lock:
+        """Close the idle connection; a later query opens a new one."""
+        with self._lock:
             _close_all(self._idle)
 
     def _parse(self, body: bytes) -> Distribution:

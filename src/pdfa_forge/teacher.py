@@ -180,27 +180,23 @@ def _geometric(rng: random.Random) -> int:
     return length
 
 
+#: Most words a bounded-exhaustive sweep may evaluate.
+MAX_SWEEP_WORDS = 200_000
+
+
 class BoundedExhaustiveOracle(EqOracle):
     """Deterministic sweep of every word up to a length bound.
 
     Sound for disagreement within the bound; a None answer only certifies
-    agreement on the swept words. Refuses budgets above ``max_words``.
+    agreement on the swept words. Refuses budgets above ``MAX_SWEEP_WORDS``.
     """
 
-    def __init__(
-        self,
-        model: LanguageModel,
-        spec: EquivalenceSpec,
-        max_length: int,
-        *,
-        max_words: int = 200_000,
-    ):
+    def __init__(self, model: LanguageModel, spec: EquivalenceSpec, max_length: int):
         require_limit("max_length", max_length, 0)
-        require_limit("max_words", max_words, 0)
         total = count_words(len(model.alphabet), max_length)
-        if total > max_words:
+        if total > MAX_SWEEP_WORDS:
             raise OracleBudgetExceeded(
-                f"sweeping {total} words exceeds the {max_words}-word budget"
+                f"sweeping {total} words exceeds the {MAX_SWEEP_WORDS}-word budget"
             )
         super().__init__(model, spec)
         self.max_length = max_length

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from pdfa_forge import Pdfa, pdfa_from_json
 from pdfa_forge.bundled import fixture_json
 
 from helpers import LmServer
+
+# ``pytest --hypothesis-profile=ci`` runs more examples, with no deadline, of
+# the property tests that set neither; a local run keeps the default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

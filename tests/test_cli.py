@@ -285,6 +285,35 @@ class TestConfigAndErrors:
         code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
         assert code == expected
 
+    def test_a_key_given_twice_is_a_configuration_error(self, tmp_path, capsys):
+        # The last value used to win silently; "max-rounds" and "max_rounds"
+        # are one key.
+        config = tmp_path / "run.conf"
+        config.write_text("equiv = quant:3\nprune = off\n# again\nequiv = quant:7\n")
+        code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}:4: config key 'equiv' given again (first on line 1)\n"
+        )
+        config.write_text("max-rounds = 3\nmax_rounds = 3\n")
+        assert run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b") == 1
+        assert "config key 'max_rounds' given again (first on line 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("out_dir = o\0ut", ["quotient", "--model", "fixture:fig2a", "--equiv", "quant:3"]),
+        ("prefix = p\0", ["quotient", "--model", "fixture:fig2a", "--equiv", "quant:3"]),
+        ("out = o\0ut.dot", ["export", "--model", "fixture:fig2a"]),
+    ], ids=["out_dir", "prefix", "out"])
+    def test_an_output_path_with_a_nul_is_an_io_error(self, tmp_path, capsys, monkeypatch, line, argv):
+        # A NUL cannot come from the command line, only from a config file;
+        # the path functions raise ValueError for it, not OSError.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        assert run_cli("--config", str(config), *argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
     def test_config_file_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_bytes(b"equiv = quant:3\n\xff\n")

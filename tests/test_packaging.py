@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pdfa_forge
+from pdfa_forge.automata import decode_json
+from pdfa_forge.bundled import FIXTURE_NAMES, fixture_json, fixture_text
 
 IMPORT_PROBE = """
 import json, sys
@@ -27,3 +29,12 @@ def test_import_loads_only_the_standard_library():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert json.loads(result.stdout) == []
+
+
+def test_every_bundled_fixture_decodes_strictly():
+    # decode_json rejects what json.loads would take silently: a repeated
+    # key or a non-finite constant.
+    for name in FIXTURE_NAMES:
+        assert fixture_json(name) == decode_json(fixture_text(name)) == json.loads(
+            fixture_text(name)
+        )

@@ -44,6 +44,12 @@ def constant_server(lm_server, probs, status=200):
     lm_server.set_behavior(lambda path, body: (status, {"probs": probs}))
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retries follow at once: no sleep before a word's next attempt."""
+    monkeypatch.setattr(models, "RETRY_BACKOFF_S", 0.0)
+
+
 class TestWireProtocol:
     def test_round_trip(self, lm_server):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
@@ -108,7 +114,7 @@ class TestWireProtocol:
 
 
 class TestRetries:
-    def test_transient_5xx_is_retried(self, lm_server):
+    def test_transient_5xx_is_retried(self, lm_server, no_backoff):
         state = {"failures": 2}
 
         def flaky(path, body):
@@ -118,19 +124,19 @@ class TestRetries:
             return 200, {"probs": {"a": 0.2, "b": 0.3, "$": 0.5}}
 
         lm_server.set_behavior(flaky)
-        model = RemoteModel(lm_server.endpoint, AB, retry_backoff=0.0)
+        model = RemoteModel(lm_server.endpoint, AB)
         assert model.query(()).prob("$") == pytest.approx(0.5)
         assert len(lm_server.requests) == 3
 
-    def test_persistent_failure_gives_up_after_attempts(self, lm_server):
+    def test_persistent_failure_gives_up_after_attempts(self, lm_server, no_backoff):
         lm_server.set_behavior(lambda path, body: (500, {}))
-        model = RemoteModel(lm_server.endpoint, AB, retry_backoff=0.0)
+        model = RemoteModel(lm_server.endpoint, AB)
         with pytest.raises(RemoteModelError, match="3 attempts"):
             model.query(())
         assert len(lm_server.requests) == 3
 
-    def test_connection_error_is_retried_then_raised(self):
-        model = RemoteModel("http://127.0.0.1:9", AB, retry_backoff=0.0, timeout=0.2)
+    def test_connection_error_is_retried_then_raised(self, no_backoff):
+        model = RemoteModel("http://127.0.0.1:9", AB, timeout=0.2)
         with pytest.raises(RemoteModelError, match="attempts"):
             model.query(())
 
@@ -145,13 +151,6 @@ class TestClientConfiguration:
     @pytest.mark.parametrize(
         "option",
         [
-            {"max_in_flight": 0},
-            {"max_in_flight": -1},
-            {"max_in_flight": 2.5},
-            {"max_in_flight": True},
-            {"max_attempts": 0},
-            {"max_attempts": 1.5},
-            {"max_attempts": True},
             {"max_query_length": 2.5},
             {"max_query_length": False},
             {"max_query_length": "8"},
@@ -160,8 +159,6 @@ class TestClientConfiguration:
             {"timeout": float("nan")},
             {"timeout": float("inf")},
             {"max_query_length": -1},
-            {"retry_backoff": -0.1},
-            {"retry_backoff": float("nan")},
             {"endpoint": "http://"},
             {"endpoint": "http://127.0.0.1:notaport"},
             {"endpoint": "http://127.0.0.1:70000"},
@@ -175,22 +172,18 @@ class TestClientConfiguration:
         ],
     )
     def test_invalid_limits_are_rejected(self, option):
-        # Rejected at construction: a zero-slot semaphore would make every
-        # query block forever, zero attempts would never send a request, a
-        # negative length limit would refuse every word, and a malformed
-        # endpoint, an infinite timeout or a limit that is no int would only
-        # fail at the first query. Every message but the endpoint's names
-        # the parameter.
+        # Rejected at construction: a negative length limit would refuse
+        # every word, and a malformed endpoint, an infinite timeout or a
+        # limit that is no int would only fail at the first query. Every
+        # message but the endpoint's names the parameter.
         name = next(iter(option))
         with pytest.raises(ValueError, match=None if name == "endpoint" else name):
             RemoteModel(**{"endpoint": "http://127.0.0.1:9", "alphabet": AB, **option})
 
-    def test_smallest_valid_limits_are_accepted(self, lm_server):
+    def test_smallest_valid_limits_are_accepted(self, lm_server, monkeypatch, no_backoff):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
-        model = RemoteModel(
-            lm_server.endpoint, AB, max_in_flight=1, max_attempts=1, retry_backoff=0.0,
-            max_query_length=0,
-        )
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        model = RemoteModel(lm_server.endpoint, AB, max_query_length=0)
         assert model.query(()).prob("$") == pytest.approx(0.5)
 
     def test_query_length_limit(self, lm_server):
@@ -202,9 +195,9 @@ class TestClientConfiguration:
 
 
 class TestEndToEndOverHttp:
-    def test_learning_a_served_pdfa(self, lm_server, fig3a):
+    def test_learning_a_served_pdfa(self, lm_server, fig3a, no_backoff):
         lm_server.serve_pdfa(fig3a)
-        remote = RemoteModel(lm_server.endpoint, fig3a.alphabet, retry_backoff=0.0)
+        remote = RemoteModel(lm_server.endpoint, fig3a.alphabet)
         spec = parse_equivalence("quant:7")
         report = learn(
             remote, spec, BoundedExhaustiveOracle(remote, spec, 8), max_rounds=8
@@ -213,9 +206,11 @@ class TestEndToEndOverHttp:
         assert report.hypothesis.n_states == 3
         assert lm_equivalent(realize(report.hypothesis), fig3a, spec) is None
 
-    def test_mq_count_includes_the_oracle_built_on_the_bare_model(self, lm_server, fig3a):
+    def test_mq_count_includes_the_oracle_built_on_the_bare_model(
+        self, lm_server, fig3a, no_backoff
+    ):
         lm_server.serve_pdfa(fig3a)
-        remote = RemoteModel(lm_server.endpoint, fig3a.alphabet, retry_backoff=0.0)
+        remote = RemoteModel(lm_server.endpoint, fig3a.alphabet)
         spec = parse_equivalence("quant:7")
         oracle = BoundedExhaustiveOracle(remote, spec, 8)
         report = learn(remote, spec, oracle, max_rounds=8)
@@ -256,11 +251,12 @@ class TestKeepAliveTransport:
             server.wait_closed(1)
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_connection_dropped_while_idle_costs_no_attempt(self):
+    def test_connection_dropped_while_idle_costs_no_attempt(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
         with LmServer() as server:
             constant_server(server, PROBS)
             server.close_after_reply = True
-            model = RemoteModel(server.endpoint, AB, max_attempts=1)
+            model = RemoteModel(server.endpoint, AB)
             for i in range(20):
                 assert model.query(("a",) * i).prob("$") == pytest.approx(0.5)
                 server.wait_closed(i + 1)
@@ -268,22 +264,21 @@ class TestKeepAliveTransport:
         assert len(server.requests) == 20
         assert server.connections == 20
 
-    def test_server_slower_than_the_timeout_is_retried_then_raised(self):
+    def test_server_slower_than_the_timeout_is_retried_then_raised(self, monkeypatch, no_backoff):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
         with LmServer() as server:
             constant_server(server, PROBS)
             server.delay_s = 0.3
-            model = RemoteModel(
-                server.endpoint, AB, timeout=0.05, max_attempts=2, retry_backoff=0.0
-            )
+            model = RemoteModel(server.endpoint, AB, timeout=0.05)
             with pytest.raises(RemoteModelError, match="2 attempts"):
                 model.query(())
         assert len(server.requests) == 2
 
-    def test_truncated_body_is_retried(self):
+    def test_truncated_body_is_retried(self, no_backoff):
         with LmServer() as server:
             constant_server(server, PROBS)
             server.truncated_replies = 1
-            model = RemoteModel(server.endpoint, AB, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, AB)
             assert model.query(("b",)).prob("b") == pytest.approx(0.3)
             model.close()
         assert len(server.requests) == 2
@@ -297,20 +292,24 @@ class TestKeepAliveTransport:
             model.close()
         assert server.requests == [("/v1/lm/next_token_distribution", {"tokens": ["a"]})]
 
-    def test_threads_share_at_most_max_in_flight_connections(self, fig3a):
+    def test_threads_take_turns_on_one_connection(self, fig3a):
+        # Half the threads query word by word, half send one batch each.
         words = list(iter_words(fig3a.alphabet, 40))
         errors = []
         with LmServer() as server:
             server.serve_pdfa(fig3a)
-            server.delay_s = 0.002
-            model = RemoteModel(server.endpoint, fig3a.alphabet, max_in_flight=2)
+            server.delay_s = 0.001
+            model = RemoteModel(server.endpoint, fig3a.alphabet)
 
             def worker(offset):
                 try:
-                    for word in words[offset::8]:
-                        got = model.query(word).as_dict()
-                        if got != pytest.approx(fig3a.distribution_after(word).as_dict()):
-                            errors.append((word, got))
+                    chunk = words[offset::8]
+                    if offset % 2:
+                        got = model.query_many(chunk)
+                    else:
+                        got = [model.query(word) for word in chunk]
+                    if got != [fig3a.distribution_after(w) for w in chunk]:
+                        errors.append(offset)
                 except Exception as exc:  # reported by the assertion below
                     errors.append(exc)
 
@@ -327,9 +326,8 @@ class TestKeepAliveTransport:
             assert not any(thread.is_alive() for thread in threads)
             model.close()
         assert errors == []
-        assert len(server.requests) == len(words)
-        assert server.peak_connections <= 2
-        assert server.connections <= 2
+        assert sorted(tokens(server)) == sorted(words)
+        assert server.connections == server.peak_connections == 1
 
 
 def tokens(server) -> list[tuple[str, ...]]:
@@ -389,15 +387,15 @@ class TestPipelinedBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.delay_s = 0.001
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_in_flight=6)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         assert server.connections == server.peak_connections == 1
-        # Six requests go out before the first response is read; each
+        # Four requests go out before the first response is read; each
         # response then makes room for one more.
-        assert writes == [6] + [1] * 24
+        assert writes == [4] + [1] * 26
 
-    def test_depth_is_capped_at_sixteen(self, fig2a, monkeypatch):
+    def test_depth_is_capped_at_four(self, fig2a, monkeypatch):
         writes = []
         send = models._Connection.send
         monkeypatch.setattr(
@@ -407,12 +405,14 @@ class TestPipelinedBatches:
         words = [("a",) * n for n in range(20)]
         with LmServer() as server:
             server.serve_pdfa(fig2a)
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_in_flight=64)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
-        assert writes[0] == models.PIPELINE_DEPTH == 16
+        assert models.PIPELINE_DEPTH == 4
+        assert writes == [4] + [1] * 16
 
-    def test_connection_close_mid_batch_costs_no_attempt(self, fig2a):
+    def test_connection_close_mid_batch_costs_no_attempt(self, fig2a, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
         words = [("a",) * n for n in range(12)]
         replies = []
 
@@ -426,13 +426,14 @@ class TestPipelinedBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = closing_third
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         assert tokens(server) == words
         assert server.connections == 2
 
-    def test_server_error_mid_batch_is_retried(self, fig2a):
+    def test_server_error_mid_batch_is_retried(self, fig2a, monkeypatch, no_backoff):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
         words = [("a",) * n for n in range(12)]
         failed = []
 
@@ -444,7 +445,7 @@ class TestPipelinedBatches:
 
         with LmServer() as server:
             server.set_behavior(flaky)
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         counts = Counter(tokens(server))
@@ -452,7 +453,8 @@ class TestPipelinedBatches:
         assert all(counts[w] == 1 for w in words if w != ("a",) * 4)
         assert server.connections == 1
 
-    def test_truncated_reply_mid_batch_is_retried(self, fig2a):
+    def test_truncated_reply_mid_batch_is_retried(self, fig2a, monkeypatch, no_backoff):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
         words = [("a",) * n for n in range(12)]
         serve = answer_after(fig2a)
 
@@ -463,7 +465,7 @@ class TestPipelinedBatches:
 
         with LmServer() as server:
             server.set_behavior(truncate_fifth)
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         counts = Counter(tokens(server))
@@ -471,7 +473,9 @@ class TestPipelinedBatches:
         assert all(counts[w] == 1 for w in words if w != ("a",) * 4)
         assert server.connections == 2
 
-    def test_chunked_replies(self, fig2a):
+    def test_chunked_replies(self, fig2a, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+
         def chunked(status, data):
             cut = len(data) // 3
             body = (
@@ -485,13 +489,15 @@ class TestPipelinedBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = chunked
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         assert server.connections == 1
 
     @pytest.mark.parametrize("with_length", [True, False])
-    def test_http_1_0_replies_close_the_connection(self, fig2a, with_length):
+    def test_http_1_0_replies_close_the_connection(self, fig2a, with_length, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+
         def http10(status, data):
             length = b"Content-Length: %d\r\n" % len(data) if with_length else b""
             return b"HTTP/1.0 %d OK\r\n%s\r\n%s" % (status, length, data)
@@ -500,13 +506,15 @@ class TestPipelinedBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = http10
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         assert tokens(server) == words
         assert server.connections == 5
 
-    def test_informational_replies_are_skipped(self, fig2a):
+    def test_informational_replies_are_skipped(self, fig2a, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+
         def early(status, data):
             return (
                 b"HTTP/1.1 100 Continue\r\n\r\n"
@@ -518,7 +526,7 @@ class TestPipelinedBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = early
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             self.assert_answers(model.query_many(words), words, fig2a)
             model.close()
         assert server.connections == 1
@@ -530,12 +538,13 @@ class TestPipelinedBatches:
 
         return reply
 
-    def test_a_hundred_header_lines_are_read(self, fig2a):
+    def test_a_hundred_header_lines_are_read(self, fig2a, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
         # Content-Type and Content-Length are two of the hundred.
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = self.with_headers([b"X-N: %d" % i for i in range(98)])
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=1)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             assert model.query(("a",)) == fig2a.distribution_after(("a",))
             model.close()
 
@@ -546,11 +555,11 @@ class TestPipelinedBatches:
             ([b"X-Big: " + b"x" * 65536], "longer than 65536 bytes"),
         ],
     )
-    def test_header_limits_are_enforced(self, fig2a, lines, message):
+    def test_header_limits_are_enforced(self, fig2a, lines, message, no_backoff):
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = self.with_headers(lines)
-            model = RemoteModel(server.endpoint, fig2a.alphabet, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             with pytest.raises(RemoteModelError, match=f"3 attempts: .*{message}"):
                 model.query_many([(), ("a",)])
         counts = Counter(tokens(server))
@@ -565,10 +574,10 @@ class TestPipelinedBatches:
         ],
         ids=["unexpected status", "server error", "malformed body"],
     )
-    def test_the_first_word_failing_for_good_raises_what_query_raises(self, behavior):
+    def test_the_first_word_failing_for_good_raises_what_query_raises(self, behavior, no_backoff):
         with LmServer() as server:
             server.set_behavior(behavior)
-            model = RemoteModel(server.endpoint, AB, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, AB)
             with pytest.raises(RemoteModelError) as alone:
                 model.query(("b",))
             with pytest.raises(RemoteModelError) as batched:
@@ -576,7 +585,7 @@ class TestPipelinedBatches:
             model.close()
         assert str(batched.value) == str(alone.value)
 
-    def test_an_earlier_failure_wins_over_a_later_one(self):
+    def test_an_earlier_failure_wins_over_a_later_one(self, no_backoff):
         def behavior(path, body):
             if body["tokens"] == ["a"]:
                 return 500, {}
@@ -586,7 +595,7 @@ class TestPipelinedBatches:
 
         with LmServer() as server:
             server.set_behavior(behavior)
-            model = RemoteModel(server.endpoint, AB, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, AB)
             with pytest.raises(RemoteModelError, match="3 attempts: server error 500"):
                 model.query_many([(), ("a",), ("b",), ("a", "a")])
             model.close()
@@ -605,40 +614,8 @@ class TestPipelinedBatches:
         assert str(batched.value) == str(alone.value)
         assert tokens(server) == [("a",)]
 
-    def test_threads_batching_at_once_stay_within_max_in_flight(self, fig3a):
-        words = list(iter_words(fig3a.alphabet, 40))
-        errors = []
-        with LmServer() as server:
-            server.serve_pdfa(fig3a)
-            server.delay_s = 0.001
-            model = RemoteModel(server.endpoint, fig3a.alphabet, max_in_flight=3)
-
-            def worker(offset):
-                try:
-                    chunk = words[offset::4]
-                    got = model.query_many(chunk)
-                    if got != [fig3a.distribution_after(w) for w in chunk]:
-                        errors.append(offset)
-                except Exception as exc:  # reported by the assertion below
-                    errors.append(exc)
-
-            old_interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-            finally:
-                sys.setswitchinterval(old_interval)
-            assert not any(thread.is_alive() for thread in threads)
-            model.close()
-        assert errors == []
-        assert sorted(tokens(server)) == sorted(words)
-        assert server.peak_connections <= 3
-
-    def test_learning_matches_the_one_word_path(self):
+    def test_learning_matches_the_one_word_path(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
         rng = random.Random(909)
         spec = parse_equivalence("quant:5")
         config = SamplingConfig(samples=150, max_length=12, seed=3)
@@ -649,7 +626,7 @@ class TestPipelinedBatches:
                 server.serve_pdfa(target)
                 for wrap in (lambda m: m, OneWordModel):
                     server.requests.clear()
-                    model = wrap(RemoteModel(server.endpoint, target.alphabet, max_attempts=1))
+                    model = wrap(RemoteModel(server.endpoint, target.alphabet))
                     report = learn(model, spec, SamplingOracle(model, spec, config))
                     runs.append((report, tokens(server)))
                     (model.inner if isinstance(model, OneWordModel) else model).close()
@@ -678,11 +655,12 @@ class TestRequestFraming:
             endpoint.startswith("https"), host, port, header
         )
 
-    def test_an_unrequested_protocol_switch_is_a_failed_attempt(self, fig2a):
+    def test_an_unrequested_protocol_switch_is_a_failed_attempt(self, fig2a, monkeypatch, no_backoff):
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = lambda status, data: b"HTTP/1.1 101 Switching Protocols\r\n\r\n"
-            model = RemoteModel(server.endpoint, fig2a.alphabet, max_attempts=2, retry_backoff=0.0)
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
             with pytest.raises(RemoteModelError, match="2 attempts: unrequested 101"):
                 model.query(())
 

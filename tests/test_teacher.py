@@ -324,14 +324,11 @@ class TestBoundedExhaustiveOracle:
         with pytest.raises(ValueError, match="max_length"):
             BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, -1)
 
-    @pytest.mark.parametrize("max_length, max_words, name", [
-        (2.5, 200_000, "max_length"), (True, 200_000, "max_length"), ("3", 200_000, "max_length"),
-        (3, 1e6, "max_words"), (3, True, "max_words"), (3, -1, "max_words"),
-    ])
-    def test_bounds_that_are_no_int_or_negative_are_rejected(self, max_length, max_words, name):
+    @pytest.mark.parametrize("max_length", [2.5, True, "3"])
+    def test_bounds_that_are_no_int_or_negative_are_rejected(self, max_length):
         # 2.5 used to be accepted and fail at the first check.
-        with pytest.raises(ValueError, match=name):
-            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, max_length, max_words=max_words)
+        with pytest.raises(ValueError, match="max_length"):
+            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, max_length)
 
     def test_budget_guard(self):
         model = PdfaLanguageModel(random_pdfa(random.Random(1), max_states=3, max_symbols=3))
