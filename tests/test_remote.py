@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -140,6 +141,21 @@ class TestRetries:
         with pytest.raises(RemoteModelError, match="attempts"):
             model.query(())
 
+    def test_a_retry_backs_off_by_the_attempts_spent(self, lm_server, monkeypatch):
+        slept = []
+        monkeypatch.setattr(models, "time", SimpleNamespace(sleep=slept.append))
+        state = {"failures": 2}
+
+        def flaky(path, body):
+            if state["failures"] > 0:
+                state["failures"] -= 1
+                return 503, {}
+            return 200, {"probs": PROBS}
+
+        lm_server.set_behavior(flaky)
+        assert RemoteModel(lm_server.endpoint, AB).query(()).prob("$") == pytest.approx(0.5)
+        assert slept == pytest.approx([models.RETRY_BACKOFF_S, 2 * models.RETRY_BACKOFF_S])
+
 
 class TestClientConfiguration:
     def test_environment_does_not_override_the_timeout(self, lm_server, monkeypatch):
@@ -179,6 +195,15 @@ class TestClientConfiguration:
         name = next(iter(option))
         with pytest.raises(ValueError, match=None if name == "endpoint" else name):
             RemoteModel(**{"endpoint": "http://127.0.0.1:9", "alphabet": AB, **option})
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_in_flight", 4), ("max_attempts", 3), ("retry_backoff", 0.2),
+    ])
+    def test_transport_settings_are_constants_not_arguments(self, name, value):
+        # The depth, the attempts and the backoff are the module's
+        # PIPELINE_DEPTH, MAX_ATTEMPTS and RETRY_BACKOFF_S.
+        with pytest.raises(TypeError, match=name):
+            RemoteModel("http://127.0.0.1:9", AB, **{name: value})
 
     def test_smallest_valid_limits_are_accepted(self, lm_server, monkeypatch, no_backoff):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
@@ -394,6 +419,24 @@ class TestPipelinedBatches:
         # Four requests go out before the first response is read; each
         # response then makes room for one more.
         assert writes == [4] + [1] * 26
+
+    def test_the_depth_is_read_at_call_time(self, fig2a, monkeypatch):
+        writes = []
+        send = models._Connection.send
+        monkeypatch.setattr(
+            models._Connection, "send",
+            lambda conn, data: (writes.append(data.count(b"POST ")), send(conn, data)),
+        )
+        monkeypatch.setattr(models, "PIPELINE_DEPTH", 6)
+        words = [("a",) * n for n in range(30)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.delay_s = 0.001
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert server.connections == server.peak_connections == 1
+        assert writes == [6] + [1] * 24
 
     def test_depth_is_capped_at_four(self, fig2a, monkeypatch):
         writes = []
@@ -613,6 +656,44 @@ class TestPipelinedBatches:
             model.close()
         assert str(batched.value) == str(alone.value)
         assert tokens(server) == [("a",)]
+
+    def test_batches_sent_at_once_do_not_interleave(self, fig3a):
+        # A batch holds the model's lock from its first request to its last
+        # answer, so each batch reaches the server as one unbroken run.
+        words = list(iter_words(fig3a.alphabet, 40))
+        chunks = [words[offset::4] for offset in range(4)]
+        errors = []
+        with LmServer() as server:
+            server.serve_pdfa(fig3a)
+            server.delay_s = 0.001
+            model = RemoteModel(server.endpoint, fig3a.alphabet)
+            start = threading.Barrier(len(chunks))
+
+            def worker(chunk):
+                try:
+                    start.wait(timeout=30)
+                    if model.query_many(chunk) != [fig3a.distribution_after(w) for w in chunk]:
+                        errors.append(chunk[0])
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(chunk,)) for chunk in chunks]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            model.close()
+        assert errors == []
+        sent = tokens(server)
+        runs = []
+        while sent:
+            chunk = next(c for c in chunks if c[0] == sent[0])
+            assert sent[: len(chunk)] == chunk
+            runs.append(chunk)
+            sent = sent[len(chunk):]
+        assert sorted(runs) == sorted(chunks)
+        assert server.connections == 1
 
     def test_learning_matches_the_one_word_path(self, monkeypatch):
         monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)

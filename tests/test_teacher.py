@@ -330,6 +330,17 @@ class TestBoundedExhaustiveOracle:
         with pytest.raises(ValueError, match="max_length"):
             BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, max_length)
 
+    def test_the_sweep_budget_is_a_constant_not_an_argument(self):
+        with pytest.raises(TypeError, match="max_words"):
+            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, 3, max_words=10)
+
+    def test_a_sweep_of_exactly_the_budget_is_allowed(self):
+        # Over one symbol, lengths 0..n are n + 1 words.
+        budget = teacher_module.MAX_SWEEP_WORDS
+        BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, budget - 1)
+        with pytest.raises(OracleBudgetExceeded, match=f"sweeping {budget + 1} words"):
+            BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, budget)
+
     def test_budget_guard(self):
         model = PdfaLanguageModel(random_pdfa(random.Random(1), max_states=3, max_symbols=3))
         if len(model.alphabet) >= 2:
