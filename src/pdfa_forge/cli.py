@@ -158,10 +158,14 @@ def _load_config(path: str) -> dict:
 
 def _read_json(path: str) -> dict:
     try:
-        return decode_json(Path(path).read_text("utf-8"))
-    except OSError as exc:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _io_error(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _io_error(f"cannot read {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not strict JSON, or too deep
+    try:
+        return decode_json(text)
+    except (ValueError, RecursionError) as exc:  # not strict JSON, or too deep
         raise _io_error(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -413,7 +417,8 @@ def cmd_demo_prop17(args) -> int:
     except ValueError as exc:
         raise _config_error(str(exc)) from None
     out = _out_dir(args)
-    _write_json(out / f"{args.prefix}prop17.json", report.to_json())
+    payload = report.to_json()
+    _write_json(out / f"{args.prefix}prop17.json", payload)
     print(
         f"tolerant to the one-state PDFA up to length {report.bound}: "
         f"{report.tolerant_up_to_bound} [{report.checked_label}]"
@@ -422,11 +427,8 @@ def cmd_demo_prop17(args) -> int:
         f"{len(report.marked_words)} marked words pairwise separated; "
         f"clique lower bound {report.clique_lower_bound}"
     )
-    for i, j, w in report.separations:
-        print(
-            f'  "{format_word(report.marked_words[i])}" vs '
-            f'"{format_word(report.marked_words[j])}": continuation "{format_word(w)}"'
-        )
+    for sep in payload["separations"]:
+        print(f'  "{sep["first"]}" vs "{sep["second"]}": continuation "{sep["continuation"]}"')
     return EXIT_OK
 
 

@@ -17,24 +17,16 @@ fields carry the bound they were checked at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .automata import (
-    Pdfa,
-    QuotientPdfa,
-    quotient_from_partition,
-    refine_partition,
-)
+from .automata import Pdfa, QuotientPdfa, quotient_from_partition, refine_partition
 from .distributions import AlphabetMismatch, Distribution, require_limit
-from .models import (
-    AlternatingUnaryModel,
-    LanguageModel,
-    PdfaLanguageModel,
-    UniformUnaryModel,
-)
+from .models import AlternatingUnaryModel, LanguageModel, UniformUnaryModel
 from .relations import SimilaritySpec, similar
 from .words import Word, format_word, iter_words
 
 MAX_ENUMERATED_DISTRIBUTIONS = 12
+MAX_DEMO_BOUND = 5_000
 
 
 class CliqueInstability(ValueError):
@@ -125,17 +117,22 @@ class CliquePartition:
                             f"indices {a} and {b} are not similar; block is not a clique"
                         )
 
-    def block_of_index(self, index: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if index in block:
-                return b
-        raise ValueError(f"index {index} not covered")
+    @cached_property
+    def _block_by_probs(self) -> dict[tuple[float, ...], int]:
+        """Block of each listed distribution's probabilities; the first listed
+        copy of a repeated vector decides. Built on first use, since most
+        enumerated partitions are never asked."""
+        block_at = {i: b for b, block in enumerate(self.blocks) for i in block}
+        by_probs: dict[tuple[float, ...], int] = {}
+        for i, d in enumerate(self.distributions):
+            by_probs.setdefault(d.probs, block_at[i])
+        return by_probs
 
     def block_of(self, d: Distribution) -> int:
-        for i, candidate in enumerate(self.distributions):
-            if candidate.probs == d.probs:
-                return self.block_of_index(i)
-        raise ValueError(f"distribution {d!r} not covered by the partition")
+        try:
+            return self._block_by_probs[d.probs]
+        except KeyError:
+            raise ValueError(f"distribution {d!r} not covered by the partition") from None
 
     def index_sets(self) -> frozenset[frozenset[int]]:
         return frozenset(self.blocks)
@@ -185,13 +182,12 @@ def enumerate_clique_partitions(
 # ---------------------------------------------------------------------------
 
 def _state_block_keys(a: Pdfa, cp: CliquePartition) -> list[int]:
-    distinct = {d.probs for d in a.emissions}
-    given = {d.probs for d in cp.distributions}
-    if distinct != given:
+    blocks = cp._block_by_probs
+    if {d.probs for d in a.emissions} != blocks.keys():
         raise ValueError(
             "partition must cover exactly the automaton's distinct state distributions"
         )
-    return [cp.block_of(d) for d in a.emissions]
+    return [blocks[d.probs] for d in a.emissions]
 
 
 def quotient_by_cliques(a: Pdfa, cp: CliquePartition) -> QuotientPdfa:
@@ -256,16 +252,6 @@ def build_clique_pdfa(a: Pdfa, cp: CliquePartition) -> Pdfa:
 # Recognizable-but-not-regular demonstration
 # ---------------------------------------------------------------------------
 
-def _one_state_half_pdfa() -> Pdfa:
-    model = UniformUnaryModel()
-    return Pdfa(
-        alphabet=model.alphabet,
-        initial=0,
-        emissions=(model.HALF,),
-        transitions=((0,),),
-    )
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     """Evidence that a tolerance-close PDFA exists while cliques must multiply.
@@ -312,17 +298,20 @@ def demo_recognizable_not_regular(bound: int) -> SeparationReport:
 
     Uses the alternating unary model with triangular marked lengths and the
     variation-distance similarity at threshold 0.15. Checks (i) the model is
-    similarity-close to the one-state half/half PDFA on all words up to the
-    bound, and (ii) all marked words up to the bound are pairwise separated
-    by explicit continuations, so any clique congruence needs at least one
-    clique per marked word.
+    similarity-close to the uniform unary model m2 (the one-state half/half
+    PDFA) on all words up to the bound, and (ii) all marked words up to the
+    bound are pairwise separated by explicit continuations, so any clique
+    congruence needs at least one clique per marked word. Bounds above
+    ``MAX_DEMO_BOUND`` are refused before any query, since the work grows
+    about with the square of the bound.
     """
     require_limit("bound", bound, 1)
+    if bound > MAX_DEMO_BOUND:
+        raise ValueError(f"bound must be <= {MAX_DEMO_BOUND}, got {bound!r}")
     spec = SimilaritySpec("vd", threshold=0.15)
     model = AlternatingUnaryModel()
-    constant = PdfaLanguageModel(_one_state_half_pdfa())
 
-    violation = string_tolerant(model, constant, spec, bound)
+    violation = string_tolerant(model, UniformUnaryModel(), spec, bound)
     marked = tuple(
         ("a",) * n for n in range(bound + 1) if model.marked_length(n)
     )

@@ -245,6 +245,16 @@ class TestDemoCommand:
         assert payload["marked_words"] == ["a", "aaa", "aaaaaa",
                                            "a" * 10, "a" * 15, "a" * 21]
 
+    def test_a_bound_above_the_cap_is_a_configuration_error(self, tmp_path, capsys):
+        from pdfa_forge.tolerance import MAX_DEMO_BOUND
+
+        code = run_cli("demo-prop17", "--bound", str(MAX_DEMO_BOUND + 1), out_dir=tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bound must be <= {MAX_DEMO_BOUND}, got {MAX_DEMO_BOUND + 1}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
@@ -313,6 +323,14 @@ class TestConfigAndErrors:
         assert run_cli("--config", str(config), *argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot ")
         assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
+
+    def test_a_document_path_with_a_nul_is_unreadable(self, tmp_path, capsys):
+        # Not "not valid JSON": the path is at fault, not the document.
+        config = tmp_path / "run.conf"
+        config.write_text("model = a\0b\n")
+        code = run_cli("--config", str(config), "quotient", "--equiv", "quant:3", out_dir=tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read a\0b: ")
 
     def test_config_file_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

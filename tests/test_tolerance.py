@@ -165,6 +165,19 @@ class TestEnumerateCliquePartitions:
         with pytest.raises(ValueError):
             CliquePartition(FIG3_DISTS, (frozenset({0, 1}),), VD15)
 
+    def test_the_first_listed_copy_decides_the_block(self):
+        half = unary_dist(0.5)
+        dists = (unary_dist(0.4), half, unary_dist(0.5))
+        partition = CliquePartition(dists, (frozenset({0, 2}), frozenset({1})), VD15)
+        assert partition.block_of(half) == 1
+        partition = CliquePartition(dists, (frozenset({0, 1}), frozenset({2})), VD15)
+        assert partition.block_of(half) == 0
+
+    def test_block_of_an_unlisted_distribution_names_it(self):
+        partition = CliquePartition(FIG3_DISTS, ({0}, {1}, {2}), VD15)
+        with pytest.raises(ValueError, match=r"Distribution\(\{a:0\.7, \$:0\.3\}\)"):
+            partition.block_of(unary_dist(0.7))
+
 
 def partition_by_index_sets(index_sets) -> CliquePartition:
     return CliquePartition(FIG3_DISTS, tuple(frozenset(s) for s in index_sets), VD15)
@@ -185,12 +198,21 @@ class TestQuotientByCliques:
         assert quotient_by_cliques(fig3a, partition).n_states == expected_states
 
     def test_singleton_partition_matches_exact_congruence(self, fig3a):
-        partition = partition_by_index_sets(SINGLETONS)
-        clique_blocks = refine_partition(
-            fig3a, [b"c%d" % partition.block_of(d) for d in fig3a.emissions]
-        )
-        exact_blocks = state_congruence(fig3a, parse_equivalence("exact"))
-        assert clique_blocks == exact_blocks
+        # fig3a's emissions are all distinct; the random targets repeat theirs.
+        rng = random.Random(24)
+        targets = []
+        while len(targets) < 20:
+            target = random_pdfa(rng, palette_size=2, min_states=3)
+            if len({d.probs for d in target.emissions}) < target.n_states:
+                targets.append(target)
+        for target in [fig3a, *targets]:
+            dists = tuple({d.probs: d for d in target.emissions}.values())
+            partition = CliquePartition(dists, [{i} for i in range(len(dists))], VD15)
+            clique_blocks = refine_partition(
+                target, [b"c%d" % partition.block_of(d) for d in target.emissions]
+            )
+            exact_blocks = state_congruence(target, parse_equivalence("exact"))
+            assert clique_blocks == exact_blocks
 
     def test_partition_must_cover_the_distributions(self, fig3a):
         partial = CliquePartition(FIG3_DISTS[:2], (frozenset({0, 1}),), VD15)
@@ -286,6 +308,13 @@ class TestDemo:
         # True would be reported as the bound; 2.5 failed inside the sweep.
         with pytest.raises(ValueError, match="^bound must be"):
             demo_recognizable_not_regular(bound)
+
+    def test_bound_above_the_cap_is_refused(self):
+        from pdfa_forge.tolerance import MAX_DEMO_BOUND
+
+        assert MAX_DEMO_BOUND > 400  # the bound the offline benchmark runs
+        with pytest.raises(ValueError, match=f"^bound must be <= {MAX_DEMO_BOUND}, got"):
+            demo_recognizable_not_regular(MAX_DEMO_BOUND + 1)
 
 
 class TestFinerEquivalenceLearnsTolerantModels:
