@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .automata import QuotientPdfa
@@ -68,11 +67,11 @@ class ObservationTable:
     - The class index maps each row signature to the rank of its one RED
       row (RED only grows by closing, so no two RED rows are equal).
       ``red_class_count`` is its size.
-    - The unmatched index is a heap of the ranks of BLUE rows that matched
-      no RED row when they were filed: a new BLUE row when its RED parent
-      is indexed, every unmatched BLUE row when new columns rebuild it. A
-      row promoted or matched since is dropped when it reaches the top, so
-      ``closed`` reads the heap's top instead of scanning BLUE.
+    - The scan cursor ``_scan`` is a rank below which every BLUE row
+      matches a RED row. Between new columns the class index only grows,
+      so a matched row stays matched, and a promoted row's continuations
+      rank above it; so ``closed`` resumes its BLUE scan at the cursor and
+      leaves it at the offender. New columns reset it to 0.
 
     Only new rows and new columns are filled, so each (prefix, suffix) cell
     is queried exactly once; each batch of new cells is filled in one loop,
@@ -105,10 +104,10 @@ class ObservationTable:
         self._blue: list[int] = [root]  # until it is promoted, below
         self._rows: dict[int, tuple[bytes, ...]] = {}
         self._classes: dict[tuple[bytes, ...], int] = {}
-        self._unmatched: list[int] = []
+        self._scan = 0
         self._sigs = SignatureMemo(equivalence, signature)
         self._fill_rows([root, *self._promote(root)])
-        self._index(root)
+        self._classes[self._rows[root]] = root
 
     # -- structure ---------------------------------------------------------
 
@@ -165,8 +164,8 @@ class ObservationTable:
         prefix-closed, the suffixes suffix-closed, both hold the empty word,
         BLUE is RED's uncovered continuations, and every row has a cell per
         suffix that the model has answered. No two RED rows are equal. The
-        row cache, the class index and the unmatched heap's live ranks must
-        equal their recomputation.
+        row cache and the class index must equal their recomputation, and
+        every BLUE row below the scan cursor must match a RED row.
         """
         alphabet, word_of, k = self._alphabet, self._word, self._k
         for name, ranks in (("RED", self._red), ("BLUE", self._blue)):
@@ -209,12 +208,9 @@ class ObservationTable:
             raise LearnerInvariantError("two RED rows share a class")
         if self._classes != classes:
             raise LearnerInvariantError("the RED class index is stale")
-        heap = self._unmatched
-        live = [r for r in sorted(heap) if rows[r] not in classes]
-        if live != [r for r in self._blue if rows[r] not in classes] or any(
-            heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))
-        ):
-            raise LearnerInvariantError("the unmatched BLUE index is stale")
+        blue = self._blue
+        if any(rows[r] not in classes for r in blue[: bisect_left(blue, self._scan)]):
+            raise LearnerInvariantError("an unmatched BLUE row lies below the scan cursor")
 
     # -- maintenance -------------------------------------------------------
 
@@ -233,23 +229,12 @@ class ObservationTable:
         self._blue[i:i] = children
         return children
 
-    def _index(self, rank: int) -> None:
-        """Add a filled RED row to the class index, and file its
-        continuations that match no RED row in the unmatched index (they
-        are new, so BLUE)."""
-        rows, classes = self._rows, self._classes
-        classes[rows[rank]] = rank
-        first = self._k * rank + 1
-        for child in range(first, first + self._k):
-            if rows[child] not in classes:
-                heappush(self._unmatched, child)
-
     def _reindex(self) -> None:
-        """Rebuild the class and unmatched indexes after new columns."""
+        """Rebuild the class index and rewind the scan cursor after new
+        columns."""
         rows = self._rows
-        self._classes = classes = {rows[rank]: rank for rank in self._red}
-        # BLUE is in rank order, so the list is sorted: a heap.
-        self._unmatched = [rank for rank in self._blue if rows[rank] not in classes]
+        self._classes = {rows[rank]: rank for rank in self._red}
+        self._scan = 0
 
     # -- filling -----------------------------------------------------------
 
@@ -295,13 +280,14 @@ class ObservationTable:
 
     def closed(self) -> tuple[bool, Word | None]:
         """Whether every BLUE row matches some RED row; else the
-        length-lex first offender."""
-        heap, rows, classes = self._unmatched, self._rows, self._classes
-        while heap:
-            rank = heap[0]
+        length-lex first offender, where the scan cursor stops."""
+        blue, rows, classes = self._blue, self._rows, self._classes
+        for i in range(bisect_left(blue, self._scan), len(blue)):
+            rank = blue[i]
             if rows[rank] not in classes:
+                self._scan = rank
                 return False, self._word[rank]
-            heappop(heap)  # promoted (so indexed) or matched since it was filed
+        self._scan = blue[-1] + 1 if blue else 0
         return True, None
 
     def close_step(self, offender: Word) -> None:
@@ -314,7 +300,7 @@ class ObservationTable:
         if rank is None or self._rows[rank] in self._classes:
             raise ValueError(f"offender {offender!r} is not an unmatched BLUE row")
         self._fill_rows(self._promote(rank))
-        self._index(rank)
+        self._classes[self._rows[rank]] = rank
 
     def consistent(self) -> tuple[bool, None]:
         """Always consistent: each class holds one RED row. Nothing in the

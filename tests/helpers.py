@@ -117,7 +117,7 @@ class _LmHandler(BaseHTTPRequestHandler):
         # One write; closing without a "Connection: close" header is what a
         # server dropping an idle keep-alive connection looks like.
         self.wfile.write(reply)
-        self.linger = truncate or _announces_close(reply)
+        self.linger = truncate or owner.linger_after_reply or _announces_close(reply)
         self.close_connection = self.linger or owner.close_after_reply
 
     def finish(self):
@@ -159,9 +159,10 @@ class LmServer:
     says ``Connection: close``. ``delay_s`` delays every reply,
     ``truncated_replies`` cuts the body of that many next replies short and
     closes, and ``close_after_reply`` closes every connection after its
-    reply. The server counts connections: ``closed`` lets a test wait until
-    a close has happened. ``close()`` (or leaving a ``with`` block) joins every
-    handler thread.
+    reply; ``linger_after_reply`` does too, with a lingering close that
+    drains the requests left unread. The server counts connections:
+    ``closed`` lets a test wait until a close has happened. ``close()`` (or
+    leaving a ``with`` block) joins every handler thread.
     """
 
     def __init__(self):
@@ -170,6 +171,7 @@ class LmServer:
         self.delay_s = 0.0
         self.truncated_replies = 0
         self.close_after_reply = False
+        self.linger_after_reply = False
         self.requests = []
         self.connections = 0
         self.peak_connections = 0

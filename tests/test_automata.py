@@ -207,6 +207,12 @@ class TestIntegerStates:
             one_state_automaton(kind, initial, ((0,),))
 
     @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
+    @pytest.mark.parametrize("initial", [1, -1])
+    def test_out_of_range_initial_states_are_rejected(self, kind, initial):
+        with pytest.raises(AutomatonError, match=f"initial state {initial} out of range"):
+            one_state_automaton(kind, initial, ((0,),))
+
+    @pytest.mark.parametrize("kind", [Pdfa, QuotientPdfa])
     def test_rows_of_any_sequence_type_load_as_tuples(self, kind):
         a = one_state_automaton(kind, 0, [[0]])
         assert a.transitions == ((0,),) and type(a.transitions[0]) is tuple
@@ -396,6 +402,23 @@ class TestIsomorphism:
     def test_state_count_mismatch_returns_none(self, fig2a):
         assert isomorphism(quotient(fig2a, QUANT7), quotient(fig2b_like(), QUANT7)) is None
 
+    def test_alphabet_mismatch_is_an_error(self, fig2a):
+        b = Alphabet(("b",))
+        other = Pdfa(b, 0, (Distribution(b, (0.5, 0.5)),), ((0,),))
+        with pytest.raises(AlphabetMismatch, match="different alphabets"):
+            isomorphism(quotient(fig2a, QUANT3), quotient(other, QUANT3))
+
+    @pytest.mark.parametrize("continuations, transitions", [
+        ((0.4, 0.5, 0.6), ((1,), (2,), (1,))),
+        ((0.4, 0.6, 0.5), ((1,), (2,), (2,))),
+    ], ids=["another loop", "other emissions"])
+    def test_equal_sizes_need_not_be_isomorphic(self, fig3a, continuations, transitions):
+        # fig3a is the chain 0.4 -> 0.5 -> 0.6 that loops on its last state.
+        other = Pdfa(Alphabet(("a",)), 0, tuple(map(unary_dist, continuations)), transitions)
+        h1, h2 = quotient(fig3a, QUANT7), quotient(other, QUANT7)
+        assert h1.n_states == h2.n_states == 3
+        assert isomorphism(h1, h2) is None and not isomorphic(h1, h2)
+
 
 def fig2b_like():
     return Pdfa(
@@ -560,6 +583,12 @@ class TestSerialization:
         with pytest.raises(AutomatonError, match="malformed class signature"):
             quotient_from_json(doc)
 
+    def test_missing_equivalence_is_rejected(self, fig3a):
+        doc = quotient_to_json(quotient(fig3a, QUANT7))
+        del doc["equivalence"]
+        with pytest.raises(AutomatonError, match="lacks an 'equivalence' field"):
+            quotient_from_json(doc)
+
     def test_missing_signature_is_rejected(self, fig3a):
         doc = quotient_to_json(quotient(fig3a, QUANT7))
         del doc["states"][1]["signature"]
@@ -687,6 +716,21 @@ class TestSerialization:
 
     def test_boolean_transition_target_is_rejected(self, fig3a):
         self.assert_rejected(fig3a, "to", True, lambda doc, v: doc["transitions"][0].update(to=v))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["states"][2].update(id=1), "duplicate state ids"),
+        (lambda doc: doc["transitions"][0].update(to=9), "transition references unknown state"),
+        (
+            lambda doc: doc["transitions"][1].update({"from": 9}),
+            "transition references unknown state",
+        ),
+        (lambda doc: doc.update(initial=9), "initial state 9 not among states"),
+    ], ids=["duplicate id", "unknown target", "unknown source", "unknown initial"])
+    def test_structural_faults_are_rejected(self, fig3a, edit, message):
+        for doc in (pdfa_to_json(fig3a), quotient_to_json(quotient(fig3a, QUANT7))):
+            edit(doc)
+            with pytest.raises(AutomatonError, match=message):
+                automaton_from_json(doc)
 
     def test_quotient_signature_mismatch_is_detected(self, fig3a):
         doc = quotient_to_json(quotient(fig3a, QUANT7))

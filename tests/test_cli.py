@@ -373,6 +373,25 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags, message", [
+        *[(("--eq", spec), f"bad --eq spec {spec!r}") for spec in (
+            "foo", "sample:10", "sample:a:5", "sample:1:2:3:4", "exhaustive", "exhaustive:1:2",
+        )],
+        (("--model", "fixture:nope"), "unknown fixture 'nope'"),
+        (("--model", "builtin:m9"), "unknown builtin model 'm9'"),
+    ])
+    def test_bad_eq_specs_and_unknown_sources_are_configuration_errors(
+        self, tmp_path, capsys, flags, message
+    ):
+        # A repeated flag's last value wins, so ``flags`` replaces a valid one.
+        code = run_cli(
+            "learn", "--model", "builtin:m1", "--equiv", "quant:10", "--eq", "exhaustive:3",
+            *flags, out_dir=tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not any(tmp_path.iterdir())
+
     def test_remote_source_needs_alphabet(self, tmp_path):
         code = run_cli(
             "learn", "--model", "http://127.0.0.1:1", "--equiv", "exact",

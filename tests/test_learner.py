@@ -137,15 +137,17 @@ class TestInit:
         rank = table._rank(("a", "a"))
         assert table.row_signature(("a", "a")) == table.row_signature(())
         table._fill_rows(table._promote(rank))
-        table._index(rank)
+        table._classes[table._rows[rank]] = rank
         with pytest.raises(LearnerInvariantError, match="two RED rows share a class"):
             table.validate()
 
-    def test_validate_detects_a_stale_unmatched_index(self, fig3a):
+    def test_validate_detects_a_scan_cursor_past_an_unmatched_row(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
-        assert table._unmatched
-        table._unmatched.pop()
-        with pytest.raises(LearnerInvariantError, match="unmatched BLUE index"):
+        ok, offender = table.closed()
+        assert not ok
+        table.validate()
+        table._scan = table._rank(offender) + 1
+        with pytest.raises(LearnerInvariantError, match="below the scan cursor"):
             table.validate()
 
 
@@ -273,8 +275,8 @@ class TestClosed:
         assert ("a", "a") in table.blue
 
     def test_offender_is_the_first_unmatched_row_of_a_blue_scan(self):
-        # Through closing and counterexample columns, the unmatched index
-        # names the row a length-lex scan of BLUE finds first.
+        # Through closing and counterexample columns, the scan cursor
+        # stops at the row a length-lex scan of all of BLUE finds first.
         rng = random.Random(515)
         updates = 0
         for _ in range(20):

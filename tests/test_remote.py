@@ -359,6 +359,18 @@ def tokens(server) -> list[tuple[str, ...]]:
     return [tuple(body["tokens"]) for _, body in server.requests]
 
 
+def edited(old: bytes, new: bytes):
+    """The stub's usual reply with its first ``old`` replaced by ``new``."""
+    return lambda status, data: content_length_reply(status, data).replace(old, new, 1)
+
+
+def coded(coding: bytes, frame):
+    """A reply with ``Transfer-Encoding: coding`` and no length, whose body
+    is ``frame`` of the JSON bytes."""
+    head = b"HTTP/1.1 %d X\r\nTransfer-Encoding: " + coding + b"\r\n\r\n"
+    return lambda status, data: head % status + frame(data)
+
+
 def answer_after(pdfa):
     """A behaviour serving ``pdfa``: the stub's ``serve_pdfa`` without the reset."""
 
@@ -474,6 +486,21 @@ class TestPipelinedBatches:
             model.close()
         assert tokens(server) == words
         assert server.connections == 2
+
+    def test_a_silent_close_between_replies_costs_no_attempt(self, fig2a, monkeypatch):
+        # The server answers one request per connection and closes without
+        # saying so; the requests behind it were never answered, so they
+        # are sent again at no cost.
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        words = [("a",) * n for n in range(8)]
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.linger_after_reply = True
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            self.assert_answers(model.query_many(words), words, fig2a)
+            model.close()
+        assert Counter(tokens(server)) == Counter(words)
+        assert server.connections == len(words)
 
     def test_server_error_mid_batch_is_retried(self, fig2a, monkeypatch, no_backoff):
         monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
@@ -607,6 +634,57 @@ class TestPipelinedBatches:
                 model.query_many([(), ("a",)])
         counts = Counter(tokens(server))
         assert counts[()] == 3 and counts[("a",)] <= 3
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (edited(b"HTTP/1.1", b"HTTP/2"), "malformed status line"),
+            (edited(b"\r\n", b"\r\nX-No-Colon\r\n"), "malformed header line"),
+            (
+                edited(b"\r\n", b"\r\nTransfer-Encoding: chunked\r\n"),
+                "both Transfer-Encoding and Content-Length",
+            ),
+            (edited(b"\r\n", b"\r\nContent-Length: 1\r\n"), "malformed Content-Length"),
+            (edited(b"Content-Length: ", b"Content-Length: +"), "malformed Content-Length"),
+            (coded(b"gzip, chunked", lambda data: data), "unsupported transfer coding"),
+            (
+                coded(b"chunked", lambda data: b"0x%x\r\n%s\r\n0\r\n\r\n" % (len(data), data)),
+                "malformed chunk size line",
+            ),
+            (
+                coded(b"chunked", lambda data: b"%x\r\n%s..0\r\n\r\n" % (len(data), data)),
+                "chunk data not followed by CRLF",
+            ),
+        ],
+        ids=[
+            "status line", "header line", "both framings", "two lengths", "signed length",
+            "gzip coding", "chunk size", "chunk end",
+        ],
+    )
+    def test_malformed_framing_is_a_failed_attempt(self, fig2a, reply, message, no_backoff):
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = reply
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            with pytest.raises(RemoteModelError, match=f"3 attempts: .*{message}"):
+                model.query_many([(), ("a",)])
+        counts = Counter(tokens(server))
+        assert counts[()] == 3 and counts[("a",)] <= 3
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_a_reply_without_a_body_keeps_the_connection(self, fig2a, status):
+        # A 204 or 304 has no body, so the reader must not wait for one to
+        # end with the connection: the next word goes out on the same one.
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = lambda _, data: b"HTTP/1.1 %d X\r\n\r\n" % status
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            for word in [(), ("a",)]:
+                with pytest.raises(RemoteModelError, match=f"unexpected status {status}"):
+                    model.query(word)
+            model.close()
+        assert tokens(server) == [(), ("a",)]
+        assert server.connections == 1
 
     @pytest.mark.parametrize(
         "behavior",
