@@ -428,8 +428,11 @@ def quotient_to_json(h: QuotientPdfa) -> dict:
 def _to_json(a: _Automaton, head: dict, signatures: Sequence[bytes] = ()) -> dict:
     """The document of either flavour: ``head`` holds the fields between
     ``"alphabet"`` and ``"initial"``, and the i-th state entry ends with
-    ``signatures[i]`` in hex when there is one."""
-    states = [{"id": q, "dist": d.as_dict()} for q, d in enumerate(a._dists)]
+    ``signatures[i]`` in hex when there is one. Each distinct distribution
+    object is converted once, and each state gets its own copy of the map."""
+    maps = {id(d): d for d in a._dists}
+    maps = {key: d.as_dict() for key, d in maps.items()}
+    states = [{"id": q, "dist": maps[id(d)].copy()} for q, d in enumerate(a._dists)]
     for entry, sig in zip(states, signatures):
         entry["signature"] = sig.hex()
     symbols = a.alphabet.symbols

@@ -252,6 +252,9 @@ def cached(model: LanguageModel) -> CachedModel:
 PIPELINE_DEPTH = 4
 #: Attempts a word's own request gets before its failure is final.
 MAX_ATTEMPTS = 3
+#: Most bytes a reply body may hold, checked before it is read; a JSON map
+#: of a thousand symbols takes a few dozen KiB.
+MAX_REPLY_BYTES = 1 << 20
 #: Seconds slept before a word's retry, times the attempts it has spent.
 RETRY_BACKOFF_S = 0.2
 #: Longest status, header or chunk-size line (CRLF included) and most header
@@ -281,16 +284,17 @@ class RemoteModel(LanguageModel):
     outstanding; ``query`` is a batch of one. The model holds at most one
     connection: a batch holds the model's lock from its first request to
     its last answer, so threads are safe and take turns. Responses are read
-    strictly: at most 100 header lines of at most 64 KiB each, a body
-    framed by ``Content-Length`` or chunked, ``Connection: close`` and
-    HTTP/1.0 honoured, 1xx responses skipped. The idle connection is
-    reused; one the server has closed is replaced without costing an
-    attempt, and so are requests left unanswered when the server closes a
-    connection after answering earlier ones. A server that closes with
-    unread requests in its socket may reset the connection, and the reset
-    can destroy replies it had already sent; the client cannot tell those
-    from unanswered requests and sends them again at no attempt cost, so
-    the server may answer a word more often than ``MAX_ATTEMPTS``.
+    strictly: at most 100 header lines of at most 64 KiB each, a body of
+    at most ``MAX_REPLY_BYTES`` framed by ``Content-Length``, chunked or
+    the connection's close, ``Connection: close`` and HTTP/1.0 honoured,
+    1xx responses skipped. The idle connection is reused; one the server
+    has closed is replaced without costing an attempt, and so are requests
+    left unanswered when the server closes a connection after answering
+    earlier ones. A server that closes with unread requests in its socket
+    may reset the connection, and the reset can destroy replies it had
+    already sent; the client cannot tell those from unanswered requests and
+    sends them again at no attempt cost, so the server may answer a word
+    more often than ``MAX_ATTEMPTS``.
     ``close()``, or collecting the model, closes the idle connection.
 
     Transient failures of a word's own request (connection errors,
@@ -642,9 +646,13 @@ class _Connection:
             length = values.pop() if len(values) == 1 else b""
             if not length.isdigit():
                 raise _ProtocolError(f"malformed Content-Length {b', '.join(lengths)!r}")
-            body = self._exactly(int(length))
+            # int() refuses over 4,300 digits; one digit past the cap's width
+            # is already over it.
+            digits = length.lstrip(b"0")[: len(str(MAX_REPLY_BYTES)) + 1] or b"0"
+            body = self._exactly(_within_cap(int(digits)))
         else:  # the body runs to the end of the connection
-            body = self._file.read()
+            body = self._file.read(MAX_REPLY_BYTES + 1)
+            _within_cap(len(body))
             keep_alive = False
         return status, body, keep_alive
 
@@ -675,19 +683,29 @@ class _Connection:
 
     def _chunked(self) -> bytes:
         chunks = []
+        total = 0
         while True:
             line = self._complete(self._file.readline(_MAX_LINE + 1))
-            size = line.split(b";", 1)[0].strip()
-            if not size or not _HEX_DIGITS.issuperset(size):
+            digits = line.split(b";", 1)[0].strip()
+            if not digits or not _HEX_DIGITS.issuperset(digits):
                 raise _ProtocolError(f"malformed chunk size line {line[:80]!r}")
-            if not int(size, 16):
+            size = int(digits, 16)
+            if not size:
                 break
-            chunk = self._exactly(int(size, 16) + 2)
+            total = _within_cap(total + size)
+            chunk = self._exactly(size + 2)
             if chunk[-2:] != b"\r\n":
                 raise _ProtocolError("chunk data not followed by CRLF")
             chunks.append(chunk[:-2])
         self._headers()  # the trailer section
         return b"".join(chunks)
+
+
+def _within_cap(size: int) -> int:
+    """``size``, if a reply body of that many bytes is allowed."""
+    if size > MAX_REPLY_BYTES:
+        raise _ProtocolError(f"reply body longer than {MAX_REPLY_BYTES} bytes")
+    return size
 
 
 def _status_line(line: bytes) -> tuple[bytes, int]:

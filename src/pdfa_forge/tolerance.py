@@ -96,11 +96,10 @@ class CliquePartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(sorted((frozenset(b) for b in self.blocks), key=min)),
-        )
+        blocks = tuple(frozenset(b) for b in self.blocks)
+        if frozenset() in blocks:
+            raise ValueError(f"block {blocks.index(frozenset())} is empty")
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
         covered: set[int] = set()
         for block in self.blocks:
             if covered & block:
@@ -116,6 +115,22 @@ class CliquePartition:
                         raise ValueError(
                             f"indices {a} and {b} are not similar; block is not a clique"
                         )
+
+    @classmethod
+    def _of_cliques(
+        cls,
+        distributions: tuple[Distribution, ...],
+        blocks: tuple[frozenset[int], ...],
+        similarity: SimilaritySpec,
+    ) -> CliquePartition:
+        """A partition built without the checks: the caller vouches that the
+        blocks are cliques under the similarity, cover every index once and
+        are ordered by their least index."""
+        partition = object.__new__(cls)
+        partition.__dict__.update(
+            distributions=distributions, blocks=blocks, similarity=similarity
+        )
+        return partition
 
     @cached_property
     def _block_by_probs(self) -> dict[tuple[float, ...], int]:
@@ -144,7 +159,9 @@ def enumerate_clique_partitions(
     """All partitions of the list into cliques under the similarity.
 
     Recursive block assignment with clique pruning; feasible only at desk
-    scale, hence the input-size guard.
+    scale, hence the input-size guard. A block takes an index only when it is
+    related to every member, and blocks open in index order, so each result
+    is a clique partition ordered by least index and is not re-checked.
     """
     dists = tuple(dists)
     if len(dists) > MAX_ENUMERATED_DISTRIBUTIONS:
@@ -161,7 +178,7 @@ def enumerate_clique_partitions(
     def assign(i: int) -> None:
         if i == len(dists):
             results.append(
-                CliquePartition(dists, tuple(frozenset(b) for b in blocks), spec)
+                CliquePartition._of_cliques(dists, tuple(map(frozenset, blocks)), spec)
             )
             return
         for block in blocks:

@@ -504,6 +504,23 @@ class TestSharedEmissionObjects:
             shared += h.n_states > 3
         assert shared >= 3
 
+    @pytest.mark.parametrize(
+        "to_json",
+        [pdfa_to_json, lambda a: quotient_to_json(quotient(a, EXACT))],
+        ids=["pdfa", "quotient"],
+    )
+    def test_each_state_gets_its_own_dist_map(self, to_json):
+        # States 0 and 1 share one emission object, and so do their classes:
+        # 0 moves to 1 and 1 to 2, so refinement splits them.
+        half, low = unary_dist(0.5), unary_dist(0.4)
+        a = Pdfa(Alphabet(("a",)), 0, (half, half, low), ((1,), (2,), (2,)))
+        doc = to_json(a)
+        assert len(doc["states"]) == 3
+        assert doc["states"][0]["dist"] == doc["states"][1]["dist"] == {"a": 0.5, "$": 0.5}
+        doc["states"][0]["dist"]["a"] = 0.25
+        assert doc["states"][1]["dist"] == {"a": 0.5, "$": 0.5}
+        assert to_json(a)["states"][0]["dist"] == {"a": 0.5, "$": 0.5}
+
     def test_negative_zero_shares_the_memo_entry_of_zero(self):
         # -0.0 == 0.0, so both distributions are one memo key; their
         # signatures must coincide for the shared entry to be right.

@@ -9,6 +9,7 @@ import pytest
 
 from pdfa_forge import (
     lm_equivalent,
+    models,
     parse_equivalence,
     pdfa_from_json,
     quotient_from_json,
@@ -160,11 +161,10 @@ class TestCliquesCommand:
         assert "3 clique partition(s)" in out
         payload = json.loads((tmp_path / "cliques.json").read_text())
         assert payload["similarity"] == "vd:0.15"
-        assert len(payload["partitions"]) == 3
-        assert sorted(map(sorted, payload["partitions"])) == [
-            [[0], [1], [2]],
+        assert payload["partitions"] == [
             [[0, 1], [2]],
             [[0, 2], [1]],
+            [[0], [1], [2]],
         ]
 
     @pytest.mark.parametrize("value", ["0.5", True, None])
@@ -623,6 +623,23 @@ class TestRemoteModelSource:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_a_body_over_the_cap_is_a_network_error(
+        self, tmp_path, lm_server, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(models, "RETRY_BACKOFF_S", 0.0)
+        lm_server.set_behavior(lambda path, body: (200, {}))
+        lm_server.reply = lambda status, data: (
+            b"HTTP/1.1 200 X\r\nContent-Length: 1000000000000\r\n\r\n"
+        )
+        code = run_cli(
+            "learn", "--model", lm_server.endpoint, "--alphabet", "a",
+            "--equiv", "quant:3", "--eq", "exhaustive:3",
+            out_dir=tmp_path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reply body longer than 1048576 bytes" in err
 
     def test_unreachable_endpoint_is_a_network_error(self, tmp_path):
         code = run_cli(

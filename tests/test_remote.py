@@ -364,6 +364,24 @@ def edited(old: bytes, new: bytes):
     return lambda status, data: content_length_reply(status, data).replace(old, new, 1)
 
 
+OVER_CAP = f"reply body longer than {models.MAX_REPLY_BYTES} bytes"
+
+
+def padded(data: bytes, excess: int) -> bytes:
+    """``data`` padded with whitespace, which JSON ignores, to ``excess``
+    bytes past the reply body cap."""
+    return data.ljust(models.MAX_REPLY_BYTES + excess)
+
+
+def over_cap_in_chunks(data: bytes) -> bytes:
+    """A chunked body one byte over the cap in two chunks, each under it."""
+    body = padded(data, 1)
+    half = len(body) // 2
+    return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in (body[:half], body[half:])) + (
+        b"0\r\n\r\n"
+    )
+
+
 def coded(coding: bytes, frame):
     """A reply with ``Transfer-Encoding: coding`` and no length, whose body
     is ``frame`` of the JSON bytes."""
@@ -655,10 +673,20 @@ class TestPipelinedBatches:
                 coded(b"chunked", lambda data: b"%x\r\n%s..0\r\n\r\n" % (len(data), data)),
                 "chunk data not followed by CRLF",
             ),
+            # The announced lengths are prefixed to the true one.
+            (edited(b"Content-Length: ", b"Content-Length: 1000000000000"), OVER_CAP),
+            (edited(b"Content-Length: ", b"Content-Length: 1" + b"0" * 5000), OVER_CAP),
+            (coded(b"chunked", lambda data: b"FFFFFFFFFFFF\r\n%s\r\n0\r\n\r\n" % data), OVER_CAP),
+            (coded(b"chunked", over_cap_in_chunks), OVER_CAP),
+            (
+                lambda status, data: b"HTTP/1.0 %d X\r\n\r\n%s" % (status, padded(data, 1)),
+                OVER_CAP,
+            ),
         ],
         ids=[
             "status line", "header line", "both framings", "two lengths", "signed length",
-            "gzip coding", "chunk size", "chunk end",
+            "gzip coding", "chunk size", "chunk end", "length over cap", "length of 5000 digits",
+            "chunk over cap", "chunks over cap", "body to close over cap",
         ],
     )
     def test_malformed_framing_is_a_failed_attempt(self, fig2a, reply, message, no_backoff):
@@ -670,6 +698,14 @@ class TestPipelinedBatches:
                 model.query_many([(), ("a",)])
         counts = Counter(tokens(server))
         assert counts[()] == 3 and counts[("a",)] <= 3
+
+    def test_a_body_at_the_cap_is_read(self, fig2a):
+        with LmServer() as server:
+            server.serve_pdfa(fig2a)
+            server.reply = lambda status, data: content_length_reply(status, padded(data, 0))
+            model = RemoteModel(server.endpoint, fig2a.alphabet)
+            assert model.query(("a",)) == fig2a.distribution_after(("a",))
+            model.close()
 
     @pytest.mark.parametrize("status", [204, 304])
     def test_a_reply_without_a_body_keeps_the_connection(self, fig2a, status):

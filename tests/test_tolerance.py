@@ -149,8 +149,11 @@ class TestEnumerateCliquePartitions:
                     for j in block
                 ):
                     expected.add(frozenset(frozenset(b) for b in blocks))
-            found = {p.index_sets() for p in enumerate_clique_partitions(dists, VD15)}
-            assert found == expected
+            partitions = enumerate_clique_partitions(dists, VD15)
+            assert {p.index_sets() for p in partitions} == expected
+            # The enumerator skips the checks; the public constructor agrees.
+            for p in partitions:
+                assert p == CliquePartition(p.distributions, p.blocks, p.similarity)
 
     def test_size_guard(self):
         dists = tuple(unary_dist(0.3 + 0.001 * i) for i in range(13))
@@ -164,6 +167,10 @@ class TestEnumerateCliquePartitions:
     def test_blocks_must_partition(self):
         with pytest.raises(ValueError):
             CliquePartition(FIG3_DISTS, (frozenset({0, 1}),), VD15)
+
+    def test_an_empty_block_is_named(self):
+        with pytest.raises(ValueError, match="block 0 is empty"):
+            CliquePartition(FIG3_DISTS, (frozenset(), frozenset({0, 1})), VD15)
 
     def test_the_first_listed_copy_decides_the_block(self):
         half = unary_dist(0.5)
