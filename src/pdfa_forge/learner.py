@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .automata import QuotientPdfa
-from .distributions import Distribution, require_limit
+from .distributions import require_limit
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, SignatureMemo, signature
 from .words import EMPTY, Word, shortlex_rank, word_key
@@ -133,14 +133,6 @@ class ObservationTable:
         rank = shortlex_rank(self._k, (len(word), columns))
         return rank if rank in self._word else None
 
-    def cell(self, prefix: Word, suffix: Word) -> Distribution:
-        """The queried distribution of a cell; ``KeyError`` when
-        ``(prefix, suffix)`` is no cell of the table, even if the model has
-        answered ``prefix + suffix`` for someone else."""
-        if self._rank(prefix) is None or suffix not in self.suffixes:
-            raise KeyError((prefix, suffix))
-        return self.model.peek(prefix + suffix)
-
     def row_signature(self, prefix: Word) -> tuple[bytes, ...]:
         rank = self._rank(prefix)
         if rank is None:
@@ -154,63 +146,6 @@ class ObservationTable:
 
     def red_class_count(self) -> int:
         return len(self._classes)
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises on violation.
-
-        The RED and BLUE rank lists increase strictly, the stored words are
-        exactly RED and BLUE, and each is stored under the rank of its
-        ``word_key``, so RED and BLUE are in length-lex order. RED is
-        prefix-closed, the suffixes suffix-closed, both hold the empty word,
-        BLUE is RED's uncovered continuations, and every row has a cell per
-        suffix that the model has answered. No two RED rows are equal. The
-        row cache and the class index must equal their recomputation, and
-        every BLUE row below the scan cursor must match a RED row.
-        """
-        alphabet, word_of, k = self._alphabet, self._word, self._k
-        for name, ranks in (("RED", self._red), ("BLUE", self._blue)):
-            if any(map(int.__ge__, ranks, ranks[1:])):
-                raise LearnerInvariantError(f"the {name} rank list is not strictly increasing")
-        if word_of.keys() != {*self._red, *self._blue}:
-            raise LearnerInvariantError("the stored words are not RED and BLUE")
-        for rank, word in word_of.items():
-            if not alphabet.spells(word) or shortlex_rank(k, word_key(alphabet, word)) != rank:
-                raise LearnerInvariantError(f"the stored word of rank {rank} is stale")
-        red = set(self.red)
-        if EMPTY not in red:
-            raise LearnerInvariantError("the empty word must be RED")
-        for p in red:
-            if p and p[:-1] not in red:
-                raise LearnerInvariantError(f"RED is not prefix-closed at {p!r}")
-        suffixes = set(self.suffixes)
-        if EMPTY not in suffixes:
-            raise LearnerInvariantError("the empty word must be a suffix")
-        for s in suffixes:
-            if s and s[1:] not in suffixes:
-                raise LearnerInvariantError(f"suffixes are not suffix-closed at {s!r}")
-        expected_blue = {p + (symbol,) for p in red for symbol in alphabet.symbols} - red
-        if set(self.blue) != expected_blue:
-            raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
-        peek, rows = self.model.peek, self._rows
-        for rank in self._red + self._blue:
-            p, cells = word_of[rank], []
-            for s in self.suffixes:
-                try:
-                    cells.append(peek(p + s))
-                except KeyError:
-                    raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is missing") from None
-            if rows.get(rank) != tuple(signature(dist, self.equivalence) for dist in cells):
-                raise LearnerInvariantError(f"cached row of {p!r} is stale")
-        if len(rows) != len(word_of):
-            raise LearnerInvariantError("the row cache holds a row of no RED or BLUE word")
-        classes = {rows[rank]: rank for rank in self._red}
-        if len(classes) != len(self._red):
-            raise LearnerInvariantError("two RED rows share a class")
-        if self._classes != classes:
-            raise LearnerInvariantError("the RED class index is stale")
-        blue = self._blue
-        if any(rows[r] not in classes for r in blue[: bisect_left(blue, self._scan)]):
-            raise LearnerInvariantError("an unmatched BLUE row lies below the scan cursor")
 
     # -- maintenance -------------------------------------------------------
 
@@ -404,26 +339,19 @@ class ObservationTable:
         by symbol ``(rank - 1) % k``. The suffixes are checked column-wise:
         ``after[s][q]``, the class signature reached by reading ``s`` from
         state ``q``, is ``after[s[1:]][δ(q, s[0])]`` for all states in one
-        pass (a tail that is not a column is computed on demand), and each
-        RED row is compared with ``after[·][q]`` of its state as one tuple.
+        pass. The columns are suffix-closed and each comes after its tail,
+        so one pass over them in order finds each tail already computed.
+        Each RED row is compared with ``after[·][q]`` of its state as one
+        tuple.
         The first disagreeing cell, in RED then column order, is reported.
         """
         transitions, rows, word = hypothesis.transitions, self._rows, self._word
         successors = dict(zip(self._alphabet.symbols, zip(*transitions)))
         after: dict[Word, tuple[bytes, ...]] = {EMPTY: hypothesis.class_signatures}
-
-        def signatures_after(s: Word) -> tuple[bytes, ...]:
-            missing = []
-            while s not in after:
-                missing.append(s)
-                s = s[1:]
-            sigs = after[s]
-            for s in reversed(missing):
-                sigs = after[s] = tuple(map(sigs.__getitem__, successors[s[0]]))
-            return sigs
-
+        for s in self.suffixes[1:]:
+            after[s] = tuple(map(after[s[1:]].__getitem__, successors[s[0]]))
         # expected[q]: the row a RED prefix reaching state q must have.
-        expected = list(zip(*map(signatures_after, self.suffixes)))
+        expected = list(zip(*map(after.__getitem__, self.suffixes)))
         k = self._k
         state_of: dict[int, int] = {}  # by rank
         for rank in self._red:

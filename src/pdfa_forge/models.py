@@ -303,8 +303,9 @@ class RemoteModel(LanguageModel):
     probability sum off by more than 1e-6 is an error unless
     ``renormalize`` is set. Limits are validated at construction:
     ``max_query_length`` must be ``None`` or a non-negative ``int`` and the
-    timeout positive and finite. A malformed endpoint raises
-    ``ValueError``.
+    timeout a positive number (no ``bool``) of at most
+    ``threading.TIMEOUT_MAX`` seconds, the most a socket can wait. A
+    malformed endpoint raises ``ValueError``.
     """
 
     def __init__(
@@ -318,9 +319,10 @@ class RemoteModel(LanguageModel):
     ):
         self.endpoint = endpoint.rstrip("/")
         self._alphabet = alphabet
-        if not 0 < timeout < math.inf:
+        if isinstance(timeout, bool) or not 0 < timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
-                f"the request timeout must be positive and finite, got timeout={timeout!r}"
+                "the request timeout must be a positive number of seconds up to "
+                f"{threading.TIMEOUT_MAX:.0f}, got timeout={timeout!r}"
             )
         self.timeout = timeout
         if max_query_length is not None:

@@ -188,12 +188,21 @@ class BoundedExhaustiveOracle(EqOracle):
     """Deterministic sweep of every word up to a length bound.
 
     Sound for disagreement within the bound; a None answer only certifies
-    agreement on the swept words. Refuses budgets above ``MAX_SWEEP_WORDS``.
+    agreement on the swept words. Refuses sweeps of more than
+    ``MAX_SWEEP_WORDS`` words: over two or more symbols, length ``L`` alone
+    holds at least ``2^L`` words, so a long bound is refused without
+    counting, and a short one is counted exactly.
     """
 
     def __init__(self, model: LanguageModel, spec: EquivalenceSpec, max_length: int):
         require_limit("max_length", max_length, 0)
-        total = count_words(len(model.alphabet), max_length)
+        k = len(model.alphabet)
+        if k >= 2 and max_length >= MAX_SWEEP_WORDS.bit_length():  # 2^L > MAX_SWEEP_WORDS
+            raise OracleBudgetExceeded(
+                f"sweeping more than {MAX_SWEEP_WORDS} words exceeds the "
+                f"{MAX_SWEEP_WORDS}-word budget"
+            )
+        total = count_words(k, max_length)
         if total > MAX_SWEEP_WORDS:
             raise OracleBudgetExceeded(
                 f"sweeping {total} words exceeds the {MAX_SWEEP_WORDS}-word budget"

@@ -1,4 +1,5 @@
-"""Shared test helpers: fixture automata, random generators, HTTP LM stub."""
+"""Shared test helpers: fixture automata, random generators, observation-table
+checks, HTTP LM stub."""
 
 from __future__ import annotations
 
@@ -7,9 +8,19 @@ import random
 import socket
 import threading
 import time
+from bisect import bisect_left
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from pdfa_forge import Alphabet, Distribution, LanguageModel, Pdfa
+from pdfa_forge import (
+    Alphabet,
+    Distribution,
+    LanguageModel,
+    LearnerInvariantError,
+    ObservationTable,
+    Pdfa,
+    signature,
+)
+from pdfa_forge.words import EMPTY, Word, shortlex_rank, word_key
 
 UNARY = Alphabet(("a",))
 
@@ -79,6 +90,80 @@ def random_pdfa(
         emissions=tuple(emissions[q] for q in keep),
         transitions=tuple(tuple(remap[t] for t in transitions[q]) for q in keep),
     )
+
+
+def table_cell(table: ObservationTable, prefix: Word, suffix: Word) -> Distribution:
+    """The queried distribution of a cell of ``table``; ``KeyError`` when
+    ``(prefix, suffix)`` is no cell of the table, even if the model has
+    answered ``prefix + suffix`` for someone else."""
+    if table._rank(prefix) is None or suffix not in table.suffixes:
+        raise KeyError((prefix, suffix))
+    return table.model.peek(prefix + suffix)
+
+
+def validate_table(table: ObservationTable) -> None:
+    """Check the structural invariants of ``table``; raises
+    ``LearnerInvariantError`` on violation.
+
+    - The RED and BLUE rank lists increase strictly, the stored words are
+      exactly RED and BLUE, and each is stored under the rank of its
+      ``word_key`` (recomputed for every word), so RED and BLUE are in
+      length-lex order.
+    - RED is prefix-closed and holds the empty word; BLUE is RED's
+      uncovered continuations.
+    - The suffixes start with the empty word and are suffix-closed, and
+      each comes after its tail, as the self-check's one pass needs.
+    - Every row has a cell per suffix that the model has answered.
+    - The row cache and the class index equal their recomputation, and no
+      two RED rows are equal.
+    - Every BLUE row below the scan cursor matches a RED row.
+    """
+    alphabet, word_of, k = table._alphabet, table._word, table._k
+    for name, ranks in (("RED", table._red), ("BLUE", table._blue)):
+        if any(map(int.__ge__, ranks, ranks[1:])):
+            raise LearnerInvariantError(f"the {name} rank list is not strictly increasing")
+    if word_of.keys() != {*table._red, *table._blue}:
+        raise LearnerInvariantError("the stored words are not RED and BLUE")
+    for rank, word in word_of.items():
+        if not alphabet.spells(word) or shortlex_rank(k, word_key(alphabet, word)) != rank:
+            raise LearnerInvariantError(f"the stored word of rank {rank} is stale")
+    red = set(table.red)
+    if EMPTY not in red:
+        raise LearnerInvariantError("the empty word must be RED")
+    for p in red:
+        if p and p[:-1] not in red:
+            raise LearnerInvariantError(f"RED is not prefix-closed at {p!r}")
+    if table.suffixes[:1] != [EMPTY]:
+        raise LearnerInvariantError("the empty word must be the first suffix")
+    position = {s: i for i, s in enumerate(table.suffixes)}
+    for i, s in enumerate(table.suffixes[1:], 1):
+        if s[1:] not in position:
+            raise LearnerInvariantError(f"suffixes are not suffix-closed at {s!r}")
+        if position[s[1:]] > i:
+            raise LearnerInvariantError(f"suffix {s!r} comes ahead of its tail")
+    expected_blue = {p + (symbol,) for p in red for symbol in alphabet.symbols} - red
+    if set(table.blue) != expected_blue:
+        raise LearnerInvariantError("BLUE is not RED's uncovered continuations")
+    peek, rows = table.model.peek, table._rows
+    for rank in table._red + table._blue:
+        p, cells = word_of[rank], []
+        for s in table.suffixes:
+            try:
+                cells.append(peek(p + s))
+            except KeyError:
+                raise LearnerInvariantError(f"cell ({p!r}, {s!r}) is missing") from None
+        if rows.get(rank) != tuple(signature(dist, table.equivalence) for dist in cells):
+            raise LearnerInvariantError(f"cached row of {p!r} is stale")
+    if len(rows) != len(word_of):
+        raise LearnerInvariantError("the row cache holds a row of no RED or BLUE word")
+    classes = {rows[rank]: rank for rank in table._red}
+    if len(classes) != len(table._red):
+        raise LearnerInvariantError("two RED rows share a class")
+    if table._classes != classes:
+        raise LearnerInvariantError("the RED class index is stale")
+    blue = table._blue
+    if any(rows[r] not in classes for r in blue[: bisect_left(blue, table._scan)]):
+        raise LearnerInvariantError("an unmatched BLUE row lies below the scan cursor")
 
 
 def content_length_reply(status: int, data: bytes) -> bytes:

@@ -42,3 +42,11 @@ def test_traced_swaps_the_hooks_in_and_restores_them(fig3a):
 
     assert {name: ObservationTable.__dict__[name] for name in names} == before
     assert [getattr(owner, attr) for owner, attr in functions] == originals
+
+
+def test_the_table_ships_only_what_learn_and_the_hooks_call():
+    # Test-only helpers live in ``tests/helpers.py``; ``red`` is ``blue``'s
+    # public twin.
+    tracing = load_tracing()
+    public = {name for name in vars(ObservationTable) if not name.startswith("_")}
+    assert public == {*tracing.TABLE_METHODS, *tracing.TABLE_PROPERTIES, "red"}

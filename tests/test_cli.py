@@ -675,6 +675,16 @@ class TestRemoteModelSource:
         )
         assert code == 1
 
+    def test_a_timeout_no_socket_can_wait_is_a_configuration_error(self, tmp_path, capsys):
+        code = run_cli(
+            "learn", "--model", "http://127.0.0.1:9", "--alphabet", "a,b",
+            "--timeout", "1e12", "--equiv", "quant:3", "--eq", "sample:10:3",
+            out_dir=tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "timeout" in err
+
 
 def test_a_non_integer_state_reference_is_an_io_error(tmp_path, capsys):
     doc = fixture_json("fig2a")

@@ -2,6 +2,7 @@
 counterexample hygiene."""
 
 import random
+import time
 
 import pytest
 
@@ -340,6 +341,17 @@ class TestBoundedExhaustiveOracle:
         BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, budget - 1)
         with pytest.raises(OracleBudgetExceeded, match=f"sweeping {budget + 1} words"):
             BoundedExhaustiveOracle(UniformUnaryModel(), QUANT3, budget)
+
+    @pytest.mark.parametrize("symbols", [2, 3])
+    def test_a_long_bound_is_refused_without_counting(self, symbols):
+        # The count of the words up to length 10**6 has hundreds of
+        # thousands of digits; length L alone holds at least 2^L words.
+        target = random_pdfa(random.Random(0), 1, min_symbols=symbols, max_symbols=symbols)
+        budget = teacher_module.MAX_SWEEP_WORDS
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetExceeded, match=f"sweeping more than {budget} words"):
+            BoundedExhaustiveOracle(PdfaLanguageModel(target), QUANT3, 10**6)
+        assert time.perf_counter() - start < 1.0
 
     def test_budget_guard(self):
         model = PdfaLanguageModel(random_pdfa(random.Random(1), max_states=3, max_symbols=3))
