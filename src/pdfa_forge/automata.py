@@ -200,6 +200,29 @@ class QuotientPdfa(_Automaton[bytes]):
         object.__setattr__(self, "representatives", tuple(self.representatives))
         self._validate("a quotient PDFA", "class {} representative over a different alphabet")
 
+    @classmethod
+    def _unchecked(
+        cls,
+        alphabet: Alphabet,
+        initial: int,
+        class_signatures: tuple[bytes, ...],
+        representatives: tuple[Distribution, ...],
+        transitions: tuple[tuple[int, ...], ...],
+        equivalence: str,
+    ) -> QuotientPdfa:
+        """A quotient PDFA built without ``_validate``: the caller vouches
+        for every check it makes, with each field already a tuple."""
+        hypothesis = object.__new__(cls)
+        hypothesis.__dict__.update(
+            alphabet=alphabet,
+            initial=initial,
+            class_signatures=class_signatures,
+            representatives=representatives,
+            transitions=transitions,
+            equivalence=equivalence,
+        )
+        return hypothesis
+
     @property
     def _outputs(self) -> tuple[bytes, ...]:
         return self.class_signatures

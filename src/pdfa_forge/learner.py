@@ -23,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .automata import QuotientPdfa
+from .automata import AutomatonError, QuotientPdfa
 from .distributions import require_limit
 from .models import CachedModel, LanguageModel, cached
 from .relations import EquivalenceSpec, SignatureMemo, signature
@@ -231,7 +231,8 @@ class ObservationTable:
         Every RED row is in the class index, so a row of the table that
         matches no class is an unmatched BLUE row.
         """
-        rank = self._rank(offender)
+        # After ``closed`` found it, the offender is the cursor's own word.
+        rank = self._scan if self._word.get(self._scan) is offender else self._rank(offender)
         if rank is None or self._rows[rank] in self._classes:
             raise ValueError(f"offender {offender!r} is not an unmatched BLUE row")
         self._fill_rows(self._promote(rank))
@@ -302,6 +303,8 @@ class ObservationTable:
         rows, k, representatives = self._rows, self._k, self._red
         rep_rows = list(map(rows.__getitem__, representatives))
         class_id = dict(zip(rep_rows, range(len(rep_rows))))
+        if len(class_id) != len(rep_rows):
+            raise LearnerInvariantError("two RED rows share a class")
 
         # Symbol i leads from rank r to rank k·r + i + 1: one column per
         # symbol, read in C. With no symbols, every state has an empty row.
@@ -315,14 +318,26 @@ class ObservationTable:
             raise LearnerInvariantError("closedness violated during build") from None
         transitions = list(zip(*columns)) or [()] * len(starts)
 
-        word_of = self._word.__getitem__
-        hypothesis = QuotientPdfa(
-            alphabet=self._alphabet,
-            initial=class_id[rows[0]],
-            class_signatures=tuple(row[0] for row in rep_rows),
-            representatives=tuple(map(self.model.peek, map(word_of, representatives))),
-            transitions=tuple(transitions),
-            equivalence=self.equivalence.spec_string(),
+        # The model's answers are the one input nothing below checks.
+        alphabet = self._alphabet
+        dists = tuple(map(self.model.peek, map(self._word.__getitem__, representatives)))
+        for q, dist in enumerate(dists):
+            if dist.alphabet is not alphabet and dist.alphabet != alphabet:
+                raise AutomatonError(f"class {q} representative over a different alphabet")
+
+        # The rest of ``QuotientPdfa``'s validation holds by construction:
+        # the root is RED, so there is a state; there is one representative
+        # per class; the initial state and every target are ``class_id``
+        # values, ``k`` per row; and the self-check below walks each class's
+        # one RED row from the initial state to its class, so every state is
+        # reachable. No hypothesis leaves unless that check passes.
+        hypothesis = QuotientPdfa._unchecked(
+            alphabet,
+            class_id[rows[0]],
+            tuple(row[0] for row in rep_rows),
+            dists,
+            tuple(transitions),
+            self.equivalence.spec_string(),
         )
         self._check_hypothesis_against_table(hypothesis, class_id)
         return hypothesis

@@ -9,6 +9,7 @@ learners can report their query complexity.
 from __future__ import annotations
 
 import abc
+import io
 import json
 import math
 import select
@@ -593,18 +594,45 @@ class _Unanswered(_ProtocolError):
     """The connection closed before any byte of the next response."""
 
 
-class _Connection:
-    """A keep-alive HTTP/1.1 client connection with a strict response reader."""
+class _DeadlineReader(io.RawIOBase):
+    """The receiving side of a socket, each receive of which waits only
+    until ``deadline`` (a ``time.monotonic`` reading)."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._file = sock.makefile("rb")
+        self.deadline = 0.0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")  # the socket's own message
+        self.sock.settimeout(left)
+        return self.sock.recv_into(buffer)
+
+
+class _Connection:
+    """A keep-alive HTTP/1.1 client connection with a strict response reader.
+
+    The socket's timeout when the connection is made bounds each send and
+    each response as a whole, from the start of its reading to its last
+    byte, however the server spaces its bytes.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._timeout = sock.gettimeout()
+        self._reader = _DeadlineReader(sock)
+        self._file = io.BufferedReader(self._reader)
 
     def close(self) -> None:
         self._file.close()
         self.sock.close()
 
     def send(self, data: bytes) -> None:
+        self.sock.settimeout(self._timeout)  # a read leaves it at its time left
         try:
             self.sock.sendall(data)
         except ConnectionError as exc:
@@ -613,6 +641,7 @@ class _Connection:
     def read_response(self) -> tuple[int, bytes, bool]:
         """The next final response: status, body, and whether the
         connection stays open."""
+        self._reader.deadline = time.monotonic() + self._timeout
         try:
             line = self._file.readline(_MAX_LINE + 1)
         except ConnectionError as exc:

@@ -1,20 +1,25 @@
 """Observation-table mechanics and the learning loop."""
 
+import ast
 import copy
 import gc
+import json
 import random
 import re
 import weakref
+from pathlib import Path
 
 import pytest
 
 from pdfa_forge import (
     Alphabet,
     AlphabetMismatch,
+    AutomatonError,
     BoundedExhaustiveOracle,
     CachedModel,
     Distribution,
     ExactOracle,
+    LanguageModel,
     LearnerInvariantError,
     ObservationTable,
     PdfaLanguageModel,
@@ -37,6 +42,7 @@ from pdfa_forge import learner as learner_module
 from pdfa_forge.automata import _walk
 from pdfa_forge.words import iter_words, word_key
 
+import make_golden
 from helpers import FreshCopyModel, random_pdfa, table_cell, unary_dist, validate_table
 
 QUANT3 = parse_equivalence("quant:3")
@@ -311,6 +317,43 @@ class TestClosed:
                 updates += 1
         assert updates > 0
 
+    def test_the_offender_itself_and_an_equal_copy_close_alike(self):
+        # ``close_step`` takes the scan cursor's rank for the very word
+        # ``closed`` returned, and looks up the rank of any other word.
+        rng = random.Random(929)
+        steps = 0
+        for _ in range(12):
+            target = random_pdfa(
+                rng, max_states=25, min_states=5, min_symbols=2, palette_size=rng.randint(2, 4)
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:5", "exact"]))
+            itself = ObservationTable(PdfaLanguageModel(target), spec)
+            copied = ObservationTable(PdfaLanguageModel(target), spec)
+            oracle = ExactOracle(target, spec)
+            while True:
+                ok, offender = itself.closed()
+                assert copied.closed() == (ok, offender)
+                if ok:
+                    counterexample = oracle.check(itself.build_hypothesis())
+                    if counterexample is None:
+                        break
+                    itself.update_with_counterexample(counterexample)
+                    copied.update_with_counterexample(counterexample)
+                    continue
+                equal_copy = tuple(list(offender))
+                assert equal_copy == offender and equal_copy is not offender
+                itself.close_step(offender)
+                copied.close_step(equal_copy)
+                steps += 1
+                for table in (itself, copied):
+                    validate_table(table)
+                assert itself.red == copied.red and itself.blue == copied.blue
+                assert itself.suffixes == copied.suffixes
+                assert [itself.row_signature(p) for p in itself.red + itself.blue] == [
+                    copied.row_signature(p) for p in copied.red + copied.blue
+                ]
+        assert steps > 100
+
     def test_close_step_rejects_non_blue_rows(self, fig3a):
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
         with pytest.raises(ValueError):
@@ -444,6 +487,110 @@ class TestBuildHypothesis:
         table = ObservationTable(PdfaLanguageModel(fig3a), QUANT7)
         with pytest.raises(ValueError, match="not closed"):
             table.build_hypothesis()
+
+
+class ForeignAnswers(LanguageModel):
+    """Answers, over another alphabet, for the words of ``alphabet``."""
+
+    def __init__(self, alphabet: Alphabet, answer: Distribution):
+        self._alphabet = alphabet
+        self.answer = answer
+
+    @property
+    def alphabet(self):
+        return self._alphabet
+
+    def query(self, word):
+        self._check_word(word)
+        return self.answer
+
+
+class RebuildingOracle:
+    """An oracle that rebuilds each hypothesis through the checked public
+    constructor, requires the copy to be equal field for field, and then
+    answers as ``inner`` does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.checked = 0
+
+    def check(self, hypothesis):
+        rebuilt = QuotientPdfa(
+            alphabet=hypothesis.alphabet,
+            initial=hypothesis.initial,
+            class_signatures=hypothesis.class_signatures,
+            representatives=hypothesis.representatives,
+            transitions=hypothesis.transitions,
+            equivalence=hypothesis.equivalence,
+        )
+        assert rebuilt == hypothesis and vars(rebuilt) == vars(hypothesis)
+        self.checked += 1
+        return self.inner.check(hypothesis)
+
+
+class TestHypothesesPassTheCheckedConstructor:
+    """``build_hypothesis`` skips ``QuotientPdfa``'s validation; every
+    hypothesis it returns is what the validating constructor builds."""
+
+    def test_on_the_golden_runs(self, monkeypatch):
+        oracles = []
+
+        def rebuilding_learn(model, equivalence, teacher, **limits):
+            oracles.append(RebuildingOracle(teacher))
+            return learn(model, equivalence, oracles[-1], **limits)
+
+        monkeypatch.setattr(make_golden, "learn", rebuilding_learn)
+        corpus = json.loads(make_golden.GOLDEN.read_text())
+        for name, run in make_golden.runs().items():
+            assert run() == corpus[name], name
+        assert len(oracles) == len(corpus)
+        assert sum(oracle.checked for oracle in oracles) > 100
+
+    @pytest.mark.parametrize("kind", ["exact", "sampling"])
+    def test_on_random_targets(self, kind):
+        rng = random.Random(3131)
+        checked = 0
+        for i in range(12):
+            target = random_pdfa(
+                rng, max_states=40, min_states=3, max_symbols=3, palette_size=rng.randint(2, 6)
+            )
+            spec = parse_equivalence(rng.choice(["quant:2", "quant:7", "exact", "rank:2"]))
+            model = cached(PdfaLanguageModel(target))
+            if kind == "exact":
+                inner = ExactOracle(target, spec)
+            else:
+                inner = SamplingOracle(model, spec, SamplingConfig(samples=200, max_length=20, seed=i))
+            oracle = RebuildingOracle(inner)
+            report = learn(model, spec, oracle)
+            assert report.converged
+            checked += oracle.checked
+        assert checked > 24
+
+    def test_the_unchecked_constructor_has_one_caller(self):
+        # Every call of ``QuotientPdfa._unchecked`` in the package, by the
+        # module and function it sits in.
+        package = Path(learner_module.__file__).parent
+        calls = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    calls += [
+                        (path.name, function.name)
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_unchecked"
+                    ]
+        assert calls == [("learner.py", "build_hypothesis")]
+
+    def test_representatives_over_another_alphabet_are_rejected(self):
+        # Nothing the table proves covers the model's answers, so
+        # ``build_hypothesis`` checks their alphabet itself.
+        target = chain_pdfa()
+        model = ForeignAnswers(target.alphabet, Distribution(Alphabet(("x",)), (0.5, 0.5)))
+        with pytest.raises(AutomatonError, match="representative over a different alphabet"):
+            learn(model, QUANT3, ExactOracle(target, QUANT3))
 
 
 def per_cell_check(table, hypothesis, class_id):

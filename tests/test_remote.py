@@ -143,7 +143,9 @@ class TestRetries:
 
     def test_a_retry_backs_off_by_the_attempts_spent(self, lm_server, monkeypatch):
         slept = []
-        monkeypatch.setattr(models, "time", SimpleNamespace(sleep=slept.append))
+        monkeypatch.setattr(
+            models, "time", SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+        )
         state = {"failures": 2}
 
         def flaky(path, body):
@@ -303,6 +305,21 @@ class TestKeepAliveTransport:
                 model.query(())
         assert len(server.requests) == 2
 
+    def test_a_reply_trickled_past_the_timeout_is_a_failed_attempt(self, monkeypatch, no_backoff):
+        # Each byte comes well within the timeout, the whole reply long
+        # after it: the timeout bounds the reply, not each receive.
+        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        reply = content_length_reply(200, json.dumps({"probs": PROBS}).encode())
+        with TrickleServer(reply, interval_s=0.05) as server:
+            model = RemoteModel(server.endpoint, AB, timeout=0.5)
+            start = time.monotonic()
+            with pytest.raises(RemoteModelError, match="2 attempts: timed out"):
+                model.query(())
+            elapsed = time.monotonic() - start
+        assert len(reply) * 0.05 > 3
+        assert server.connections == 2
+        assert elapsed < 2
+
     def test_truncated_body_is_retried(self, no_backoff):
         with LmServer() as server:
             constant_server(server, PROBS)
@@ -357,6 +374,54 @@ class TestKeepAliveTransport:
         assert errors == []
         assert sorted(tokens(server)) == sorted(words)
         assert server.connections == server.peak_connections == 1
+
+
+class TrickleServer:
+    """A raw-socket server answering each connection's request with
+    ``reply``, one byte every ``interval_s`` seconds, until the client hangs
+    up. One connection is served at a time."""
+
+    def __init__(self, reply: bytes, interval_s: float):
+        self.reply = reply
+        self.interval_s = interval_s
+        self.connections = 0
+        self._stop = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.01)
+        self._thread = threading.Thread(target=self._serve)
+        self._thread.start()
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self._listener.getsockname()
+        return f"http://{host}:{port}"
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(5)
+                conn.recv(65536)
+                for byte in self.reply:
+                    if self._stop.wait(self.interval_s):
+                        break
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:  # the client gave up
+                        break
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
 
 
 def tokens(server) -> list[tuple[str, ...]]:
@@ -1083,6 +1148,7 @@ class TestStrictReader:
         end = reply.body_start if reply.close_delimited else len(reply.raw)
         for cut in range(end):
             client, server = socket.socketpair()
+            client.settimeout(5)
             conn = models._Connection(client)
             try:
                 server.sendall(reply.raw[:cut])
