@@ -18,14 +18,12 @@ import ssl
 import threading
 import time
 import weakref
-from collections import deque
 from typing import Callable, Iterable, Mapping
 from urllib.parse import urlsplit
 
 from .automata import Pdfa, _walk, decode_json
 from .distributions import (
     Alphabet,
-    AlphabetMismatch,
     Distribution,
     InvalidDistribution,
     require_limit,
@@ -249,9 +247,7 @@ def cached(model: LanguageModel) -> CachedModel:
 # Remote HTTP model
 # ---------------------------------------------------------------------------
 
-#: Most requests a batch keeps outstanding on the connection.
-PIPELINE_DEPTH = 4
-#: Attempts a word's own request gets before its failure is final.
+#: Attempts a word's request gets before its failure is final.
 MAX_ATTEMPTS = 3
 #: Most bytes a reply body may hold, checked before it is read; a JSON map
 #: of a thousand symbols takes a few dozen KiB.
@@ -280,26 +276,21 @@ class RemoteModel(LanguageModel):
     Proxy variables are ignored and redirects are not followed (a 3xx is an
     unexpected status).
 
-    ``query_many`` pipelines a batch on one HTTP/1.1 keep-alive connection
-    (RFC 9112 §9.3.2), with at most ``PIPELINE_DEPTH`` requests
-    outstanding; ``query`` is a batch of one. The model holds at most one
+    ``query_many`` sends a batch one request at a time on one HTTP/1.1
+    keep-alive connection: each reply is read in full before the next word
+    goes out. ``query`` is a batch of one. The model holds at most one
     connection: a batch holds the model's lock from its first request to
     its last answer, so threads are safe and take turns. Responses are read
     strictly: at most 100 header lines of at most 64 KiB each, a body of
     at most ``MAX_REPLY_BYTES`` framed by ``Content-Length``, chunked or
     the connection's close, ``Connection: close`` and HTTP/1.0 honoured,
-    1xx responses skipped. The idle connection is reused; one the server
-    has closed is replaced without costing an attempt, and so are requests
-    left unanswered when the server closes a connection after answering
-    earlier ones. A server that closes with unread requests in its socket
-    may reset the connection, and the reset can destroy replies it had
-    already sent; the client cannot tell those from unanswered requests and
-    sends them again at no attempt cost, so the server may answer a word
-    more often than ``MAX_ATTEMPTS``.
+    1xx responses skipped. The idle connection is reused; a request that
+    finds it closed by the server before any byte of its reply goes out
+    again on a new connection without costing an attempt.
     ``close()``, or collecting the model, closes the idle connection.
 
-    Transient failures of a word's own request (connection errors,
-    timeouts, truncated or malformed replies, 5xx) are retried up to
+    Transient failures of a word's request (connection errors, timeouts,
+    truncated or malformed replies, 5xx) are retried up to
     ``MAX_ATTEMPTS`` times. Responses are validated, not repaired: a
     probability sum off by more than 1e-6 is an error unless
     ``renormalize`` is set. Limits are validated at construction:
@@ -352,26 +343,16 @@ class RemoteModel(LanguageModel):
         return self.query_many((word,))[0]
 
     def query_many(self, words: Iterable[Word]) -> list[Distribution]:
-        """The answers to ``words``, in order, pipelined on one connection.
+        """The answers to ``words``, in order, one request at a time.
 
         Each word is sent as given, so a repeated word is sent again;
         ``CachedModel.prefetch`` passes distinct words. Raises what
-        ``query`` raises for the first word that fails for good; up to the
-        pipeline depth of words after it may have been sent by then.
+        ``query`` raises for the first word that fails for good, once the
+        words before it are answered; no later word is sent.
         """
-        requests: list[bytes] = []
-        rejected: Exception | None = None
-        for word in words:
-            try:
-                requests.append(self._request(tuple(word)))
-            except (AlphabetMismatch, RemoteModelError) as exc:
-                rejected = exc
-                break
+        words = [tuple(word) for word in words]  # read outside the lock
         with self._lock:
-            answers = self._pipeline(requests)
-        if rejected is not None:
-            raise rejected
-        return answers
+            return [self._exchange(self._request(word)) for word in words]
 
     def _request(self, word: Word) -> bytes:
         self._check_word(word)
@@ -383,112 +364,50 @@ class RemoteModel(LanguageModel):
         body = json.dumps({"tokens": list(word)}).encode()
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def _pipeline(self, requests: list[bytes]) -> list[Distribution]:
-        """Keep ``PIPELINE_DEPTH`` requests outstanding until every one is
-        answered; the caller holds the model's lock.
-
-        Responses come back in request order. A failure is charged to the
-        request whose response was being read; the requests written after it
-        are sent again at no cost. Once a word fails for good, no later word
-        is sent, and the words before it are still finished, so the error
-        raised is the first one ``query`` would meet.
-        """
-        n = len(requests)
-        answers: list = [None] * n
-        attempts = [0] * n
-        todo = deque(range(n))  # to write, in order
-        sent: deque[int] = deque()  # written, answered in this order
-        first_failed, failure = n, None
-
-        def give_up(i: int, exc: Exception) -> None:
-            nonlocal first_failed, failure
-            if i < first_failed:
-                first_failed, failure = i, exc
-                kept = [j for j in todo if j < i]
-                todo.clear()
-                todo.extend(kept)
-
-        def charge(i: int, cause: object) -> None:
-            attempts[i] += 1
-            if attempts[i] < MAX_ATTEMPTS:
-                todo.appendleft(i)
+    def _exchange(self, request: bytes) -> Distribution:
+        """The answer to ``request``, retried as the class says; the caller
+        holds the model's lock."""
+        attempts = 0
+        while True:
+            conn, reused = None, False
+            try:
+                conn, reused = self._connection()
+                conn.send(request)
+                status, body, keep_alive = conn.read_response()
+            except BaseException as exc:
+                if conn is not None:
+                    conn.close()
+                if not isinstance(exc, (OSError, _ProtocolError)):
+                    raise
+                if reused and isinstance(exc, _Unanswered):
+                    continue  # the server dropped the idle connection
+                failure = exc
             else:
-                give_up(i, RemoteModelError(
-                    f"request to {self._url} failed after {MAX_ATTEMPTS} attempts: {cause}"
-                ))
-
-        def resend_unanswered() -> None:
-            todo.extendleft(j for j in reversed(sent) if j < first_failed)
-            sent.clear()
-
-        conn: _Connection | None = None
-        try:
-            while todo or sent:
-                if conn is None:
-                    try:
-                        conn = self._connection()
-                    except OSError as exc:
-                        charge(todo.popleft(), exc)
-                        continue
-                    answered = 0
-                batch = []
-                while todo and len(sent) < PIPELINE_DEPTH:
-                    i = todo.popleft()
-                    if attempts[i]:
-                        time.sleep(RETRY_BACKOFF_S * attempts[i])
-                    batch.append(requests[i])
-                    sent.append(i)
-                try:
-                    if batch:
-                        conn.send(b"".join(batch))
-                    status, body, keep_alive = conn.read_response()
-                except (OSError, _ProtocolError) as exc:
-                    conn.close()
-                    conn = None
-                    i = sent.popleft()
-                    resend_unanswered()
-                    if i >= first_failed:
-                        pass
-                    elif isinstance(exc, _Unanswered) and answered:
-                        todo.appendleft(i)  # the server closed between responses
-                    else:
-                        charge(i, exc)
-                    continue
-                answered += 1
-                i = sent.popleft()
-                if not keep_alive:
-                    conn.close()
-                    conn = None
-                    resend_unanswered()
-                if i >= first_failed:
-                    continue
-                if 500 <= status < 600:
-                    charge(i, f"server error {status} from {self._url}")
-                elif status != 200:
-                    give_up(i, RemoteModelError(f"unexpected status {status} from {self._url}"))
+                if keep_alive:
+                    self._idle.append(conn)
                 else:
-                    try:
-                        answers[i] = self._parse(body)
-                    except RemoteModelError as exc:
-                        give_up(i, exc)
-        except BaseException:
-            if conn is not None:
-                conn.close()
-            raise
-        if conn is not None:
-            self._idle.append(conn)
-        if failure is not None:
-            raise failure
-        return answers
+                    conn.close()
+                if status == 200:
+                    return self._parse(body)
+                if not 500 <= status < 600:
+                    raise RemoteModelError(f"unexpected status {status} from {self._url}")
+                failure = f"server error {status} from {self._url}"
+            attempts += 1
+            if attempts == MAX_ATTEMPTS:
+                raise RemoteModelError(
+                    f"request to {self._url} failed after {MAX_ATTEMPTS} attempts: {failure}"
+                )
+            time.sleep(RETRY_BACKOFF_S * attempts)
 
-    def _connection(self) -> _Connection:
-        """The idle connection if the server has not closed it, or a new one."""
+    def _connection(self) -> tuple[_Connection, bool]:
+        """The idle connection if the server has not closed it, or a new
+        one; and whether it is the idle one."""
         conn = self._idle.pop() if self._idle else None
         if conn is not None:
             # An idle socket turns readable when the server closed it (or
             # sent bytes out of turn).
             if not _readable(conn.sock):
-                return conn
+                return conn, True
             conn.close()
         sock = socket.create_connection((self._host, self._port), self.timeout)
         try:
@@ -497,7 +416,7 @@ class RemoteModel(LanguageModel):
                 if self._ssl_context is None:
                     self._ssl_context = ssl.create_default_context()
                 sock = self._ssl_context.wrap_socket(sock, server_hostname=self._host)
-            return _Connection(sock)
+            return _Connection(sock), False
         except BaseException:
             sock.close()
             raise
@@ -591,7 +510,7 @@ class _ProtocolError(Exception):
 
 
 class _Unanswered(_ProtocolError):
-    """The connection closed before any byte of the next response."""
+    """The connection closed before any byte of the response."""
 
 
 class _DeadlineReader(io.RawIOBase):
