@@ -1,10 +1,10 @@
 """pdfa-forge: learn minimal quotient PDFAs from black-box language models.
 
 The package splits along the pipeline: distributions and the relations on
-them (`distributions`, `relations`), language-model oracles (`models`),
-PDFA structures and quotients (`automata`), the table-based active learner
-(`learner`), equivalence oracles (`teacher`), and the tolerance/clique
-laboratory (`tolerance`). `cli` wires everything into the `pdfa-forge`
+them (`distributions`, `relations`), language-model oracles (`models`) and
+the HTTP client for a remote one (`remote`), PDFA structures and quotients
+(`automata`), the table-based active learner (`learner`), equivalence
+oracles (`teacher`), and the tolerance/clique laboratory (`tolerance`). `cli` wires everything into the `pdfa-forge`
 command.
 """
 
@@ -45,8 +45,6 @@ from .models import (
     CachedModel,
     LanguageModel,
     PdfaLanguageModel,
-    RemoteModel,
-    RemoteModelError,
     UniformUnaryModel,
     cached,
     is_triangular,
@@ -70,6 +68,7 @@ from .relations import (
     variation_distance,
     word_error_rate,
 )
+from .remote import RemoteModel, RemoteModelError
 from .teacher import (
     BoundedExhaustiveOracle,
     EqOracle,

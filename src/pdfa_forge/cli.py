@@ -35,12 +35,11 @@ from .models import (
     CachedModel,
     LanguageModel,
     PdfaLanguageModel,
-    RemoteModel,
-    RemoteModelError,
     cached,
     synthetic_model,
 )
 from .relations import parse_equivalence, parse_similarity
+from .remote import RemoteModel, RemoteModelError
 from .teacher import (
     BoundedExhaustiveOracle,
     EqOracle,

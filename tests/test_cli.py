@@ -9,11 +9,11 @@ import pytest
 
 from pdfa_forge import (
     lm_equivalent,
-    models,
     parse_equivalence,
     pdfa_from_json,
     quotient_from_json,
     realize,
+    remote,
 )
 from pdfa_forge.bundled import fixture_json
 from pdfa_forge.cli import main
@@ -627,7 +627,7 @@ class TestRemoteModelSource:
     def test_a_body_over_the_cap_is_a_network_error(
         self, tmp_path, lm_server, capsys, monkeypatch
     ):
-        monkeypatch.setattr(models, "RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setattr(remote, "RETRY_BACKOFF_S", 0.0)
         lm_server.set_behavior(lambda path, body: (200, {}))
         lm_server.reply = lambda status, data: (
             b"HTTP/1.1 200 X\r\nContent-Length: 1000000000000\r\n\r\n"

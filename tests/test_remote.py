@@ -31,7 +31,7 @@ from pdfa_forge import (
     parse_equivalence,
     realize,
 )
-from pdfa_forge import models
+from pdfa_forge import remote
 from pdfa_forge.learner import learn
 from pdfa_forge.teacher import BoundedExhaustiveOracle
 from pdfa_forge.words import iter_words
@@ -49,7 +49,7 @@ def constant_server(lm_server, probs, status=200):
 @pytest.fixture
 def no_backoff(monkeypatch):
     """Retries follow at once: no sleep before a word's next attempt."""
-    monkeypatch.setattr(models, "RETRY_BACKOFF_S", 0.0)
+    monkeypatch.setattr(remote, "RETRY_BACKOFF_S", 0.0)
 
 
 class TestWireProtocol:
@@ -145,7 +145,7 @@ class TestRetries:
     def test_a_retry_backs_off_by_the_attempts_spent(self, lm_server, monkeypatch):
         slept = []
         monkeypatch.setattr(
-            models, "time", SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+            remote, "time", SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
         )
         state = {"failures": 2}
 
@@ -157,7 +157,7 @@ class TestRetries:
 
         lm_server.set_behavior(flaky)
         assert RemoteModel(lm_server.endpoint, AB).query(()).prob("$") == pytest.approx(0.5)
-        assert slept == pytest.approx([models.RETRY_BACKOFF_S, 2 * models.RETRY_BACKOFF_S])
+        assert slept == pytest.approx([remote.RETRY_BACKOFF_S, 2 * remote.RETRY_BACKOFF_S])
 
 
 class TestClientConfiguration:
@@ -214,7 +214,7 @@ class TestClientConfiguration:
 
     def test_smallest_valid_limits_are_accepted(self, lm_server, monkeypatch, no_backoff):
         constant_server(lm_server, {"a": 0.2, "b": 0.3, "$": 0.5})
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         model = RemoteModel(lm_server.endpoint, AB, max_query_length=0)
         assert model.query(()).prob("$") == pytest.approx(0.5)
 
@@ -284,7 +284,7 @@ class TestKeepAliveTransport:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_connection_dropped_while_idle_costs_no_attempt(self, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         with LmServer() as server:
             constant_server(server, PROBS)
             server.close_after_reply = True
@@ -297,7 +297,7 @@ class TestKeepAliveTransport:
         assert server.connections == 20
 
     def test_server_slower_than_the_timeout_is_retried_then_raised(self, monkeypatch, no_backoff):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         with LmServer() as server:
             constant_server(server, PROBS)
             server.delay_s = 0.3
@@ -309,7 +309,7 @@ class TestKeepAliveTransport:
     def test_a_reply_trickled_past_the_timeout_is_a_failed_attempt(self, monkeypatch, no_backoff):
         # Each byte comes well within the timeout, the whole reply long
         # after it: the timeout bounds the reply, not each receive.
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         reply = content_length_reply(200, json.dumps({"probs": PROBS}).encode())
         with RawServer([bytes([byte]) for byte in reply], interval_s=0.05) as server:
             model = RemoteModel(server.endpoint, AB, timeout=0.5)
@@ -451,13 +451,13 @@ def edited(old: bytes, new: bytes):
     return lambda status, data: content_length_reply(status, data).replace(old, new, 1)
 
 
-OVER_CAP = f"reply body longer than {models.MAX_REPLY_BYTES} bytes"
+OVER_CAP = f"reply body longer than {remote.MAX_REPLY_BYTES} bytes"
 
 
 def padded(data: bytes, excess: int) -> bytes:
     """``data`` padded with whitespace, which JSON ignores, to ``excess``
     bytes past the reply body cap."""
-    return data.ljust(models.MAX_REPLY_BYTES + excess)
+    return data.ljust(remote.MAX_REPLY_BYTES + excess)
 
 
 def over_cap_in_chunks(data: bytes) -> bytes:
@@ -508,13 +508,13 @@ class TestBatches:
     def record_writes(self, monkeypatch) -> list[tuple[object, int]]:
         """The connection and the number of requests of every write."""
         writes = []
-        send = models._Connection.send
+        send = remote._Connection.send
 
         def recording(conn, data):
             writes.append((conn, data.count(b"POST ")))
             send(conn, data)
 
-        monkeypatch.setattr(models._Connection, "send", recording)
+        monkeypatch.setattr(remote._Connection, "send", recording)
         return writes
 
     def test_answers_in_order_and_a_repeated_word_is_sent_again(self, fig2a):
@@ -542,7 +542,7 @@ class TestBatches:
         assert [n for _, n in writes] == [1] * 30
 
     def test_connection_close_mid_batch_costs_no_attempt(self, fig2a, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         words = [("a",) * n for n in range(12)]
         replies = []
 
@@ -566,7 +566,7 @@ class TestBatches:
         # The server answers one request per connection and closes without
         # saying so, lingering; each next request finds the connection
         # closed and goes out again on a new one at no cost.
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         words = [("a",) * n for n in range(8)]
         with LmServer() as server:
             server.serve_pdfa(fig2a)
@@ -582,7 +582,7 @@ class TestBatches:
         # request sent on such a connection is never read and its reset
         # destroys no reply, since each reply is read before the next
         # request goes out: every word reaches the server once.
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         words = [("a",) * n for n in range(12)]
         with LmServer() as server:
             server.serve_pdfa(fig2a)
@@ -594,7 +594,7 @@ class TestBatches:
         assert server.connections == len(words)
 
     def test_server_error_mid_batch_is_retried(self, fig2a, monkeypatch, no_backoff):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         words = [("a",) * n for n in range(12)]
         failed = []
 
@@ -615,7 +615,7 @@ class TestBatches:
         assert server.connections == 1
 
     def test_a_reply_cut_short_mid_batch_is_retried_alone(self, fig2a, monkeypatch, no_backoff):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         writes = self.record_writes(monkeypatch)
         words = [("a",) * n for n in range(12)]
         serve = answer_after(fig2a)
@@ -640,7 +640,7 @@ class TestBatches:
         assert [conn is writes[0][0] for conn, _ in writes] == [True] * 5 + [False] * 8
 
     def test_chunked_replies(self, fig2a, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
 
         def chunked(status, data):
             cut = len(data) // 3
@@ -662,7 +662,7 @@ class TestBatches:
 
     @pytest.mark.parametrize("with_length", [True, False])
     def test_http_1_0_replies_close_the_connection(self, fig2a, with_length, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
 
         def http10(status, data):
             length = b"Content-Length: %d\r\n" % len(data) if with_length else b""
@@ -679,7 +679,7 @@ class TestBatches:
         assert server.connections == 5
 
     def test_informational_replies_are_skipped(self, fig2a, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
 
         def early(status, data):
             return (
@@ -705,7 +705,7 @@ class TestBatches:
         return reply
 
     def test_a_hundred_header_lines_are_read(self, fig2a, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         # Content-Type and Content-Length are two of the hundred.
         with LmServer() as server:
             server.serve_pdfa(fig2a)
@@ -885,7 +885,7 @@ class TestBatches:
         assert server.connections == 1
 
     def test_learning_matches_the_one_word_path(self, monkeypatch):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         rng = random.Random(909)
         spec = parse_equivalence("quant:5")
         config = SamplingConfig(samples=150, max_length=12, seed=3)
@@ -920,13 +920,13 @@ class TestRequestFraming:
         ],
     )
     def test_host_header_as_http_client_sent_it(self, endpoint, host, port, header):
-        tls, got_host, got_port, _, got_header = models._split_endpoint(endpoint)
+        tls, got_host, got_port, _, got_header = remote._split_endpoint(endpoint)
         assert (tls, got_host, got_port, got_header) == (
             endpoint.startswith("https"), host, port, header
         )
 
     def test_an_unrequested_protocol_switch_is_a_failed_attempt(self, fig2a, monkeypatch, no_backoff):
-        monkeypatch.setattr(models, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.reply = lambda status, data: b"HTTP/1.1 101 Switching Protocols\r\n\r\n"
@@ -1109,13 +1109,13 @@ def read_replies(pieces: list[bytes], count: int, close: bool) -> list[tuple[int
     """
     client, server = socket.socketpair()
     client.settimeout(5)
-    conn = models._Connection(client)
+    conn = remote._Connection(client)
 
     def serve():
         for i, piece in enumerate(pieces):
             server.sendall(piece)
             deadline = time.monotonic() + 5
-            while i + 1 < len(pieces) and models._readable(client) and time.monotonic() < deadline:
+            while i + 1 < len(pieces) and remote._readable(client) and time.monotonic() < deadline:
                 time.sleep(0)
         if close:
             server.shutdown(socket.SHUT_WR)
@@ -1158,11 +1158,11 @@ class TestStrictReader:
         for cut in range(end):
             client, server = socket.socketpair()
             client.settimeout(5)
-            conn = models._Connection(client)
+            conn = remote._Connection(client)
             try:
                 server.sendall(reply.raw[:cut])
                 server.shutdown(socket.SHUT_WR)
-                with pytest.raises((models._ProtocolError, models._Unanswered)):
+                with pytest.raises((remote._ProtocolError, remote._Unanswered)):
                     conn.read_response()
             finally:
                 conn.close()
@@ -1228,7 +1228,7 @@ class TestMutatedReplies:
 
     def test_a_query_answers_or_fails_as_a_remote_error_in_bounded_time(self, no_backoff):
         expected = Distribution.from_map(AB, PROBS)
-        bound = models.MAX_ATTEMPTS * HARNESS_TIMEOUT_S + 1
+        bound = remote.MAX_ATTEMPTS * HARNESS_TIMEOUT_S + 1
 
         @settings(max_examples=300, deadline=None)
         @given(mutated_replies())
