@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import select
 import socket
 import ssl
@@ -234,9 +235,12 @@ class RemoteModel(LanguageModel):
                     f"probability of {sym!r} must be a number, got {type(p).__name__}"
                 )
             try:
-                values[sym] = float(p)
+                value = float(p)
             except OverflowError:  # an integer beyond the float range
-                raise RemoteModelError(f"probability of {sym!r} is too large for a float") from None
+                value = math.inf
+            if not math.isfinite(value):  # json reads 1e400 as inf
+                raise RemoteModelError(f"probability of {sym!r} is too large for a float")
+            values[sym] = value
         if any(p < 0 for p in values.values()):
             raise RemoteModelError(f"negative probability in response: {values}")
         total = sum(values.values())
@@ -244,6 +248,10 @@ class RemoteModel(LanguageModel):
             raise RemoteModelError(
                 f"probabilities sum to {total!r}; pass renormalize to accept"
             )
+        if total == math.inf:  # finite values whose sum overflows
+            largest = max(values.values())
+            values = {sym: p / largest for sym, p in values.items()}
+            total = sum(values.values())
         if total <= 0:
             raise RemoteModelError("probabilities sum to zero; cannot renormalize")
         scaled = {sym: p / total for sym, p in values.items()}

@@ -1027,6 +1027,22 @@ class TestResponseBodies:
         assert all(0.0 <= p <= 1.0 for p in dist.probs)
         assert abs(sum(dist.probs) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("probs, renormalize, message", [
+        ("[0.5, 0.5]", False, "'probs' must be an object, got list"),
+        ('{"a": 1e400, "$": 0.5}', False, "probability of 'a' is too large for a float"),
+        ('{"a": 1e400, "$": 0.5}', True, "probability of 'a' is too large for a float"),
+        ('{"a": 1e308, "$": 1e308}', False, "probabilities sum to inf; pass renormalize"),
+    ])
+    def test_a_rejected_body_names_its_fault(self, probs, renormalize, message):
+        model = RemoteModel("http://127.0.0.1:9", self.A, renormalize=renormalize)
+        with pytest.raises(RemoteModelError, match=re.escape(message)):
+            model._parse(b'{"probs": %s}' % probs.encode())
+
+    def test_finite_values_whose_sum_overflows_renormalize(self):
+        model = RemoteModel("http://127.0.0.1:9", self.A, renormalize=True)
+        dist = model._parse(b'{"probs": {"a": 1e308, "$": 1e308}}')
+        assert dist.probs == (0.5, 0.5)
+
 
 # ---------------------------------------------------------------------------
 
