@@ -1021,6 +1021,12 @@ def random_pair(rng: random.Random) -> tuple[Pdfa, Pdfa]:
     return a, b
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_refinement_needs_one_seed_key_per_state(fig3a, extra):
+    with pytest.raises(AutomatonError, match="one seed key per state is required"):
+        refine_partition(fig3a, [b"k"] * (fig3a.n_states + extra))
+
+
 def test_refinement_and_product_search_match_the_naive_references():
     rng = random.Random(2718)
     words = []

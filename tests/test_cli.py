@@ -288,8 +288,10 @@ class TestConfigAndErrors:
         ("prune =", 1),
         ("prune = OFF", 0),
         ("renormalize = Yes", 0),
+        ("log = loud", 1),
+        ("log = debug", 0),
     ])
-    def test_config_booleans_accept_only_known_words(self, tmp_path, capsys, line, expected):
+    def test_config_words_accept_only_known_values(self, tmp_path, capsys, line, expected):
         config = tmp_path / "run.conf"
         config.write_text(f"equiv = quant:3\n{line}\n")
         code = run_cli("--config", str(config), "compare", "fixture:fig2a", "fixture:fig2b")

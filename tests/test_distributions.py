@@ -26,13 +26,15 @@ class TestAlphabet:
         assert AB.extended == ("a", "b", "$")
         assert AB.index("a") == 0 and AB.index("$") == 2
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Alphabet(("a", "a"))
-
-    def test_rejects_explicit_terminal(self):
-        with pytest.raises(ValueError):
-            Alphabet(("a", "$"))
+    @pytest.mark.parametrize("symbols, message", [
+        (("a", "a"), "duplicate symbols in alphabet"),
+        (("a", "$"), "the terminal symbol '$' is implicit"),
+        (("a", ""), "symbols must be non-empty strings, got ''"),
+        (("a", 1), "symbols must be non-empty strings, got 1"),
+    ], ids=["duplicate", "terminal", "empty", "not-a-string"])
+    def test_rejects_bad_symbols(self, symbols, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Alphabet(symbols)
 
     def test_unknown_symbol(self):
         with pytest.raises(AlphabetMismatch):
@@ -70,6 +72,12 @@ class TestDistribution:
 
         assert Distribution(UNARY, (1, 0)).probs == (1.0, 0.0)
         assert Distribution(UNARY, (Prob(0.25), 0.75)).probs == (0.25, 0.75)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_one_probability_per_symbol(self, probs):
+        message = f"expected 3 probabilities (one per symbol incl. '$'), got {len(probs)}"
+        with pytest.raises(InvalidDistribution, match=re.escape(message)):
+            Distribution(AB, probs)
 
     def test_sum_must_be_one(self):
         with pytest.raises(InvalidDistribution):

@@ -1,9 +1,11 @@
 """Language-model backends: PDFA-induced, synthetic unary, caching."""
 
+import ast
 import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from pdfa_forge import (
     string_tolerant,
     synthetic_model,
 )
+from pdfa_forge import models
 from pdfa_forge.words import iter_words
 
 from helpers import random_pdfa
@@ -140,6 +143,19 @@ class TestWordCheck:
         model = self.FACTORIES[name]()
         with pytest.raises(AlphabetMismatch, match=re.escape(f"symbol {offender!r}")):
             model.query(word)
+
+
+def test_models_imports_no_network_module():
+    # The HTTP client lives in ``remote``; the model interface, the
+    # in-process models and the cache need no network.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(models.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.partition(".")[0])
+    assert imported, "no import found"
+    assert not imported & {"socket", "ssl", "select", "io", "http", "urllib"}
 
 
 class TestCachedModel:

@@ -5,6 +5,7 @@ correspondences), with an independent straight-line NDCG oracle."""
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -201,12 +202,18 @@ class TestSimilar:
         d = Distribution(AB, (0.5, 0.3, 0.2))
         assert similar(d, d, spec)
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            SimilaritySpec("sdr", threshold=1.5)
-        with pytest.raises(ValueError):
-            SimilaritySpec("wer", threshold=0.5)  # missing r
-        SimilaritySpec("vd", threshold=2.0)  # vd only needs t >= 0
+    @pytest.mark.parametrize("kind, threshold, r, message", [
+        ("sdr", 1.5, None, "sdr threshold must lie in [0,1], got 1.5"),
+        ("wer", 0.5, None, "wer r must be an int, got None"),
+        ("kl", 0.5, None, "unknown similarity kind 'kl'"),
+        ("vd", 0.5, 2, "vd takes no r parameter"),
+    ])
+    def test_spec_validation(self, kind, threshold, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimilaritySpec(kind, threshold, r)
+
+    def test_vd_threshold_may_exceed_one(self):
+        assert SimilaritySpec("vd", threshold=2.0).threshold == 2.0
 
     @pytest.mark.parametrize("kind, r", [("vd", None), ("sdr", None), ("wer", 2), ("ndcg", 2)])
     def test_nan_threshold_is_rejected(self, kind, r):
@@ -323,13 +330,16 @@ class TestSignatures:
                     if a == b and b == c:
                         assert a == c
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            EquivalenceSpec("quant", param=0)
-        with pytest.raises(ValueError):
-            EquivalenceSpec("combo", members=())
-        with pytest.raises(ValueError):
-            EquivalenceSpec("supp", param=3)
+    @pytest.mark.parametrize("kind, param, members, message", [
+        ("quant", 0, (), "quant parameter must be >= 1, got 0"),
+        ("combo", None, (), "combo needs at least one member"),
+        ("supp", 3, (), "supp takes no parameter"),
+        ("md5", None, (), "unknown equivalence kind 'md5'"),
+        ("exact", None, (EquivalenceSpec("supp"),), "exact takes no members"),
+    ])
+    def test_param_validation(self, kind, param, members, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EquivalenceSpec(kind, param, members)
 
     @pytest.mark.parametrize("kind, value", [
         ("quant", 2.5), ("quant", True), ("rank", 1.5), ("top", 2.0), ("wer", 1.5), ("ndcg", True),

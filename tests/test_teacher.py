@@ -320,6 +320,12 @@ class TestBoundedExhaustiveOracle:
         hypothesis = one_state_hypothesis(unary_dist(0.5), QUANT7)
         assert oracle.check(hypothesis) == ()
 
+    def test_a_hypothesis_over_another_alphabet_is_refused(self, fig2a):
+        oracle = BoundedExhaustiveOracle(PdfaLanguageModel(fig2a), EXACT, 3)
+        foreign = random_pdfa(random.Random(4), max_states=3, min_symbols=2, max_symbols=2)
+        with pytest.raises(AlphabetMismatch, match="differs from the model's"):
+            oracle.check(quotient(foreign, EXACT))
+
     def test_negative_length_bound_is_rejected(self):
         # A bound of -1 would sweep no word and accept any hypothesis.
         with pytest.raises(ValueError, match="max_length"):

@@ -1,11 +1,13 @@
 """Tolerances on words, clique partitions, clique quotients, and the
 recognizable-but-not-clique-regular demonstration."""
 
+import json
 import random
 
 import pytest
 
 from pdfa_forge import (
+    AlphabetMismatch,
     AlternatingUnaryModel,
     CliqueInstability,
     CliquePartition,
@@ -21,6 +23,8 @@ from pdfa_forge import (
     parse_equivalence,
     parse_similarity,
     quotient_by_cliques,
+    quotient_from_json,
+    quotient_to_json,
     realize,
     similar,
     string_pair_tolerant,
@@ -48,6 +52,11 @@ class TestStringTolerant:
     def test_reflexive(self):
         model = AlternatingUnaryModel()
         assert string_tolerant(model, model, VD15, 10) is None
+
+    def test_models_over_different_alphabets_are_refused(self):
+        foreign = random_pdfa(random.Random(4), max_states=3, min_symbols=2, max_symbols=2)
+        with pytest.raises(AlphabetMismatch, match="models over different alphabets"):
+            string_tolerant(UniformUnaryModel(), PdfaLanguageModel(foreign), VD15, 3)
 
 
 @pytest.mark.parametrize("limit", [-1, 1.5, True, None])
@@ -164,9 +173,13 @@ class TestEnumerateCliquePartitions:
         with pytest.raises(ValueError, match="clique"):
             CliquePartition(FIG3_DISTS, (frozenset({0, 1, 2}),), VD15)
 
-    def test_blocks_must_partition(self):
-        with pytest.raises(ValueError):
-            CliquePartition(FIG3_DISTS, (frozenset({0, 1}),), VD15)
+    @pytest.mark.parametrize("blocks, message", [
+        (({0, 1},), "blocks do not cover the distribution list"),
+        (({0, 1}, {1, 2}), "blocks overlap"),
+    ], ids=["uncovered", "overlapping"])
+    def test_blocks_must_partition(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            CliquePartition(FIG3_DISTS, blocks, VD15)
 
     def test_an_empty_block_is_named(self):
         with pytest.raises(ValueError, match="block 0 is empty"):
@@ -203,6 +216,14 @@ class TestQuotientByCliques:
     def test_state_counts_per_partition(self, fig3a, index_sets, expected_states):
         partition = partition_by_index_sets(index_sets)
         assert quotient_by_cliques(fig3a, partition).n_states == expected_states
+
+    @pytest.mark.parametrize("index_sets", [SINGLETONS, HALF_WITH_LOW, HALF_WITH_HIGH])
+    def test_a_clique_quotient_round_trips_through_json(self, fig3a, index_sets):
+        # The clique label parses as no equivalence spec, so loading keeps
+        # the stored signatures as they are.
+        h = quotient_by_cliques(fig3a, partition_by_index_sets(index_sets))
+        assert h.equivalence.startswith("clique[")
+        assert quotient_from_json(json.loads(json.dumps(quotient_to_json(h)))) == h
 
     def test_singleton_partition_matches_exact_congruence(self, fig3a):
         # fig3a's emissions are all distinct; the random targets repeat theirs.
