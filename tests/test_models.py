@@ -20,13 +20,13 @@ from pdfa_forge import (
     UniformUnaryModel,
     cached,
     is_triangular,
+    models,
     parse_equivalence,
     parse_similarity,
     signature,
     string_tolerant,
     synthetic_model,
 )
-from pdfa_forge import models
 from pdfa_forge.words import iter_words
 
 from helpers import random_pdfa
