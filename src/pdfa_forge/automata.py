@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Generic, Iterable, Sequence, TypeVar
 
 from .distributions import Alphabet, AlphabetMismatch, Distribution, TERMINAL
-from .relations import EquivalenceSpec, SignatureMemo, parse_equivalence, signature
+from .relations import (
+    EquivalenceSpec, SignatureMemo, parse_equivalence, parse_similarity, signature,
+)
 from .words import EMPTY, Word
 
 
@@ -598,8 +601,32 @@ def pdfa_from_json(doc: dict, prune: bool = False) -> Pdfa:
     return Pdfa(alphabet, initial, _load_distributions(alphabet, states), tuple(table))
 
 
+#: The label ``tolerance.quotient_by_cliques`` writes: the similarity, then
+#: the blocks of distribution indices. ``re`` compiles it on first use.
+_BLOCK = r"[0-9]+(?:,[0-9]+)*"
+_CLIQUE_LABEL = rf"clique\[([^;]*);blocks=({_BLOCK}(?:\|{_BLOCK})*)\]"
+
+
+def _clique_signatures(label: str) -> frozenset[bytes]:
+    """The class signatures a clique quotient labelled ``label`` may hold:
+    ``clique:<b>`` for each block index ``b``."""
+    match = re.fullmatch(_CLIQUE_LABEL, label)
+    if match is not None:
+        try:
+            parse_similarity(match[1])
+        except ValueError:
+            match = None
+    if match is None:
+        raise AutomatonError(
+            f"'equivalence' {label!r} is neither an equivalence spec nor a clique label"
+        )
+    return frozenset(b"clique:%d" % b for b in range(match[2].count("|") + 1))
+
+
 def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
-    """Load a quotient PDFA, re-deriving signatures when the spec parses."""
+    """Load a quotient PDFA, checking each stored signature: against its
+    representative when the label is an equivalence spec, and against the
+    label's blocks when it is a clique label."""
     alphabet, initial, states, table = _parse_common(doc, prune)
     if "equivalence" not in doc:
         raise AutomatonError("quotient document lacks an 'equivalence' field")
@@ -622,6 +649,11 @@ def quotient_from_json(doc: dict, prune: bool = False) -> QuotientPdfa:
                 raise AutomatonError(
                     f"state {q}: stored signature does not match its representative"
                 )
+    else:
+        blocks = _clique_signatures(label)
+        for q, sig in enumerate(signatures):
+            if sig not in blocks:
+                raise AutomatonError(f"state {q}: stored signature is no block of {label!r}")
     return QuotientPdfa(alphabet, initial, tuple(signatures), representatives,
                         tuple(table), label)
 

@@ -75,9 +75,8 @@ class ObservationTable:
 
     Only new rows and new columns are filled, so each (prefix, suffix) cell
     is queried exactly once; each batch of new cells is filled in one loop,
-    row by row, after the model is asked to prefetch their words. After
-    ``TableLimitExceeded`` the table is left partly filled and must not be
-    used further.
+    row by row. After ``TableLimitExceeded`` the table is left partly
+    filled and must not be used further.
 
     ``build_hypothesis`` numbers the classes by their RED rows in rank
     order, reads the transitions from those rows' children by rank, and
@@ -189,7 +188,6 @@ class ObservationTable:
         over = len(words) > room
         if over:
             del words[room:]
-        self.model.prefetch(words)
         out = list(map(self._sigs.__getitem__, map(self.model.query, words)))
         if over:
             raise TableLimitExceeded(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import math
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 from .automata import Pdfa, _walk
 from .distributions import Alphabet, Distribution
@@ -28,11 +28,6 @@ class LanguageModel(abc.ABC):
     @abc.abstractmethod
     def query(self, word: Word) -> Distribution:
         """Next-symbol distribution after reading ``word``."""
-
-    def query_many(self, words: Iterable[Word]) -> list[Distribution]:
-        """The answers to ``words``, in order; a model with a faster batch
-        path overrides this loop."""
-        return [self.query(word) for word in words]
 
     def _check_word(self, word: Word) -> None:
         alphabet = self.alphabet
@@ -132,27 +127,19 @@ class CachedModel(LanguageModel):
 
     Returns the identical Distribution objects the inner model produced.
     Thread-safe for concurrent read-only use, and ``query`` takes no lock:
-    dict ``get``, ``pop`` and ``setdefault`` on word tuples are atomic, and
+    dict ``get`` and ``setdefault`` on word tuples are atomic, and
     each querying thread counts into its own ``[hits, misses]`` tally, so
     no count is lost. ``hits`` and ``misses`` sum the tallies when read.
     Two threads missing the same word at once both ask the inner model and
     both count a miss; both get the answer cached first.
 
-    ``prefetch`` hands words the caller is about to query to the inner
-    model's batch path in one call. ``query`` then answers each of them as
-    it would have, counting a miss, so counts and the words the inner model
-    sees, in their order, do not depend on prefetching. ``batches`` tells
-    whether the inner model has a batch path of its own; without one,
-    ``prefetch`` does nothing. ``peek`` reads a cached answer without
-    counting it, so a caller that keeps the words it queried needs no store
-    of its own.
+    ``peek`` reads a cached answer without counting it, so a caller that
+    keeps the words it queried needs no store of its own.
     """
 
     def __init__(self, inner: LanguageModel):
         self.inner = inner
-        self.batches = type(inner).query_many is not LanguageModel.query_many
         self._cache: dict[Word, Distribution] = {}
-        self._prefetched: dict[Word, Distribution] = {}
         # One [hits, misses] list per thread that has queried; only that
         # thread writes it, and the lock guards the list of tallies.
         self._local = threading.local()
@@ -171,7 +158,7 @@ class CachedModel(LanguageModel):
 
     @property
     def misses(self) -> int:
-        """Queries passed on to the inner model (or its prefetched answers)."""
+        """Queries passed on to the inner model."""
         with self._tallies_lock:
             return sum(tally[1] for tally in self._tallies)
 
@@ -192,10 +179,7 @@ class CachedModel(LanguageModel):
         if cached is not None:
             tally[0] += 1
             return cached
-        ready = self._prefetched
-        result = ready.pop(word, None) if ready else None
-        if result is None:
-            result = self.inner.query(word)
+        result = self.inner.query(word)
         tally[1] += 1
         return self._cache.setdefault(word, result)
 
@@ -203,21 +187,6 @@ class CachedModel(LanguageModel):
         """The cached answer to ``word``, counted neither as a hit nor as a
         miss; ``KeyError`` when ``word`` was never queried."""
         return self._cache[word]
-
-    def prefetch(self, words: Iterable[Word]) -> None:
-        """Ask the inner model's ``query_many`` once for the distinct words
-        that are neither cached nor prefetched yet.
-
-        Does nothing when the inner model has no batch path of its own. A
-        failure propagates: it is the error that querying the words one by
-        one would raise first.
-        """
-        if not self.batches:
-            return
-        cache, ready = self._cache, self._prefetched
-        todo = [w for w in dict.fromkeys(map(tuple, words)) if w not in cache and w not in ready]
-        if todo:
-            ready.update(zip(todo, self.inner.query_many(todo)))
 
 
 def cached(model: LanguageModel) -> CachedModel:

@@ -16,7 +16,7 @@ import ssl
 import threading
 import time
 import weakref
-from typing import Iterable, Mapping
+from typing import Mapping
 from urllib.parse import urlsplit
 
 from .automata import decode_json
@@ -63,11 +63,11 @@ class RemoteModel(LanguageModel):
     Proxy variables are ignored and redirects are not followed (a 3xx is an
     unexpected status).
 
-    ``query_many`` sends a batch one request at a time on one HTTP/1.1
-    keep-alive connection: each reply is read in full before the next word
-    goes out. ``query`` is a batch of one. The model holds at most one
-    connection: a batch holds the model's lock from its first request to
-    its last answer, so threads are safe and take turns. Responses are read
+    ``query`` sends its word as one request on an HTTP/1.1 keep-alive
+    connection and reads the reply in full before it returns, so the client
+    never pipelines. The model holds at most one connection: a query holds
+    the model's lock from its request to its answer, so threads are safe
+    and take turns, one query at a time. Responses are read
     strictly: at most 100 header lines of at most 64 KiB each, a body of
     at most ``MAX_REPLY_BYTES`` framed by ``Content-Length``, chunked or
     the connection's close, ``Connection: close`` and HTTP/1.0 honoured,
@@ -127,29 +127,18 @@ class RemoteModel(LanguageModel):
         return self._alphabet
 
     def query(self, word: Word) -> Distribution:
-        return self.query_many((word,))[0]
-
-    def query_many(self, words: Iterable[Word]) -> list[Distribution]:
-        """The answers to ``words``, in order, one request at a time.
-
-        Each word is sent as given, so a repeated word is sent again;
-        ``CachedModel.prefetch`` passes distinct words. Raises what
-        ``query`` raises for the first word that fails for good, once the
-        words before it are answered; no later word is sent.
-        """
-        words = [tuple(word) for word in words]  # read outside the lock
+        """The answer to ``word``, sent as one request under the model's
+        lock; a repeated word is sent again."""
+        word = tuple(word)
         with self._lock:
-            return [self._exchange(self._request(word)) for word in words]
-
-    def _request(self, word: Word) -> bytes:
-        self._check_word(word)
-        if self.max_query_length is not None and len(word) > self.max_query_length:
-            raise RemoteModelError(
-                f"query length {len(word)} exceeds the configured limit "
-                f"{self.max_query_length}"
-            )
-        body = json.dumps({"tokens": list(word)}).encode()
-        return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+            self._check_word(word)
+            if self.max_query_length is not None and len(word) > self.max_query_length:
+                raise RemoteModelError(
+                    f"query length {len(word)} exceeds the configured limit "
+                    f"{self.max_query_length}"
+                )
+            body = json.dumps({"tokens": list(word)}).encode()
+            return self._exchange(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
 
     def _exchange(self, request: bytes) -> Distribution:
         """The answer to ``request``, retried as the class says; the caller

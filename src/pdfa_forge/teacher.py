@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .automata import Pdfa, QuotientPdfa, _first_mismatch
 from .distributions import AlphabetMismatch, require_limit
-from .models import CachedModel, LanguageModel, PdfaLanguageModel
+from .models import LanguageModel, PdfaLanguageModel
 from .relations import EquivalenceSpec, SignatureMemo, signature
 from .words import Word, count_words, iter_words, prefixes, word_key
 
@@ -119,8 +119,7 @@ class SamplingOracle(EqOracle):
     words. The answer is the length-lex smallest shortest failing prefix of
     a failing word. A None answer is evidence, not proof. The samples are
     drawn once per oracle from the configured seed, so every check tests the
-    same words and verdicts are reproducible. All samples are queried, so a
-    caching model gets them as one batch to prefetch.
+    same words and verdicts are reproducible.
     """
 
     SWEEP_LENGTH = 3
@@ -152,10 +151,7 @@ class SamplingOracle(EqOracle):
         alphabet = self.model.alphabet
         if word is not None or not alphabet.symbols:
             return word
-        samples = self._draw()
-        if isinstance(self.model, CachedModel):
-            self.model.prefetch(samples)
-        failures = {word for word in samples if self._fails(word, hypothesis)}
+        failures = {word for word in self._draw() if self._fails(word, hypothesis)}
         # Shrink the failures in length-lex order. Prefixes come in increasing
         # order too, so a prefix that is not below the best answer so far ends
         # the scan: the word's shortest failing prefix cannot beat it.

@@ -1,20 +1,24 @@
 """The golden learner corpus: fixed ``learn`` runs and their digests.
 
-Each run learns a fixed target through a model that records every word and
-batch it is asked. ``tests/golden/learn.json`` stores, per run, sha256
-digests of the hypothesis JSON, the trace tuples and the recorded requests,
-plus the plain ``mq_count``, ``rounds``, cache hits and misses and stop
-reason; ``test_golden.py`` checks that the learner still reproduces them.
+Each run learns a fixed target through a model that records every word it
+is asked. ``tests/golden/learn.json`` stores, per run, sha256 digests of the
+hypothesis JSON, the trace tuples and the recorded requests, plus the plain
+``mq_count``, ``rounds``, cache hits and misses and stop reason;
+``test_golden.py`` checks that the learner still reproduces them.
 
 Rewrite the file with ``PYTHONPATH=src python tests/make_golden.py``. A
-change that moves a digest says which and why.
+change that moves a digest says which and why: ``--check`` writes nothing
+and prints ``<run>: <field>`` for each field that differs from the file,
+exiting 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 from pdfa_forge import (
@@ -53,23 +57,14 @@ class Recorded(LanguageModel):
         return self.inner.query(word)
 
 
-class RecordedBatches(Recorded):
-    """A recorded model with a batch path of its own, as a remote model has."""
-
-    def query_many(self, words):
-        words = list(words)
-        self.log.append(["batch", words])
-        return list(map(self.inner.query, words))
-
-
 def digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def summary(inner: LanguageModel, spec: str, oracle, batches=False, **limits) -> dict:
+def summary(inner: LanguageModel, spec: str, oracle, **limits) -> dict:
     """Learn ``inner`` under ``spec``; ``oracle(model, equivalence)`` builds
     the equivalence oracle over the recorded, cached model."""
-    model = (RecordedBatches if batches else Recorded)(inner)
+    model = Recorded(inner)
     cache = CachedModel(model)
     equivalence = parse_equivalence(spec)
     report = learn(cache, equivalence, oracle(cache, equivalence), **limits)
@@ -94,7 +89,7 @@ def exact_run(target, spec: str, **limits):
 
 def sampling_run(inner: LanguageModel, spec: str, config: SamplingConfig, **limits):
     return lambda: summary(
-        inner, spec, lambda model, eq: SamplingOracle(model, eq, config), batches=True, **limits
+        inner, spec, lambda model, eq: SamplingOracle(model, eq, config), **limits
     )
 
 
@@ -130,12 +125,37 @@ def runs() -> dict:
     return out
 
 
-def main() -> None:
-    GOLDEN.parent.mkdir(exist_ok=True)
+def moved(pinned: dict, computed: dict) -> list[str]:
+    """``<run>: <field>`` for each field that differs between two corpora;
+    a run missing from one side differs in every field."""
+    lines = []
+    for name in sorted(pinned.keys() | computed.keys()):
+        old, new = pinned.get(name, {}), computed.get(name, {})
+        lines += [
+            f"{name}: {field}"
+            for field in sorted(old.keys() | new.keys())
+            if old.get(field) != new.get(field)
+        ]
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; list the fields that differ from the corpus, exit 1 if any",
+    )
+    args = parser.parse_args(argv)
     corpus = {name: run() for name, run in runs().items()}
+    if args.check:
+        lines = moved(json.loads(GOLDEN.read_text()), corpus)
+        print("\n".join(lines) or f"all {len(corpus)} runs match {GOLDEN.name}")
+        return 1 if lines else 0
+    GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(corpus)} runs to {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

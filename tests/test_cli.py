@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from pdfa_forge import (
 from pdfa_forge.bundled import fixture_json
 from pdfa_forge.cli import main
 
-from helpers import content_length_reply
+from helpers import content_length_reply, random_pdfa
 
 
 def run_cli(*argv, out_dir=None):
@@ -150,6 +151,16 @@ class TestCompareCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "equivalent"
 
+    def test_pdfas_over_different_alphabets_are_a_config_error(self, tmp_path, capsys):
+        from pdfa_forge import pdfa_to_json
+
+        binary = random_pdfa(random.Random(4), max_states=3, min_symbols=2, max_symbols=2)
+        path = tmp_path / "binary.json"
+        path.write_text(json.dumps(pdfa_to_json(binary)))
+        code = run_cli("compare", str(path), "fixture:fig2a", "--equiv", "exact")
+        assert code == 1
+        assert "cannot compare PDFAs over different alphabets" in capsys.readouterr().err
+
 
 class TestCliquesCommand:
     def test_three_partitions(self, tmp_path, capsys):
@@ -191,6 +202,16 @@ class TestCliquesCommand:
         code = run_cli("cliques", str(path), "--sim", "vd:0.15", out_dir=tmp_path)
         assert code == 0
         assert "2 clique partition(s)" in capsys.readouterr().out
+
+    def test_more_than_twelve_distributions_are_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "dists.json"
+        path.write_text(json.dumps([{"a": 0.3 + i / 1000, "$": 0.7 - i / 1000} for i in range(13)]))
+        code = run_cli("cliques", str(path), "--sim", "vd:0.15", out_dir=tmp_path)
+        assert code == 1
+        assert "refusing to enumerate partitions of 13 > 12 distributions" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "cliques.json").exists()
 
 
 class TestExportCommand:

@@ -1222,54 +1222,6 @@ class RecordingCache(CachedModel):
         return super().query(word)
 
 
-class BatchPathModel(PdfaLanguageModel):
-    """A PDFA model with a batch path of its own, as a remote model has."""
-
-    def query_many(self, words):
-        return [self.query(word) for word in words]
-
-
-class PrefetchRecordingCache(RecordingCache):
-    """A recording cache that also keeps every prefetch request."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.prefetched = []
-
-    def prefetch(self, words):
-        self.prefetched.append(list(words))
-        super().prefetch(words)
-
-
-class TestPrefetchedFills:
-    def test_each_fill_prefetches_the_words_it_queries(self, monkeypatch):
-        target = random_pdfa(random.Random(77), max_states=30, min_states=10, min_symbols=2)
-        fill = ObservationTable._query_cells
-        full = learn(PdfaLanguageModel(target), QUANT3, ExactOracle(target, QUANT3))
-        _, red, blue, suffixes, _ = full.trace[-1]
-        for max_cells in (100_000, (red + blue) * suffixes // 2 + 1):
-            model = PrefetchRecordingCache(BatchPathModel(target))
-            filled = []
-
-            def recording(table, prefixes, suffixes):
-                start = len(model.words)
-                try:
-                    return fill(table, prefixes, suffixes)
-                finally:
-                    filled.append(model.words[start:])
-
-            monkeypatch.setattr(ObservationTable, "_query_cells", recording)
-            report = learn(model, QUANT3, ExactOracle(target, QUANT3), max_cells=max_cells)
-            # A fill the budget cuts short prefetches only the cells that fit.
-            assert report.converged == (max_cells == 100_000)
-            assert model.prefetched == filled and len(filled) > 2
-        # Without a batch path the fills ask alike; ``prefetch`` then does nothing.
-        model = PrefetchRecordingCache(PdfaLanguageModel(target))
-        filled.clear()
-        learn(model, QUANT3, ExactOracle(target, QUANT3))
-        assert model.prefetched == filled and not model.batches
-
-
 class TestBatchedFillAgainstPerCellFill:
     """Batched fills ask the model the same words, in the same order."""
 

@@ -10,6 +10,7 @@ import threading
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -21,7 +22,6 @@ from pdfa_forge import (
     Alphabet,
     AlphabetMismatch,
     Distribution,
-    LanguageModel,
     PdfaLanguageModel,
     RemoteModel,
     RemoteModelError,
@@ -37,6 +37,7 @@ from pdfa_forge.teacher import BoundedExhaustiveOracle
 from pdfa_forge.words import iter_words
 
 from helpers import LmServer, content_length_reply, random_pdfa
+from make_golden import Recorded
 
 AB = Alphabet(("a", "b"))
 PROBS = {"a": 0.2, "b": 0.3, "$": 0.5}
@@ -208,7 +209,7 @@ class TestClientConfiguration:
     ])
     def test_transport_settings_are_constants_not_arguments(self, name, value):
         # The attempts and the backoff are the module's MAX_ATTEMPTS and
-        # RETRY_BACKOFF_S; a batch has no depth to set.
+        # RETRY_BACKOFF_S; one request is in flight at a time.
         with pytest.raises(TypeError, match=name):
             RemoteModel("http://127.0.0.1:9", AB, **{name: value})
 
@@ -340,7 +341,6 @@ class TestKeepAliveTransport:
         assert server.requests == [("/v1/lm/next_token_distribution", {"tokens": ["a"]})]
 
     def test_threads_take_turns_on_one_connection(self, fig3a):
-        # Half the threads query word by word, half send one batch each.
         words = list(iter_words(fig3a.alphabet, 40))
         errors = []
         with LmServer() as server:
@@ -351,10 +351,7 @@ class TestKeepAliveTransport:
             def worker(offset):
                 try:
                     chunk = words[offset::8]
-                    if offset % 2:
-                        got = model.query_many(chunk)
-                    else:
-                        got = [model.query(word) for word in chunk]
+                    got = [model.query(word) for word in chunk]
                     if got != [fig3a.distribution_after(w) for w in chunk]:
                         errors.append(offset)
                 except Exception as exc:  # reported by the assertion below
@@ -485,21 +482,7 @@ def answer_after(pdfa):
     return behavior
 
 
-class OneWordModel(LanguageModel):
-    """A remote model seen through a wrapper without a batch path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def alphabet(self):
-        return self.inner.alphabet
-
-    def query(self, word):
-        return self.inner.query(word)
-
-
-class TestBatches:
+class TestWordSequences:
     def assert_answers(self, answers, words, pdfa):
         assert [d.as_dict() for d in answers] == [
             pytest.approx(pdfa.distribution_after(w).as_dict()) for w in words
@@ -522,26 +505,26 @@ class TestBatches:
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            answers = model.query_many(words)
+            answers = [model.query(word) for word in words]
             model.close()
         self.assert_answers(answers, words, fig2a)
-        # De-duplication is the cache's job (``CachedModel.prefetch``).
+        # De-duplication is the cache's job (``CachedModel``).
         assert tokens(server) == words
 
-    def test_a_batch_is_sent_one_request_at_a_time_on_one_connection(self, fig2a, monkeypatch):
+    def test_words_are_sent_one_request_at_a_time_on_one_connection(self, fig2a, monkeypatch):
         writes = self.record_writes(monkeypatch)
         words = [("a",) * n for n in range(30)]
         with LmServer() as server:
             server.serve_pdfa(fig2a)
             server.delay_s = 0.001
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert server.connections == server.peak_connections == 1
         # Each request is written once its predecessor's reply is read.
         assert [n for _, n in writes] == [1] * 30
 
-    def test_connection_close_mid_batch_costs_no_attempt(self, fig2a, monkeypatch):
+    def test_connection_close_mid_sequence_costs_no_attempt(self, fig2a, monkeypatch):
         monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         words = [("a",) * n for n in range(12)]
         replies = []
@@ -557,7 +540,7 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.reply = closing_third
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert tokens(server) == words
         assert server.connections == 2
@@ -572,7 +555,7 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.linger_after_reply = True
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert Counter(tokens(server)) == Counter(words)
         assert server.connections == len(words)
@@ -588,12 +571,12 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.close_after_reply = True
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert tokens(server) == words
         assert server.connections == len(words)
 
-    def test_server_error_mid_batch_is_retried(self, fig2a, monkeypatch, no_backoff):
+    def test_server_error_mid_sequence_is_retried(self, fig2a, monkeypatch, no_backoff):
         monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         words = [("a",) * n for n in range(12)]
         failed = []
@@ -607,14 +590,14 @@ class TestBatches:
         with LmServer() as server:
             server.set_behavior(flaky)
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         counts = Counter(tokens(server))
         assert counts[("a",) * 4] == 2
         assert all(counts[w] == 1 for w in words if w != ("a",) * 4)
         assert server.connections == 1
 
-    def test_a_reply_cut_short_mid_batch_is_retried_alone(self, fig2a, monkeypatch, no_backoff):
+    def test_a_reply_cut_short_mid_sequence_is_retried_alone(self, fig2a, monkeypatch, no_backoff):
         monkeypatch.setattr(remote, "MAX_ATTEMPTS", 2)
         writes = self.record_writes(monkeypatch)
         words = [("a",) * n for n in range(12)]
@@ -628,7 +611,7 @@ class TestBatches:
         with LmServer() as server:
             server.set_behavior(truncate_fifth)
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         counts = Counter(tokens(server))
         assert counts[("a",) * 4] == 2
@@ -656,7 +639,7 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.reply = chunked
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert server.connections == 1
 
@@ -673,7 +656,7 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.reply = http10
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert tokens(server) == words
         assert server.connections == 5
@@ -693,7 +676,7 @@ class TestBatches:
             server.serve_pdfa(fig2a)
             server.reply = early
             model = RemoteModel(server.endpoint, fig2a.alphabet)
-            self.assert_answers(model.query_many(words), words, fig2a)
+            self.assert_answers([model.query(w) for w in words], words, fig2a)
             model.close()
         assert server.connections == 1
 
@@ -727,7 +710,8 @@ class TestBatches:
             server.reply = self.with_headers(lines)
             model = RemoteModel(server.endpoint, fig2a.alphabet)
             with pytest.raises(RemoteModelError, match=f"3 attempts: .*{message}"):
-                model.query_many([(), ("a",)])
+                for word in [(), ("a",)]:
+                    model.query(word)
         assert tokens(server) == [()] * 3
 
     @pytest.mark.parametrize(
@@ -772,7 +756,8 @@ class TestBatches:
             server.reply = reply
             model = RemoteModel(server.endpoint, fig2a.alphabet)
             with pytest.raises(RemoteModelError, match=f"3 attempts: .*{message}"):
-                model.query_many([(), ("a",)])
+                for word in [(), ("a",)]:
+                    model.query(word)
         assert tokens(server) == [()] * 3
 
     def test_a_body_at_the_cap_is_read(self, fig2a):
@@ -813,10 +798,11 @@ class TestBatches:
             model = RemoteModel(server.endpoint, AB)
             with pytest.raises(RemoteModelError) as alone:
                 model.query(("b",))
-            with pytest.raises(RemoteModelError) as batched:
-                model.query_many([("a",), ("b",), ("a", "b"), ("b",)])
+            with pytest.raises(RemoteModelError) as in_turn:
+                for word in [("a",), ("b",), ("a", "b"), ("b",)]:
+                    model.query(word)
             model.close()
-        assert str(batched.value) == str(alone.value)
+        assert str(in_turn.value) == str(alone.value)
 
     def test_an_earlier_failure_wins_over_a_later_one(self, no_backoff):
         def behavior(path, body):
@@ -830,7 +816,8 @@ class TestBatches:
             server.set_behavior(behavior)
             model = RemoteModel(server.endpoint, AB)
             with pytest.raises(RemoteModelError, match="3 attempts: server error 500"):
-                model.query_many([(), ("a",), ("b",), ("a", "a")])
+                for word in [(), ("a",), ("b",), ("a", "a")]:
+                    model.query(word)
             model.close()
         assert tokens(server) == [(), ("a",), ("a",), ("a",)]
 
@@ -840,72 +827,38 @@ class TestBatches:
             model = RemoteModel(server.endpoint, AB)
             with pytest.raises(AlphabetMismatch) as alone:
                 model.query(("z",))
-            with pytest.raises(AlphabetMismatch) as batched:
-                model.query_many([("a",), ("z",), ("b",)])
+            with pytest.raises(AlphabetMismatch) as in_turn:
+                for word in [("a",), ("z",), ("b",)]:
+                    model.query(word)
             model.close()
-        assert str(batched.value) == str(alone.value)
+        assert str(in_turn.value) == str(alone.value)
         assert tokens(server) == [("a",)]
 
-    def test_batches_sent_at_once_do_not_interleave(self, fig3a):
-        # A batch holds the model's lock from its first request to its last
-        # answer, so each batch reaches the server as one unbroken run.
-        words = list(iter_words(fig3a.alphabet, 40))
-        chunks = [words[offset::4] for offset in range(4)]
-        errors = []
-        with LmServer() as server:
-            server.serve_pdfa(fig3a)
-            server.delay_s = 0.001
-            model = RemoteModel(server.endpoint, fig3a.alphabet)
-            start = threading.Barrier(len(chunks))
-
-            def worker(chunk):
-                try:
-                    start.wait(timeout=30)
-                    if model.query_many(chunk) != [fig3a.distribution_after(w) for w in chunk]:
-                        errors.append(chunk[0])
-                except Exception as exc:  # reported by the assertion below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(chunk,)) for chunk in chunks]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            model.close()
-        assert errors == []
-        sent = tokens(server)
-        runs = []
-        while sent:
-            chunk = next(c for c in chunks if c[0] == sent[0])
-            assert sent[: len(chunk)] == chunk
-            runs.append(chunk)
-            sent = sent[len(chunk):]
-        assert sorted(runs) == sorted(chunks)
-        assert server.connections == 1
-
-    def test_learning_matches_the_one_word_path(self, monkeypatch):
+    def test_learning_over_http_sends_the_words_asked_in_process(self, monkeypatch):
         monkeypatch.setattr(remote, "MAX_ATTEMPTS", 1)
         rng = random.Random(909)
         spec = parse_equivalence("quant:5")
         config = SamplingConfig(samples=150, max_length=12, seed=3)
         for _ in range(3):
             target = random_pdfa(rng, max_states=12, min_states=6, min_symbols=2, palette_size=4)
-            runs = []
             with LmServer() as server:
                 server.serve_pdfa(target)
-                for wrap in (lambda m: m, OneWordModel):
-                    server.requests.clear()
-                    model = wrap(RemoteModel(server.endpoint, target.alphabet))
-                    report = learn(model, spec, SamplingOracle(model, spec, config))
-                    runs.append((report, tokens(server)))
-                    (model.inner if isinstance(model, OneWordModel) else model).close()
-            (batched, sent), (one_word, expected) = runs
-            assert batched.converged and one_word.converged
-            assert batched.hypothesis == one_word.hypothesis
-            assert batched.trace == one_word.trace
-            assert batched.mq_count == one_word.mq_count == len(expected)
-            assert sent == expected
+                model = RemoteModel(server.endpoint, target.alphabet)
+                over_http = learn(model, spec, SamplingOracle(model, spec, config))
+                model.close()
+            local = Recorded(PdfaLanguageModel(target))
+            in_process = learn(local, spec, SamplingOracle(local, spec, config))
+            assert over_http.converged and in_process.converged
+            # Served answers pass through JSON and renormalization, so the
+            # representatives agree to rounding; the rest agrees exactly.
+            learned, expected = over_http.hypothesis, in_process.hypothesis
+            assert replace(learned, representatives=expected.representatives) == expected
+            assert [d.as_dict() for d in learned.representatives] == [
+                pytest.approx(d.as_dict()) for d in expected.representatives
+            ]
+            assert over_http.trace == in_process.trace
+            assert over_http.mq_count == in_process.mq_count == len(local.log)
+            assert [["query", word] for word in tokens(server)] == local.log
 
 
 class TestRequestFraming:
@@ -1032,6 +985,7 @@ class TestResponseBodies:
         ('{"a": 1e400, "$": 0.5}', False, "probability of 'a' is too large for a float"),
         ('{"a": 1e400, "$": 0.5}', True, "probability of 'a' is too large for a float"),
         ('{"a": 1e308, "$": 1e308}', False, "probabilities sum to inf; pass renormalize"),
+        ('{"a": 0, "$": 0}', True, "probabilities sum to zero; cannot renormalize"),
     ])
     def test_a_rejected_body_names_its_fault(self, probs, renormalize, message):
         model = RemoteModel("http://127.0.0.1:9", self.A, renormalize=renormalize)

@@ -270,7 +270,7 @@ class TestSamplingOracle:
         counterexample = oracle.check(one_state_hypothesis(unary_dist(0.5), QUANT7))
         assert counterexample == ()  # the empty word already separates
 
-    def test_samples_are_drawn_once_and_prefetched_on_every_check(self, monkeypatch):
+    def test_samples_are_drawn_once_for_every_check(self, monkeypatch):
         rng = random.Random(31)
         target = random_pdfa(rng, max_states=8, min_states=4, min_symbols=2)
         config = SamplingConfig(samples=200, max_length=15, seed=9)
@@ -281,17 +281,17 @@ class TestSamplingOracle:
             for length in (min(reference.geometric(draws), config.max_length)
                            for _ in range(config.samples))
         ]
-        prefetched = []
-        cache = cached(PdfaLanguageModel(target))
-        monkeypatch.setattr(cache, "prefetch", prefetched.append)
-        oracle = SamplingOracle(cache, QUANT3, config)
+        oracle = SamplingOracle(cached(PdfaLanguageModel(target)), QUANT3, config)
+        drawn = []
+        draw = oracle._draw
+        monkeypatch.setattr(oracle, "_draw", lambda: drawn.append(draw()) or drawn[-1])
         wrong = quotient(target, parse_equivalence("quant:1"))
         hypothesis = quotient(target, QUANT3)
         for h in (hypothesis, hypothesis, wrong, hypothesis):
             oracle.check(h)
         # One list, drawn once; the sweep catches the wrong hypothesis
         # before the samples are reached.
-        assert prefetched == [expected] * 3 and all(p is prefetched[0] for p in prefetched)
+        assert drawn == [expected] * 3 and all(d is drawn[0] for d in drawn)
 
     @pytest.mark.parametrize("field", [
         {"samples": 0}, {"samples": 2.5}, {"samples": True}, {"samples": "10"},

@@ -9,6 +9,7 @@ import pytest
 from pdfa_forge import (
     AlphabetMismatch,
     AlternatingUnaryModel,
+    AutomatonError,
     CliqueInstability,
     CliquePartition,
     Distribution,
@@ -219,11 +220,28 @@ class TestQuotientByCliques:
 
     @pytest.mark.parametrize("index_sets", [SINGLETONS, HALF_WITH_LOW, HALF_WITH_HIGH])
     def test_a_clique_quotient_round_trips_through_json(self, fig3a, index_sets):
-        # The clique label parses as no equivalence spec, so loading keeps
-        # the stored signatures as they are.
+        # The clique label parses as no equivalence spec; loading checks
+        # that each stored signature names one of its blocks.
         h = quotient_by_cliques(fig3a, partition_by_index_sets(index_sets))
         assert h.equivalence.startswith("clique[")
         assert quotient_from_json(json.loads(json.dumps(quotient_to_json(h)))) == h
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(equivalence="quant:07x"), "neither an equivalence spec"),
+            (
+                lambda doc: doc["states"][0].update(signature=b"clique:9".hex()),
+                "state 0: stored signature is no block of 'clique",
+            ),
+        ],
+        ids=["typo label", "forged block"],
+    )
+    def test_a_clique_quotient_loads_only_its_own_blocks(self, fig3a, edit, message):
+        doc = quotient_to_json(quotient_by_cliques(fig3a, partition_by_index_sets(SINGLETONS)))
+        edit(doc)
+        with pytest.raises(AutomatonError, match=message):
+            quotient_from_json(doc)
 
     def test_singleton_partition_matches_exact_congruence(self, fig3a):
         # fig3a's emissions are all distinct; the random targets repeat theirs.
